@@ -1,9 +1,12 @@
 """Exact linear algebra over a field (Fraction or QI) plus univariate
 polynomial helpers.
 
-Matrices are lists of rows; vectors are lists.  Everything is duck-typed
-over the field operations +, -, *, /, and truthiness as the zero test, so
-the same routines serve the rational and Gaussian-rational cases.
+The API is dense: matrices are lists of rows and vectors are lists.
+Elimination is sparse inside: `rref` and `Span` keep each reduced row as a
+{column: value} dict of its nonzero entries, so no field arithmetic is
+spent on zeros.  Everything is duck-typed over the field operations +, -,
+*, /, and truthiness as the zero test, so the same routines serve the
+rational and Gaussian-rational cases.
 """
 
 from __future__ import annotations
@@ -17,11 +20,6 @@ F1 = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-def mat_vec(mat, vec):
-    return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), row[0] * 0)
-            for row in mat]
 
 
 def mat_mul(a, b):
@@ -42,35 +40,73 @@ def mat_mul(a, b):
     return out
 
 
+# ---------------------------------------------------------------------------
+# sparse elimination: a reduced row is {column: value} over its nonzero
+# entries, value 1 at its pivot column; a row space in reduced row echelon
+# form is {pivot column: reduced row}
+
+
+def _eliminate(vec, pc, row):
+    """Subtract vec[pc] * row from vec in place, row having 1 at pc."""
+    f = vec.pop(pc)
+    for c, b in row.items():
+        if c == pc:
+            continue
+        x = vec.get(c)
+        if x is None:
+            vec[c] = -f * b
+        else:
+            x = x - f * b
+            if x:
+                vec[c] = x
+            else:
+                del vec[c]
+
+
+def _reduce(echelon, vec):
+    """The sparse remainder of the dense vector vec modulo the row space."""
+    red = {c: x for c, x in enumerate(vec) if x}
+    # a reduced row is zero at every other pivot column, so eliminating
+    # one pivot never brings back another
+    for pc in [c for c in red if c in echelon]:
+        _eliminate(red, pc, echelon[pc])
+    return red
+
+
+def _insert(echelon, red):
+    """Add a nonzero remainder of `_reduce` to the row space as a new
+    reduced row, clearing its pivot column from the other rows."""
+    pc = min(red)
+    pv = red[pc]
+    row = {c: x / pv for c, x in red.items()}
+    for other in echelon.values():
+        if pc in other:
+            _eliminate(other, pc, row)
+    echelon[pc] = row
+
+
+def _dense_rows(echelon, ncols):
+    """The reduced rows as dense lists, in pivot order."""
+    out = []
+    for pc in sorted(echelon):
+        row = echelon[pc]
+        dense = [row[pc] * 0] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out
+
+
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
-    if not rows:
+    if not mat:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    rows = [row for row in rows if any(row)]
-    return rows, pivots
+    echelon = {}
+    for vec in mat:
+        red = _reduce(echelon, vec)
+        if red:
+            _insert(echelon, red)
+    return _dense_rows(echelon, len(mat[0])), sorted(echelon)
 
 
 def rank(mat):
@@ -84,13 +120,16 @@ def nullspace(mat, ncols=None):
     if not mat:
         mat = []
     rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [F0] * ncols
         vec[fc] = F1
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+            x = rows[r][fc]
+            vec[pc] = -x if x else x    # a zero keeps its field type
         basis.append(vec)
     return basis
 
@@ -141,46 +180,42 @@ def det(mat):
 
 
 class Span:
-    """Incrementally maintained row space in reduced echelon form."""
+    """Incrementally maintained row space in reduced echelon form.
+
+    Vectors go in as dense lists and `rows` hands the reduced rows back as
+    dense lists in pivot order.  Inside, each reduced row is a sparse
+    {column: value} dict keyed by its pivot column, so reduction and
+    back-substitution touch only nonzero entries.  Truthiness is the zero
+    test: an entry is kept only while it is truthy.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []          # reduced rows
-        self.pivots = []        # pivot column of each row
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if vec[pc]:
-                f = vec[pc]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+        self._echelon = {}      # pivot column -> sparse reduced row
 
     def contains(self, vec):
-        return not any(self._reduce(vec))
+        return not _reduce(self._echelon, vec)
 
     def add(self, vec):
         """Insert vec; returns True if it enlarged the span."""
-        red = self._reduce(vec)
-        pc = next((c for c in range(self.ncols) if red[c]), None)
-        if pc is None:
+        red = _reduce(self._echelon, vec)
+        if not red:
             return False
-        pv = red[pc]
-        red = [x / pv for x in red]
-        for i in range(len(self.rows)):
-            if self.rows[i][pc]:
-                f = self.rows[i][pc]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], red)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pc:
-            pos += 1
-        self.rows.insert(pos, red)
-        self.pivots.insert(pos, pc)
+        _insert(self._echelon, red)
         return True
 
     @property
+    def rows(self):
+        """The reduced rows as dense lists, in pivot order (built per read)."""
+        return _dense_rows(self._echelon, self.ncols)
+
+    @property
+    def pivots(self):
+        return sorted(self._echelon)
+
+    @property
     def dim(self):
-        return len(self.rows)
+        return len(self._echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +379,14 @@ def rational_roots(p):
 # minimal polynomial of a linear operator (Krylov, exact)
 
 
-def min_poly(apply_op, dim, sample_order=None):
+def min_poly(apply_op, dim):
     """Minimal polynomial of the operator v -> apply_op(v) on F^dim.
 
     Works by accumulating annihilators of Krylov chains until the candidate
     kills every basis vector, so the result is certified, not probabilistic.
     """
     p = [F1]
-    order = sample_order if sample_order is not None else range(dim)
-    for i in order:
+    for i in range(dim):
         e = [F0] * dim
         e[i] = F1
         v = _apply_poly(apply_op, p, e)
@@ -364,11 +398,14 @@ def min_poly(apply_op, dim, sample_order=None):
 
 
 def _apply_poly(apply_op, p, v):
+    """p(op) v by Horner's rule; only the nonzero entries of v are added."""
+    support = [(j, b) for j, b in enumerate(v) if b]
     acc = [x * 0 for x in v]
     for c in reversed(p):
-        acc = apply_op(acc)
+        acc = list(apply_op(acc))
         if c:
-            acc = [a + c * b for a, b in zip(acc, v)]
+            for j, b in support:
+                acc[j] = acc[j] + c * b
     return acc
 
 

@@ -121,20 +121,22 @@ class RootSystem:
         pos = set(self.positive_roots)
         object.__setattr__(self, "_root_set",
                            pos | {tuple(-c for c in r) for r in pos})
+        # 6 (a_i, a_j) = 3 |a_i|^2 C_ij is integral: |a_i|^2 is 2, 1 or 2/3
+        gram = [[3 * li * cij for cij in row]
+                for li, row in zip(self.lengths, self.cartan_matrix)]
+        assert all(x.denominator == 1 for row in gram for x in row)
+        object.__setattr__(self, "_gram6",
+                           tuple(tuple(int(x) for x in row) for row in gram))
 
     # -- pairing helpers ----------------------------------------------------
 
     def form(self, a, b):
         """Invariant bilinear form (a, b) for integer coordinate vectors."""
-        total = Fraction(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            li = self.lengths[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    total += ai * bj * li * self.cartan_matrix[i][j] / 2
-        return total
+        total = 0
+        for ai, row in zip(a, self._gram6):
+            if ai:
+                total += ai * sum(g * bj for g, bj in zip(row, b))
+        return Fraction(total, 6)
 
     def is_root(self, a):
         return tuple(a) in self._root_set

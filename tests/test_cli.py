@@ -1,11 +1,14 @@
 """CLI front door: subcommands, exit codes, JSON hygiene."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from liepairs.cli import run
 from liepairs.report import frac_str, model_report, parse_orbit
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _no_floats(obj):
@@ -99,7 +102,10 @@ def test_model_report_zero_orbit_skips():
 
 def test_verify_all_small(capsys):
     assert run(["verify-all", "--max-rank", "4", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # every certificate is exact, so the report must not move by a byte
+    assert out.encode() == (GOLDEN / "verify_all_max_rank_4.json").read_bytes()
+    doc = json.loads(out)
     assert doc["ok"]
     assert _no_floats(doc)
     names = {i["name"] for i in doc["items"]}

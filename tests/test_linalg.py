@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from liepairs import linalg
 from liepairs.gaussian import QI
 
@@ -107,3 +110,188 @@ def test_rational_roots():
     # 2x^2 - 3x + 1 = (2x - 1)(x - 1)
     roots, _ = linalg.rational_roots([F(1), F(-3), F(2)])
     assert sorted(roots) == [F(1, 2), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination against a dense reference
+
+
+def dense_rref(mat):
+    """Textbook Gauss-Jordan on dense rows, the reference for `rref`."""
+    rows = [list(r) for r in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_nullspace(mat, ncols):
+    rows, pivots = dense_rref(mat)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(mat, rhs):
+    if not mat:
+        return None if any(rhs) else []
+    ncols = len(mat[0])
+    rows, pivots = dense_rref([list(r) + [b] for r, b in zip(mat, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[-1]
+    return x
+
+
+def assert_same(got, want):
+    """Equal values of the same types, entry by entry."""
+    assert got == want
+    flat_got = [x for row in got for x in row]
+    flat_want = [x for row in want for x in row]
+    assert [type(x) for x in flat_got] == [type(x) for x in flat_want]
+
+
+SCALARS = [0, 0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)]
+fractions_ = st.sampled_from(SCALARS).map(F)
+gaussians = st.builds(QI, st.sampled_from(SCALARS), st.sampled_from(SCALARS))
+
+
+@st.composite
+def matrices(draw, entry, max_side=6):
+    """Wide, tall and empty shapes; dense, low-rank (a product through a
+    thin middle) or with zeroed rows and columns."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    zero = draw(entry) * 0
+    kind = draw(st.sampled_from(["dense", "low-rank", "zeroed"]))
+    if kind == "low-rank":
+        k = draw(st.integers(0, 2))
+        a = [[draw(entry) for _ in range(k)] for _ in range(m)]
+        b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
+                 for j in range(n)] for i in range(m)]
+    mat = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if kind == "zeroed" and m and n:
+        dead_rows = draw(st.sets(st.integers(0, m - 1)))
+        dead_cols = draw(st.sets(st.integers(0, n - 1)))
+        mat = [[zero if i in dead_rows or j in dead_cols else x
+                for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    return mat
+
+
+def _fields(draw_matrix):
+    return st.one_of(draw_matrix(fractions_), draw_matrix(gaussians))
+
+
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+@PROPERTY
+@given(_fields(matrices))
+def test_rref_rank_nullspace_match_dense_reference(mat):
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = linalg.rref(mat)
+    want_rows, want_pivots = dense_rref(mat)
+    assert pivots == want_pivots
+    assert_same(rows, want_rows)
+    assert linalg.rank(mat) == len(want_pivots)
+    assert_same(linalg.nullspace(mat, ncols), dense_nullspace(mat, ncols))
+
+
+@st.composite
+def systems(draw, entry):
+    mat = draw(matrices(entry))
+    rhs = [draw(entry) for _ in mat]
+    if mat and draw(st.booleans()):     # a consistent right-hand side
+        x = [draw(entry) for _ in mat[0]]
+        rhs = [sum((a * b for a, b in zip(row, x)), rhs[0] * 0)
+               for row in mat]
+    return mat, rhs
+
+
+@PROPERTY
+@given(_fields(systems))
+def test_solve_matches_dense_reference(system):
+    mat, rhs = system
+    x = linalg.solve(mat, rhs)
+    want = dense_solve(mat, rhs)
+    if want is None:
+        assert x is None
+    else:
+        assert_same([x], [want])
+        assert all(sum((a * b for a, b in zip(row, x)), F(0)) == r
+                   for row, r in zip(mat, rhs))
+
+
+@PROPERTY
+@given(_fields(matrices))
+def test_span_stream_matches_dense_reference(vectors):
+    ncols = len(vectors[0]) if vectors else 0
+    sp = linalg.Span(ncols)
+    assert sp.rows == [] and sp.pivots == [] and sp.dim == 0
+    for k, v in enumerate(vectors):
+        before = sp.dim
+        inside = sp.contains(v)
+        assert sp.add(v) == (not inside)
+        want_rows, want_pivots = dense_rref(vectors[:k + 1])
+        assert sp.dim == len(want_pivots) == before + (not inside)
+        assert sp.pivots == want_pivots
+        assert_same(sp.rows, want_rows)
+        assert sp.contains(v)
+
+
+def dense_min_poly(mat):
+    """Least k with M^k in span(I, ..., M^(k-1)), solved densely."""
+    n = len(mat)
+    one, zero = mat[0][0] * 0 + 1, mat[0][0] * 0
+    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    flats = []
+    while True:
+        flats.append([x for row in power for x in row])
+        power = [[sum((a * power[t][j] for t, a in enumerate(row)), zero)
+                  for j in range(n)] for row in mat]
+        target = [x for row in power for x in row]
+        cols = [list(col) for col in zip(*flats)]
+        coeffs = dense_solve(cols, target)
+        if coeffs is not None:
+            return [-c for c in coeffs] + [F(1)]
+
+
+@st.composite
+def square_matrices(draw, entry):
+    n = draw(st.integers(1, 4))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_fields(square_matrices))
+def test_min_poly_matches_dense_reference(mat):
+    n = len(mat)
+
+    def apply(v):
+        return [sum((a * x for a, x in zip(row, v)), mat[0][0] * 0)
+                for row in mat]
+
+    assert linalg.min_poly(apply, n) == dense_min_poly(mat)

@@ -66,6 +66,30 @@ def test_form_long_roots_normalized():
         assert rs.form(top, top) == Fraction(2)
 
 
+FORM_TYPES = ([("A", n) for n in range(1, 9)]
+              + [(t, n) for t in "BCD" for n in range(2, 9)]
+              + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+@pytest.mark.parametrize("label,rank", FORM_TYPES)
+def test_form_matches_fraction_formula(label, rank):
+    """The integral Gram matrix gives the textbook value
+    (a, b) = sum_ij a_i b_j |a_i|^2 C_ij / 2 on every pair of positive
+    roots; both sides are bilinear, so every pair of roots follows."""
+    rs = build_root_system(label, rank)
+    half = [[li * c / 2 for c in row]
+            for li, row in zip(rs.lengths, rs.cartan_matrix)]
+    for a in rs.positive_roots:
+        # (a, alpha_j) for each simple root alpha_j
+        a_dual = [sum((ai * row[j] for ai, row in zip(a, half) if ai),
+                      Fraction(0)) for j in range(rank)]
+        for b in rs.positive_roots:
+            want = sum((x * bj for x, bj in zip(a_dual, b) if bj),
+                       Fraction(0))
+            got = rs.form(a, b)
+            assert type(got) is Fraction and got == want, (a, b)
+
+
 def test_pairing_integrality():
     rs = build_root_system("B", 3)
     for a in rs.root_set:
