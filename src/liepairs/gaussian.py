@@ -3,11 +3,47 @@
 Only the matrix realization of so(p+2) needs the imaginary unit (the real
 form embedding and the Cayley transform); everything root-theoretic stays
 over plain Fractions.
+
+Invariant: `re` and `im` are always exactly of type `Fraction`, and a
+`QI` is never mutated after `__init__`.  That is why an operation may
+return one of its operands (x + 0 is x itself), and why the arithmetic
+may test a part for zero through its numerator.  Every `QI` is built by
+`__init__`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_F0 = Fraction(0)
+
+
+# The zero tests below read `_numerator`: `Fraction.__bool__` and the
+# `numerator` property each cost a Python-level call, and the matrix
+# model makes millions of these tests.
+
+def _plus(x, y):
+    if not x._numerator:
+        return y
+    if not y._numerator:
+        return x
+    return x + y
+
+
+def _minus(x, y):
+    if not y._numerator:
+        return x
+    if not x._numerator:
+        return -y
+    return x - y
+
+
+def _times(x, y):
+    if not x._numerator:
+        return x
+    if not y._numerator:
+        return y
+    return x * y
 
 
 class QI:
@@ -15,18 +51,18 @@ class QI:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re=_F0, im=_F0):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(x) -> "QI":
-        if isinstance(x, QI):
+        if type(x) is QI:
             return x
         return QI(x)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re._numerator or self.im._numerator)
 
     def __eq__(self, other):
         other = QI.coerce(other)
@@ -36,37 +72,51 @@ class QI:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = QI.coerce(other)
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = QI(other)
+        if not (other.re._numerator or other.im._numerator):
+            return self
+        if not (self.re._numerator or self.im._numerator):
+            return other
+        return QI(_plus(self.re, other.re), _plus(self.im, other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        re, im = self.re, self.im
+        if not (re._numerator or im._numerator):
+            return self
+        return QI(-re if re._numerator else re, -im if im._numerator else im)
 
     def __sub__(self, other):
-        return self + (-QI.coerce(other))
+        if type(other) is not QI:
+            other = QI(other)
+        if not (other.re._numerator or other.im._numerator):
+            return self
+        if not (self.re._numerator or self.im._numerator):
+            return -other
+        return QI(_minus(self.re, other.re), _minus(self.im, other.im))
 
     def __rsub__(self, other):
-        return QI.coerce(other) + (-self)
+        return QI(other) - self
 
     def __mul__(self, other):
-        other = QI.coerce(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QI:
+            other = QI(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not (c._numerator or d._numerator):
+            return other
+        if not (a._numerator or b._numerator):
+            return self
+        if not (b._numerator or d._numerator):
+            return QI(a * c, b)
+        return QI(_minus(_times(a, c), _times(b, d)),
+                  _plus(_times(a, d), _times(b, c)))
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def inverse(self) -> "QI":
-        n = self.norm()
+        n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
         return QI(self.re / n, -self.im / n)
@@ -84,8 +134,3 @@ class QI:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
-
-
-I = QI(0, 1)
-ZERO = QI(0)
-ONE = QI(1)

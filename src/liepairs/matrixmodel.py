@@ -37,9 +37,8 @@ Q1 = QI(1)
 # matrix helpers over QI
 
 
-def zeros(n, m=None):
-    m = n if m is None else m
-    return [[Q0 for _ in range(m)] for _ in range(n)]
+def zeros(n):
+    return [[Q0] * n for _ in range(n)]
 
 
 def eye(n, scale=Q1):
@@ -50,16 +49,32 @@ def eye(n, scale=Q1):
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
     c = QI.coerce(c)
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else Q0 for x in row] for row in a]
+
+
+def lin_comb(coeffs, mats):
+    """sum c * M over the pairs (c, M), adding only nonzero entries."""
+    out = zeros(len(mats[0]))
+    for c, M in zip(coeffs, mats):
+        if not c:
+            continue
+        c = QI.coerce(c)
+        for row, orow in zip(M, out):
+            for j, x in enumerate(row):
+                if x:
+                    orow[j] = orow[j] + c * x
+    return out
 
 
 def mat_mul(a, b):
@@ -72,6 +87,20 @@ def commutator(a, b):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def _kernel(basis, image):
+    """The elements of span(basis) that the linear map `image` (matrix to
+    flat list of entries) sends to zero."""
+    mat = transpose([image(b) for b in basis])
+    return [lin_comb(sol, basis) for sol in linalg.nullspace(mat, len(basis))]
+
+
+def _joint_eigenspace(basis, ops):
+    """The elements Z of span(basis) with [A, Z] = c Z for each (A, c)."""
+    return _kernel(basis, lambda b: [
+        x for A, c in ops
+        for x in flatten(mat_sub(commutator(A, b), mat_scale(b, c)))])
 
 
 def mat_is_zero(a):
@@ -123,23 +152,26 @@ class MatrixPair:
 
     def __post_init__(self):
         self.n = self.p + 2
-        self.J = eye(self.n)
-        for i in (self.n - 2, self.n - 1):
-            self.J[i][i] = -Q1
         self.Jt = eye(self.n)
+        self.Jt_inv = eye(self.n)
         for i in (self.n - 2, self.n - 1):
             self.Jt[i][i] = -I_UNIT
+            self.Jt_inv[i][i] = I_UNIT
 
     def theta(self, X):
-        return mat_mul(self.J, mat_mul(X, self.J))
+        """J X J: flips the sign of the two off-diagonal blocks."""
+        p = self.p
+        return [[-x if (i < p) != (j < p) else x for j, x in enumerate(row)]
+                for i, row in enumerate(X)]
 
     def phi(self, X0):
         """Embedding of the real form: conjugation by diag(I_p, -i I_2)."""
-        return mat_mul(self.Jt, mat_mul(X0, mat_inverse(self.Jt)))
+        return mat_mul(self.Jt, mat_mul(X0, self.Jt_inv))
 
     def parity_tag(self, X):
-        in_k = mat_eq(self.theta(X), X)
-        in_p = mat_is_zero(mat_add(self.theta(X), X))
+        tX = self.theta(X)
+        in_k = mat_eq(tX, X)
+        in_p = mat_is_zero(mat_add(tX, X))
         if in_k:
             return "in-k"
         if in_p:
@@ -172,26 +204,15 @@ class MatrixPair:
         """Coefficient basis of {Y in span(basis) : [X, Y] = 0}."""
         if not basis:
             return []
-        cols = [flatten(commutator(X, b)) for b in basis]
-        mat = [[cols[j][i] for j in range(len(cols))]
-               for i in range(self.n * self.n)]
-        out = []
-        for sol in linalg.nullspace(mat, len(basis)):
-            Y = zeros(self.n)
-            for c, b in zip(sol, basis):
-                if c:
-                    Y = mat_add(Y, mat_scale(b, c))
-            out.append(Y)
-        return out
+        return _kernel(basis, lambda b: flatten(commutator(X, b)))
 
     def dim_p_centralizer(self, X):
         return len(self.centralizer_in(X, self.p_basis()))
 
     def dim_bracket_k(self, X):
-        cols = [flatten(commutator(b, X)) for b in self.k_basis()]
         sp = linalg.Span(self.n * self.n)
-        for c in cols:
-            sp.add([QI.coerce(x) for x in c])
+        for b in self.k_basis():
+            sp.add(flatten(commutator(b, X)))
         return sp.dim
 
 
@@ -230,17 +251,26 @@ def jordan_decompose(M):
 
     S is the unique semisimple summand commuting with N that is a
     polynomial in M; computed by Newton iteration on the squarefree
-    part of the minimal polynomial.
+    part of the minimal polynomial.  f(M) is nilpotent of index at most
+    n and each step squares the order of f(S), so ceil(log2 n) steps
+    reach f(S) = 0.
     """
     M = qi_entries(M)
+    n = len(M)
     f = linalg.squarefree_part(matrix_min_poly(M))
     fd = linalg.poly_deriv(f)
     S = M
-    while True:
+    checks = (n - 1).bit_length() + 1
+    for _ in range(checks):
         fS = poly_of_matrix(f, S)
         if mat_is_zero(fS):
             break
         S = mat_sub(S, mat_mul(fS, mat_inverse(poly_of_matrix(fd, S))))
+    else:
+        raise ValueError(
+            f"jordan_decompose: Newton iteration on a {n}x{n} matrix with "
+            f"squarefree minimal-polynomial part {f} (low order first) "
+            f"left f(S) != 0 after {checks - 1} steps")
     N = mat_sub(M, S)
     return S, N
 
@@ -259,26 +289,34 @@ def jordan_type(M):
     n = len(M)
     ranks = [n]
     P = eye(n)
-    while True:
+    while ranks[-1]:
+        if len(ranks) > n:
+            raise ValueError(
+                f"jordan_type: the {n}x{n} matrix is not nilpotent; "
+                f"ranks of its powers 0..{n}: {ranks}")
         P = mat_mul(P, M)
-        r = linalg.rank(P)
-        ranks.append(r)
-        if r == 0:
-            break
-    # number of blocks of size >= k is ranks[k-1] - ranks[k]
-    parts = []
-    for k in range(1, len(ranks)):
-        count_ge_k = ranks[k - 1] - ranks[k]
-        parts.append(count_ge_k)
-    shape = []
-    for k in range(len(parts), 0, -1):
-        mult = parts[k - 1] - (parts[k] if k < len(parts) else 0)
-        shape.extend([k] * mult)
-    return tuple(sorted(shape, reverse=True))
+        ranks.append(linalg.rank(P))
+    # ge[k - 1], the number of blocks of size >= k, is ranks[k-1] - ranks[k]
+    ge = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    return tuple(k for k in range(len(ge) - 1, 0, -1)
+                 for _ in range(ge[k - 1] - ge[k]))
 
 
 # ---------------------------------------------------------------------------
 # triples
+
+
+def _sl2_errors(H, X, Y, sub=""):
+    """The sl2 relations that (H, X, Y) breaks, named with suffix `sub`."""
+    h, x, y = (s + sub for s in "HXY")
+    errs = []
+    if not mat_eq(commutator(H, X), mat_scale(X, 2)):
+        errs.append(f"[{h},{x}] != 2 {x}")
+    if not mat_eq(commutator(H, Y), mat_scale(Y, -2)):
+        errs.append(f"[{h},{y}] != -2 {y}")
+    if not mat_eq(commutator(X, Y), H):
+        errs.append(f"[{x},{y}] != {h}")
+    return errs
 
 
 @dataclass
@@ -291,13 +329,7 @@ class CayleyTriple:
     Y0: list
 
     def validate(self):
-        errs = []
-        if not mat_eq(commutator(self.H0, self.X0), mat_scale(self.X0, 2)):
-            errs.append("[H0,X0] != 2 X0")
-        if not mat_eq(commutator(self.H0, self.Y0), mat_scale(self.Y0, -2)):
-            errs.append("[H0,Y0] != -2 Y0")
-        if not mat_eq(commutator(self.X0, self.Y0), self.H0):
-            errs.append("[X0,Y0] != H0")
+        errs = _sl2_errors(self.H0, self.X0, self.Y0, "0")
         if not mat_eq(transpose(self.H0), self.H0):
             errs.append("theta_0(H0) != -H0")
         if not mat_eq(transpose(self.X0), self.Y0):
@@ -315,13 +347,7 @@ class NormalTriple:
     Y: list
 
     def validate(self):
-        errs = []
-        if not mat_eq(commutator(self.H, self.X), mat_scale(self.X, 2)):
-            errs.append("[H,X] != 2 X")
-        if not mat_eq(commutator(self.H, self.Y), mat_scale(self.Y, -2)):
-            errs.append("[H,Y] != -2 Y")
-        if not mat_eq(commutator(self.X, self.Y), self.H):
-            errs.append("[X,Y] != H")
+        errs = _sl2_errors(self.H, self.X, self.Y)
         if self.pair.parity_tag(self.H) != "in-k":
             errs.append("H not in k")
         for nm, Z in (("X", self.X), ("Y", self.Y)):
@@ -373,38 +399,23 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
         raise ValueError("X must lie in p")
     if not is_nilpotent(X):
         raise ValueError("X must be nilpotent")
-    nn = pair.n * pair.n
     # H = sum a_j [X, p_j] with [H, X] = 2 X
-    cands = [commutator(X, b) for b in pair.p_basis()]
-    cols = [flatten(commutator(c, X)) for c in cands]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(nn)]
-    rhs = flatten(mat_scale(X, 2))
-    sol = linalg.solve(mat, rhs)
+    pb = pair.p_basis()
+    cands = [commutator(X, b) for b in pb]
+    mat = transpose([flatten(commutator(c, X)) for c in cands])
+    sol = linalg.solve(mat, flatten(mat_scale(X, 2)))
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
-    H = zeros(pair.n)
-    for c, cand in zip(sol, cands):
-        if c:
-            H = mat_add(H, mat_scale(cand, c))
+    H = lin_comb(sol, cands)
     # Y in p with [X, Y] = H and [H, Y] = -2 Y
-    pb = pair.p_basis()
-    rows = []
-    rhs = []
-    colsX = [flatten(commutator(X, b)) for b in pb]
-    colsH = [flatten(mat_add(commutator(H, b), mat_scale(b, 2))) for b in pb]
-    for i in range(nn):
-        rows.append([colsX[j][i] for j in range(len(pb))])
-        rhs.append(QI.coerce(flatten(H)[i]))
-    for i in range(nn):
-        rows.append([colsH[j][i] for j in range(len(pb))])
-        rhs.append(Q0)
-    sol = linalg.solve(rows, rhs)
+    rows = transpose([
+        flatten(c) + flatten(mat_add(commutator(H, b), mat_scale(b, 2)))
+        for c, b in zip(cands, pb)])
+    h = flatten(H)
+    sol = linalg.solve(rows, h + [Q0] * len(h))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
-    Y = zeros(pair.n)
-    for c, b in zip(sol, pb):
-        if c:
-            Y = mat_add(Y, mat_scale(b, c))
+    Y = lin_comb(sol, pb)
     out = NormalTriple(pair, H, X, Y)
     errs = out.validate()
     if errs:
@@ -572,24 +583,8 @@ def even_sheet_witness(pair: MatrixPair, t: NormalTriple, lambdas=(1, 2, 3)):
 
 def restricted_root_space(pair: MatrixPair, c1, c2):
     """Elements Z of so_{p+2} with [H_k, Z] = i c_k Z for k = 1, 2."""
-    basis = pair.g_basis()
-    H1, H2 = pair.H(1), pair.H(2)
-    nn = pair.n * pair.n
-    rows = []
-    for Hk, ck in ((H1, c1), (H2, c2)):
-        cols = [flatten(mat_sub(commutator(Hk, b),
-                                mat_scale(b, I_UNIT * QI.coerce(ck))))
-                for b in basis]
-        rows.extend([[cols[j][i] for j in range(len(basis))]
-                     for i in range(nn)])
-    out = []
-    for sol in linalg.nullspace(rows, len(basis)):
-        Z = zeros(pair.n)
-        for c, b in zip(sol, basis):
-            if c:
-                Z = mat_add(Z, mat_scale(b, c))
-        out.append(Z)
-    return out
+    return _joint_eigenspace(pair.g_basis(), [
+        (pair.H(k), I_UNIT * QI.coerce(c)) for k, c in ((1, c1), (2, c2))])
 
 
 def real_form_basis(pair: MatrixPair):
@@ -623,23 +618,8 @@ def K(pair: MatrixPair, i):
 
 def real_restricted_root_space(pair: MatrixPair, c1, c2):
     """Elements Z of so(p,2) with [K_k, Z] = c_k Z for k = 1, 2."""
-    basis = real_form_basis(pair)
-    nn = pair.n * pair.n
-    rows = []
-    for k, ck in ((1, c1), (2, c2)):
-        Kk = K(pair, k)
-        cols = [flatten(mat_sub(commutator(Kk, b), mat_scale(b, ck)))
-                for b in basis]
-        rows.extend([[cols[j][i] for j in range(len(basis))]
-                     for i in range(nn)])
-    out = []
-    for sol in linalg.nullspace(rows, len(basis)):
-        Z = zeros(pair.n)
-        for c, b in zip(sol, basis):
-            if c:
-                Z = mat_add(Z, mat_scale(b, c))
-        out.append(Z)
-    return out
+    return _joint_eigenspace(real_form_basis(pair),
+                             [(K(pair, 1), c1), (K(pair, 2), c2)])
 
 
 def _fraction_sqrt(q: Fraction):
@@ -765,11 +745,7 @@ def lemma51_check(pair: MatrixPair, X, trials=20, seed=0):
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        Y = zeros(pair.n)
-        for b in kernel:
-            c = rng.randint(-5, 5)
-            if c:
-                Y = mat_add(Y, mat_scale(b, c))
+        Y = lin_comb([rng.randint(-5, 5) for _ in kernel], kernel)
         Ys, _ = jordan_decompose(Y)
         if not proportional(Ys, Xs):
             failures += 1
@@ -787,11 +763,8 @@ def dim_identity_check(pair: MatrixPair, samples=100, seed=0):
     pb = pair.p_basis()
     bad = 0
     for _ in range(samples):
-        X = zeros(pair.n)
-        for b in pb:
-            c = QI(rng.randint(-5, 5), rng.randint(-5, 5))
-            if c:
-                X = mat_add(X, mat_scale(b, c))
+        X = lin_comb([QI(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in pb],
+                     pb)
         if pair.dim_bracket_k(X) + pair.dim_p_centralizer(X) != len(pb):
             bad += 1
     return {"samples": samples, "failures": bad, "ok": bad == 0}
@@ -799,19 +772,7 @@ def dim_identity_check(pair: MatrixPair, samples=100, seed=0):
 
 def phi_equivariance_check(pair: MatrixPair):
     """phi . theta_0 = theta . phi on a basis of the real form."""
-    n, p = pair.n, pair.p
-    basis = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            basis.append(skew_elementary(n, i, j))
-    basis.append(skew_elementary(n, n - 2, n - 1))
-    for i in range(p):
-        for j in (n - 2, n - 1):
-            M = zeros(n)
-            M[i][j] = Q1
-            M[j][i] = Q1
-            basis.append(M)
-    for M in basis:
+    for M in real_form_basis(pair):
         lhs = pair.phi(mat_scale(transpose(M), -1))
         rhs = pair.theta(pair.phi(M))
         if not mat_eq(lhs, rhs):
@@ -838,26 +799,15 @@ def nonregular_locus_matrix(pair: MatrixPair):
     projective pairs (mu, lambda); the matrix-model analogue of the
     root-space locus, usable for the so_4 case too."""
     pb = pair.p_basis()
-    nn = pair.n * pair.n
 
-    def real_columns(X):
-        cols = [flatten(commutator(X, b)) for b in pb]
-        out = []
-        for i in range(nn):
-            row = []
-            for j in range(len(pb)):
-                z = QI.coerce(cols[j][i])
-                row.append((z.re, z.im))
-            out.append(row)
-        return out
+    def real_rows(X):
+        # the matrix of ad X on p, each Q(i) row split into two real rows
+        rows = transpose([flatten(commutator(X, b)) for b in pb])
+        return ([[z.re for z in r] for r in rows]
+                + [[z.im for z in r] for r in rows])
 
-    c1 = real_columns(pair.H(1))
-    c2 = real_columns(pair.H(2))
-    # split the Q(i) entries into two real rows each
-    A = [[v[j][0] for j in range(len(pb))] for v in c1]
-    A += [[v[j][1] for j in range(len(pb))] for v in c1]
-    B = [[v[j][0] for j in range(len(pb))] for v in c2]
-    B += [[v[j][1] for j in range(len(pb))] for v in c2]
+    A = real_rows(pair.H(1))
+    B = real_rows(pair.H(2))
     expected = len(pb) - 2
     generic, drops, residual = linalg.pencil_locus(A, B)
     if generic != expected:

@@ -111,3 +111,26 @@ def test_verify_all_small(capsys):
     names = {i["name"] for i in doc["items"]}
     assert "catalog-table" in names
     assert "centralizer-dims-D5" in names
+
+
+# every so(p,2) orbit of p = 3 and p = 4, by shape[:signs][:numeral]
+MODEL_ORBITS = {
+    3: ["5:+:I", "5:+:II", "3,1,1:++-", "3,1,1:-++:I", "3,1,1:-++:II",
+        "2,2,1:+++:I", "2,2,1:+++:II", "1,1,1,1,1"],
+    4: ["5,1:++:I", "5,1:++:II", "3,3:++:I", "3,3:++:II", "3,1,1,1:+++-",
+        "3,1,1,1:-+++:I", "3,1,1,1:-+++:II", "2,2,1,1:++++:I",
+        "2,2,1,1:++++:II", "1,1,1,1,1,1"],
+}
+
+
+@pytest.mark.parametrize("verify", ["triple", "characteristic", "sheet",
+                                    "distinguished"])
+@pytest.mark.parametrize("p", [3, 4])
+def test_model_golden(p, verify, capsys):
+    out = []
+    for spec in MODEL_ORBITS[p]:
+        assert run(["model", "--p", str(p), "--orbit", spec, "--verify",
+                    verify, "--seed", "5", "--json"]) == 0, spec
+        out.append(capsys.readouterr().out)
+    golden = GOLDEN / f"model_p{p}_{verify}.txt"
+    assert "".join(out).encode() == golden.read_bytes()

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepairs.gaussian import QI
+
+F = Fraction
 
 
 def test_arithmetic():
@@ -45,3 +49,71 @@ def test_truthiness_and_hash():
     assert not QI(0)
     assert QI(0, Fraction(1, 9))
     assert hash(QI(2, 0)) == hash(QI(2))
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against reference arithmetic on (re, im) Fraction pairs
+
+# zero is drawn often, so that zero, real and imaginary operands (the
+# fast paths) are common
+SCALARS = [0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 7), F(5, 3), 12]
+parts = st.sampled_from(SCALARS)
+
+
+@st.composite
+def operands(draw):
+    """A QI (zero, real, imaginary or general), an int or a Fraction,
+    with its reference value as a (re, im) pair of Fractions."""
+    kind = draw(st.sampled_from(["qi", "qi-real", "qi-imag", "int", "frac"]))
+    if kind == "int":
+        x = draw(st.integers(-3, 3))
+        return x, (F(x), F(0))
+    if kind == "frac":
+        x = F(draw(parts))
+        return x, (x, F(0))
+    re = draw(parts) if kind != "qi-imag" else 0
+    im = draw(parts) if kind != "qi-real" else 0
+    # parts are passed as given (int or Fraction): both must be accepted
+    return QI(re, im), (F(re), F(im))
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ref_mul(a, (b[0] / n, -b[1] / n))
+
+
+def assert_qi(z, want):
+    assert type(z) is QI
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == want
+
+
+PROPERTY = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@PROPERTY
+@given(operands(), operands())
+def test_arithmetic_matches_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    if type(a) is not QI and type(b) is not QI:
+        b, rb = QI(b), (F(b), F(0))     # at least one side is a QI
+    assert_qi(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
+    assert_qi(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
+    assert_qi(a * b, ref_mul(ra, rb))
+    if rb != (0, 0):
+        assert_qi(a / b, ref_div(ra, rb))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    if type(a) is QI:
+        assert_qi(-a, (-ra[0], -ra[1]))
+        assert bool(a) == (ra != (0, 0))
+        assert (a == b) == (ra == rb)
+        assert (a != b) == (ra != rb)
+        assert hash(a) == hash(ra)
+        if type(b) is QI and ra == rb:
+            assert hash(a) == hash(b)

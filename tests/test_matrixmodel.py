@@ -27,6 +27,11 @@ def test_theta_is_involution_splitting():
         assert mm.mat_eq(pair.theta(b), b)
     for b in pair.p_basis():
         assert mm.mat_is_zero(mm.mat_add(pair.theta(b), b))
+    # theta is conjugation by J = diag(I_3, -I_2)
+    J = mm.eye(5)
+    J[3][3] = J[4][4] = -mm.Q1
+    X = [[QI(i - j, i * j) for j in range(5)] for i in range(5)]
+    assert pair.theta(X) == mm.mat_mul(J, mm.mat_mul(X, J))
 
 
 def test_phi_equivariance():
@@ -74,6 +79,20 @@ def test_jordan_type():
     M[2][1] = mm.Q1
     M[4][3] = mm.Q1
     assert mm.jordan_type(M) == (3, 2)
+
+
+def test_jordan_type_rejects_non_nilpotent():
+    with pytest.raises(ValueError,
+                       match=r"2x2 matrix is not nilpotent.*\[2, 1, 1\]"):
+        mm.jordan_type(mm.qi_entries([[1, 0], [0, 0]]))
+
+
+def test_jordan_decompose_newton_is_bounded(monkeypatch):
+    # a wrong inverse of f'(S) = 1 makes the Newton step S -> 2 - S,
+    # which cycles between the Jordan block and its reflection
+    monkeypatch.setattr(mm, "mat_inverse", lambda a: mm.eye(len(a), 2))
+    with pytest.raises(ValueError, match=r"2x2 matrix .* after 1 steps"):
+        mm.jordan_decompose([[F(1), F(1)], [F(0), F(1)]])
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
