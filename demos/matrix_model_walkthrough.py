@@ -45,7 +45,7 @@ for d in enumerate_dyo(p):
     t = normal_triple_for(pair, X)
     c = characteristic_from_triple(t)
     print(f"  {d.sign_string():<14} Jordan type {shape!s:<14}"
-          f" characteristic {c}")
+          f" characteristic {' or '.join(map(str, c))}")
 
 print()
 print("=" * 72)

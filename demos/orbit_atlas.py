@@ -14,8 +14,7 @@ for p in (2, 3, 4, 5):
     print(f"so({p},2): nilpotent orbits")
     print("=" * 72)
     for d in enumerate_dyo(p):
-        c = characteristic(forget_signs(d))
-        cands = c if isinstance(c[0], tuple) else (c,)
+        cands = characteristic(forget_signs(d))
         even = any(is_even(cc) for cc in cands)
         numerals = ",".join(d.numerals) if d.numerals else "-"
         char_str = " or ".join(str(cc) for cc in cands)

@@ -15,16 +15,17 @@ as static data; they are cited facts, not computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import chevalley, linalg
+from . import linalg
 from .chevalley import (
     LieElement,
     bracket,
     centralizer_in,
     derived_subalgebra,
     is_ad_semisimple,
+    lin_comb,
 )
 from .parabolic import AbelianParabolic
 
@@ -70,17 +71,9 @@ def span_intersection(basis_a, basis_b, alg):
         return []
     cols = ([e.to_vector() for e in basis_a]
             + [[-c for c in e.to_vector()] for e in basis_b])
-    mat = [[cols[j][i] for j in range(len(cols))]
-           for i in range(alg.dimension)]
-    out = linalg.Span(alg.dimension)
-    for sol in linalg.nullspace(mat, len(cols)):
-        v = [Fraction(0)] * alg.dimension
-        for c, e in zip(sol[:len(basis_a)], basis_a):
-            if c:
-                for i, x in e.coeffs.items():
-                    v[i] += c * x
-        out.add(v)
-    return _span_elems(out, alg)
+    # lin_comb zips, so it reads only the basis_a part of each solution
+    meet = [lin_comb(sol, basis_a) for sol in linalg.kernel(cols)]
+    return _span_elems(_span_of(meet, alg.dimension), alg)
 
 
 def bracket_span(basis, alg):
@@ -187,11 +180,7 @@ def toral_rank(basis, alg, samples=6):
     rng = random.Random(7)
     best = len(basis)
     for _ in range(samples):
-        x = alg.zero()
-        for e in basis:
-            c = Fraction(rng.randint(-5, 5))
-            if c:
-                x = x + c * e
+        x = lin_comb([rng.randint(-5, 5) for _ in basis], basis)
         if not x:
             continue
         best = min(best, len(centralizer_in(x, basis)))
@@ -240,17 +229,7 @@ class SubpairReport:
     r_pair_label: str
 
     def to_json_dict(self):
-        return {
-            "dim_g_X": self.dim_g_X,
-            "dim_k_X": self.dim_k_X,
-            "dim_p_X": self.dim_p_X,
-            "l_dim": self.l_dim,
-            "l_center_dim": self.l_center_dim,
-            "l_type": self.l_type,
-            "dim_l_minus": self.dim_l_minus,
-            "dim_r_plus": self.dim_r_plus,
-            "r_pair_label": self.r_pair_label,
-        }
+        return asdict(self)
 
 
 def _so_pair_label(factors):
@@ -352,14 +331,11 @@ def nonregular_locus(P: AbelianParabolic, i1=0, i2=1) -> RegularityLocus:
     xs = P.cartan_subspace()
     X1, X2 = xs[i1], xs[i2]
     pb = P.p_basis()
-    dim = P.alg.dimension
 
     def columns(x):
         return [bracket(x, b).to_vector() for b in pb]
 
-    c1, c2 = columns(X1), columns(X2)
-    A = [[c1[j][i] for j in range(len(pb))] for i in range(dim)]
-    B = [[c2[j][i] for j in range(len(pb))] for i in range(dim)]
+    A, B = linalg.transpose(columns(X1)), linalg.transpose(columns(X2))
     expected = len(pb) - P.rank
     generic, drops, residual = linalg.pencil_locus(A, B)
     if generic != expected:

@@ -11,7 +11,6 @@ forced from there by the Jacobi identity.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
@@ -184,15 +183,6 @@ class ChevalleyAlgebra:
         self._bracket_memo[key] = out
         return out
 
-    def structure_constants_json(self):
-        rows = []
-        for a in self.rs.positive_roots:
-            for b in self.rs.positive_roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if self.rs.is_root(s):
-                    rows.append({"a": list(a), "b": list(b), "n": self.N(a, b)})
-        return json.dumps(rows, sort_keys=True)
-
     def random_element(self, rng: random.Random, indices=None, bound=9):
         idxs = range(self.dimension) if indices is None else indices
         coeffs = {}
@@ -257,6 +247,17 @@ class LieElement:
         return " + ".join(parts) if parts else "0"
 
 
+def lin_comb(coeffs, elems):
+    """sum c * e over the pairs (c, e), as one element of the algebra of
+    elems[0]."""
+    out = {}
+    for c, e in zip(coeffs, elems):
+        if c:
+            for i, x in e.coeffs.items():
+                out[i] = out.get(i, F0) + c * x
+    return LieElement(elems[0].alg, out)
+
+
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     if x.alg is not y.alg:
         raise ValueError("elements of different algebras")
@@ -294,19 +295,10 @@ def ad_apply(x: LieElement):
 
 def centralizer_in(x: LieElement, subspace_basis):
     """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
-    alg = x.alg
     if not subspace_basis:
         return []
     cols = [bracket(x, b).to_vector() for b in subspace_basis]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(alg.dimension)]
-    out = []
-    for coeffs in linalg.nullspace(mat, len(subspace_basis)):
-        elem = alg.zero()
-        for c, b in zip(coeffs, subspace_basis):
-            if c:
-                elem = elem + c * b
-        out.append(elem)
-    return out
+    return [lin_comb(c, subspace_basis) for c in linalg.kernel(cols)]
 
 
 def is_ad_semisimple(x: LieElement) -> bool:
@@ -331,7 +323,6 @@ def derived_subalgebra(basis):
     for b in basis:
         input_span.add(b.to_vector())
     out_span = linalg.Span(alg.dimension)
-    vecs = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             v = bracket(basis[i], basis[j]).to_vector()
@@ -339,8 +330,7 @@ def derived_subalgebra(basis):
                 continue
             if not input_span.contains(v):
                 raise ValueError("input basis is not closed under the bracket")
-            if out_span.add(v):
-                vecs.append(LieElement.from_vector(alg, v))
+            out_span.add(v)
     # return the reduced echelon rows for determinism
     return [LieElement.from_vector(alg, row) for row in out_span.rows]
 

@@ -23,21 +23,23 @@ F1 = Fraction(1)
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
     zero = a[0][0] * 0
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
+    out = [[zero] * len(b[0]) for _ in a]
+    support = [None] * len(b)   # nonzero (j, b[t][j]) of row t, on first use
+    for ai, oi in zip(a, out):
+        for t, x in enumerate(ai):
             if not x:
                 continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] = oi[j] + x * bt[j]
+            bt = support[t]
+            if bt is None:
+                bt = support[t] = [(j, y) for j, y in enumerate(b[t]) if y]
+            for j, y in bt:
+                oi[j] = oi[j] + x * y
     return out
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,6 @@ def nullspace(mat, ncols=None):
     """Basis of {x : mat @ x = 0}."""
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    if not mat:
-        mat = []
     rows, pivots = rref(mat)
     pivot_set = set(pivots)
     basis = []
@@ -132,6 +132,12 @@ def nullspace(mat, ncols=None):
             vec[pc] = -x if x else x    # a zero keeps its field type
         basis.append(vec)
     return basis
+
+
+def kernel(columns):
+    """Basis of the coefficient vectors c with sum_j c[j] * columns[j] = 0,
+    the columns being equally long vectors."""
+    return nullspace(transpose(columns), len(columns))
 
 
 def solve(mat, rhs):
@@ -240,14 +246,6 @@ def poly_add(p, q):
         b = q[i] if i < len(q) else F0
         out.append(a + b)
     return poly_trim(out)
-
-
-def poly_neg(p):
-    return [-a for a in p]
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
 
 
 def poly_scale(p, c):
@@ -420,8 +418,7 @@ def _krylov_annihilator(apply_op, v, dim):
         span.add(nxt)
         chain.append(nxt)
     # express nxt in terms of the chain: solve chain^T c = nxt
-    mat = [[chain[j][i] for j in range(len(chain))] for i in range(dim)]
-    coeffs = solve(mat, nxt)
+    coeffs = solve(transpose(chain), nxt)
     q = [-c for c in coeffs] + [F1]
     return poly_trim(q)
 

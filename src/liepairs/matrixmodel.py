@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .gaussian import QI
+from .linalg import mat_mul, transpose
 
 I_UNIT = QI(0, 1)
 Q0 = QI(0)
@@ -77,23 +78,15 @@ def lin_comb(coeffs, mats):
     return out
 
 
-def mat_mul(a, b):
-    return linalg.mat_mul(a, b)
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def _kernel(basis, image):
     """The elements of span(basis) that the linear map `image` (matrix to
     flat list of entries) sends to zero."""
-    mat = transpose([image(b) for b in basis])
-    return [lin_comb(sol, basis) for sol in linalg.nullspace(mat, len(basis))]
+    return [lin_comb(sol, basis)
+            for sol in linalg.kernel([image(b) for b in basis])]
 
 
 def _joint_eigenspace(basis, ops):
@@ -507,8 +500,7 @@ def nilpotent_from_diagram(pair: MatrixPair, diagram):
 
     if len(plus_vecs) != pair.p or len(minus_vecs) != 2:
         raise ValueError("diagram signature is not (p,2)")
-    cols = plus_vecs + minus_vecs
-    P = [[cols[j][i] for j in range(n)] for i in range(n)]
+    P = transpose(plus_vecs + minus_vecs)
     X = mat_mul(mat_inverse(P), mat_mul(Xstr, P))
     return X
 
@@ -518,12 +510,14 @@ def nilpotent_from_diagram(pair: MatrixPair, diagram):
 
 
 def characteristic_from_triple(t: NormalTriple):
-    """Characteristic entries (alpha_i(H)) read from the eigenvalues of H.
+    """Candidate characteristics (alpha_i(H)), read from the eigenvalues
+    of H, as a tuple of tuples.
 
     The eigenvalue multiset of the neutral element determines the
     dominant weight string h_1 >= ... >= h_r and the characteristic per
-    the ambient type; an all-even diagram yields the two candidate
-    labelings (the construction does not fix the numeral convention).
+    the ambient type.  That is one candidate, except for an all-even
+    diagram of so_{2r}, which yields the two labelings (c1, c2): the
+    construction does not fix the numeral convention.
     """
     H = t.H
     n = len(H)
@@ -542,11 +536,11 @@ def characteristic_from_triple(t: NormalTriple):
     zeros_count = eigs.count(0)
     if n % 2 == 1:
         h = pos + [0] * ((zeros_count - 1) // 2)
-        return tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],)
+        return (tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],),)
     h = pos + [0] * (zeros_count // 2)
     if 0 in eigs:
         head = tuple(h[i] - h[i + 1] for i in range(r - 1))
-        return head + (h[r - 2] + h[r - 1],)
+        return (head + (h[r - 2] + h[r - 1],),)
     head = tuple(h[i] - h[i + 1] for i in range(r - 2))
     return (head + (h[r - 2] - h[r - 1], h[r - 2] + h[r - 1]),
             head + (h[r - 2] + h[r - 1], h[r - 2] - h[r - 1]))
@@ -559,8 +553,7 @@ def characteristic_from_triple(t: NormalTriple):
 def even_sheet_witness(pair: MatrixPair, t: NormalTriple, lambdas=(1, 2, 3)):
     """For an even X, check dim p^{X + s Y} = dim p^X and semisimplicity
     of X + s Y for each nonzero sample s."""
-    c = characteristic_from_triple(t)
-    cands = c if c and isinstance(c[0], tuple) else (c,)
+    cands = characteristic_from_triple(t)
     if not any(all(x in (0, 2) for x in cc) for cc in cands):
         raise ValueError("X is not even: characteristic "
                          + "/".join(map(str, cands)))

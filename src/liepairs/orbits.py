@@ -170,11 +170,12 @@ def _weight_terms(rows):
 
 
 def characteristic(d: YoungDiagram):
-    """Characteristic(s) of the orbit with the given diagram.
+    """Candidate characteristics of the orbit with the given diagram, as a
+    tuple of tuples over {0,1,2}.
 
-    Returns a single tuple over {0,1,2}, except for an all-even diagram
-    of so_{2r} without a fixed numeral, where the (C^I, C^II) pair is
-    returned; with the numeral set, the matching single tuple.
+    There is one candidate, except for an all-even diagram of so_{2r}
+    without a fixed numeral, which gives the pair (C^I, C^II); with the
+    numeral set, only the matching one.
     """
     rows = d.rows
     n = sum(rows)
@@ -187,22 +188,22 @@ def characteristic(d: YoungDiagram):
         zeros = terms.count(0)
         h = pos + [0] * ((zeros - 1) // 2)
         assert len(h) == r
-        return tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],)
+        return (tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],),)
     pos = sorted((t for t in terms if t > 0), reverse=True)
     zeros = terms.count(0)
     h = pos + [0] * (zeros // 2)
     assert len(h) == r
     if not all(x % 2 == 0 for x in rows):
         head = tuple(h[i] - h[i + 1] for i in range(r - 1))
-        return head + (h[r - 2] + h[r - 1],)
+        return (head + (h[r - 2] + h[r - 1],),)
     a = 0 if r % 4 == 0 else 2
     head = tuple(h[i] - h[i + 1] for i in range(r - 2))
     c1 = head + (a, 2 - a)
     c2 = head + (2 - a, a)
     if d.numeral == "I":
-        return c1
+        return (c1,)
     if d.numeral == "II":
-        return c2
+        return (c2,)
     return (c1, c2)
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import chevalley, linalg
 from .cascade import cascade, full_cascade
-from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_algebra
+from .chevalley import (ChevalleyAlgebra, LieElement, bracket, build_algebra,
+                        lin_comb)
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -89,12 +89,7 @@ class AbelianParabolic:
 
     def random_cartan_element(self, rng, bound=9):
         elems = self.cartan_subspace()
-        x = self.alg.zero()
-        for e in elems:
-            c = Fraction(rng.randint(-bound, bound))
-            if c:
-                x = x + c * e
-        return x
+        return lin_comb([rng.randint(-bound, bound) for _ in elems], elems)
 
 
 def build_parabolic(alg: ChevalleyAlgebra, S) -> AbelianParabolic:

@@ -188,17 +188,14 @@ def model_report(p, orbit_spec, verify, seed=0):
         errs = t.validate()
         items.append(item("normal-triple", not errs, {"errors": errs}))
     elif verify == "characteristic":
-        c = mm.characteristic_from_triple(t)
-        cd = orbits.characteristic(orbits.forget_signs(d))
-        cands = c if isinstance(c[0], tuple) else (c,)
-        cd_cands = cd if isinstance(cd[0], tuple) else (cd,)
+        cands = mm.characteristic_from_triple(t)
+        cd_cands = orbits.characteristic(orbits.forget_signs(d))
         ok = bool(set(cands) & set(cd_cands))
         items.append(item("characteristic-matches-recipe", ok,
                           {"from_triple": [list(x) for x in cands],
                            "from_recipe": [list(x) for x in cd_cands]}))
     elif verify == "sheet":
-        cd = orbits.characteristic(orbits.forget_signs(d))
-        cd_cands = cd if isinstance(cd[0], tuple) else (cd,)
+        cd_cands = orbits.characteristic(orbits.forget_signs(d))
         if not any(orbits.is_even(c) for c in cd_cands):
             items.append(item("even-sheet", True,
                               {"note": "orbit is not even; rejected"},
@@ -274,8 +271,7 @@ def verify_all_report(max_rank=8, seed=0):
     for p in range(2, 9):
         special = (2, 2) + (1,) * (p - 2)
         for d in orbits.enumerate_dyo(p):
-            cd = orbits.characteristic(orbits.forget_signs(d))
-            cands = cd if isinstance(cd[0], tuple) else (cd,)
+            cands = orbits.characteristic(orbits.forget_signs(d))
             shape = tuple(sorted(d.shape, reverse=True))
             even = any(orbits.is_even(c) for c in cands)
             if shape == special and p >= 3:
@@ -296,9 +292,7 @@ def verify_all_report(max_rank=8, seed=0):
             t = mm.normal_triple_for(pair, X)
             c = mm.characteristic_from_triple(t)
             cd = orbits.characteristic(orbits.forget_signs(d))
-            cands = c if isinstance(c[0], tuple) else (c,)
-            cd_cands = cd if isinstance(cd[0], tuple) else (cd,)
-            if not set(cands) & set(cd_cands):
+            if not set(c) & set(cd):
                 char_bad.append(repr(d))
     items.append(item("characteristic-oracle", not char_bad,
                       {"failing": char_bad}))

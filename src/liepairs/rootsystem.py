@@ -8,7 +8,6 @@ pairing used here is rational and most are integral.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,21 +144,11 @@ class RootSystem:
         """<a, alpha_i^vee> = 2(a, alpha_i)/(alpha_i, alpha_i), an integer."""
         return sum(a[j] * self.cartan_matrix[i][j] for j in range(self.rank))
 
-    def reflect(self, a, i):
-        c = self.pairing(a, i)
-        out = list(a)
-        out[i] -= c
-        return tuple(out)
-
     def orthogonal(self, a, b):
         return self.form(a, b) == 0
 
     def height(self, a):
         return sum(a)
-
-    def simple_roots(self):
-        n = self.rank
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
     def highest_root(self):
         """Unique positive root dominating all others coordinatewise.
@@ -174,14 +163,6 @@ class RootSystem:
 
     def support(self, a):
         return frozenset(i for i, c in enumerate(a) if c)
-
-    def to_json(self):
-        return json.dumps({
-            "type": self.type_label,
-            "rank": self.rank,
-            "cartan_matrix": [list(r) for r in self.cartan_matrix],
-            "positive_roots": [list(r) for r in self.positive_roots],
-        }, sort_keys=True)
 
 
 def build_root_system(type_label, rank):
@@ -212,15 +193,6 @@ def build_root_system(type_label, rank):
     rs = RootSystem(type_label, rank, tuple(tuple(r) for r in C),
                     tuple(positive), tuple(lengths))
     return rs
-
-
-def root_sum(rs, a, b):
-    """a + b if it is a root of rs, else None."""
-    a, b = tuple(a), tuple(b)
-    if not rs.is_root(a) or not rs.is_root(b):
-        raise ValueError("inputs must be roots of the given system")
-    s = tuple(x + y for x, y in zip(a, b))
-    return s if rs.is_root(s) else None
 
 
 def strongly_orthogonal(rs, a, b):

@@ -149,8 +149,7 @@ def test_criterion_07_distinguished_evenness_and_witness():
         special = (2, 2) + (1,) * (p - 2)
         for d in orbits.enumerate_dyo(p):
             shape = tuple(sorted(d.shape, reverse=True))
-            c = orbits.characteristic(orbits.forget_signs(d))
-            cands = c if isinstance(c[0], tuple) else (c,)
+            cands = orbits.characteristic(orbits.forget_signs(d))
             if shape == special and p >= 3:
                 assert all(any(x % 2 == 1 for x in cc) for cc in cands), d
             else:
@@ -175,9 +174,7 @@ def test_criterion_08_characteristic_oracle():
             t = mm.normal_triple_for(pair, X)
             c = mm.characteristic_from_triple(t)
             cd = orbits.characteristic(orbits.forget_signs(d))
-            cands = c if isinstance(c[0], tuple) else (c,)
-            cd_cands = cd if isinstance(cd[0], tuple) else (cd,)
-            assert set(cands) & set(cd_cands), (p, d, c, cd)
+            assert set(c) & set(cd), (p, d, c, cd)
     _report(8, "characteristics from normal triples, p = 2..8")
 
 
@@ -187,8 +184,7 @@ def test_criterion_09_even_sheet():
     for p in range(2, 9):
         pair = mm.build_pair(p)
         for d in orbits.enumerate_dyo(p):
-            cd = orbits.characteristic(orbits.forget_signs(d))
-            cands = cd if isinstance(cd[0], tuple) else (cd,)
+            cands = orbits.characteristic(orbits.forget_signs(d))
             if not any(orbits.is_even(c) for c in cands):
                 continue
             X = mm.nilpotent_from_diagram(pair, d)

@@ -13,6 +13,7 @@ from liepairs.chevalley import (
     derived_subalgebra,
     is_ad_semisimple,
     jacobi_defect,
+    lin_comb,
     minimal_polynomial_ad,
 )
 
@@ -87,6 +88,22 @@ def test_bracket_antisymmetry_bilinearity():
     assert bracket(x, y) == -bracket(y, x)
     assert bracket(x + y, z) == bracket(x, z) + bracket(y, z)
     assert bracket(Fraction(5) * x, y) == Fraction(5) * bracket(x, y)
+
+
+def test_lin_comb_matches_repeated_add_and_scale():
+    alg = build_algebra("B", 3)
+    rng = random.Random(5)
+    elems = [alg.random_element(rng, bound=2) for _ in range(6)]
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in elems]
+    coeffs[2] = Fraction(0)
+    want = alg.zero()
+    for c, e in zip(coeffs, elems):
+        want = want + c * e
+    got = lin_comb(coeffs, elems)
+    assert got == want
+    assert all(got.coeffs.values())     # no stored zeros
+    assert lin_comb([1, -1], [elems[0], elems[0]]) == alg.zero()
+    assert lin_comb([0, 0], elems[:2]) == alg.zero()
 
 
 def test_cartan_coroot_brackets():

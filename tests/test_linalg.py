@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liepairs import linalg
@@ -218,6 +218,23 @@ def test_rref_rank_nullspace_match_dense_reference(mat):
     assert_same(rows, want_rows)
     assert linalg.rank(mat) == len(want_pivots)
     assert_same(linalg.nullspace(mat, ncols), dense_nullspace(mat, ncols))
+
+
+@PROPERTY
+@given(_fields(matrices))
+@example([])
+@example([[], [], []])
+@example([[F(0), F(0)], [F(1), F(2)], [F(0), F(0)]])
+def test_kernel_matches_dense_reference(columns):
+    k = len(columns)
+    basis = linalg.kernel(columns)
+    assert len(basis) == k - len(dense_rref(columns)[1])
+    assert_same(basis, dense_nullspace([list(r) for r in zip(*columns)], k))
+    for c in basis:
+        total = [x * 0 for x in columns[0]]
+        for cj, col in zip(c, columns):
+            total = [t + cj * x for t, x in zip(total, col)]
+        assert not any(total)
 
 
 @st.composite
