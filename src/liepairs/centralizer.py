@@ -16,7 +16,6 @@ as static data; they are cited facts, not computed here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from . import linalg
 from .chevalley import (
@@ -171,15 +170,15 @@ def _simple_type_table():
 _TYPE_TABLE = _simple_type_table()
 
 
-def toral_rank(basis, alg, samples=6):
+def toral_rank(basis):
     """Rank of a reductive subalgebra: minimal centralizer dimension of a
-    fixed deterministic sample of elements of the span."""
+    fixed deterministic sample of six elements of the span."""
     import random
     if not basis:
         return 0
     rng = random.Random(7)
     best = len(basis)
-    for _ in range(samples):
+    for _ in range(6):
         x = lin_comb([rng.randint(-5, 5) for _ in basis], basis)
         if not x:
             continue
@@ -204,7 +203,7 @@ def identify_semisimple_type(basis, alg):
         return "not-identified"
     labels = []
     for comp in ideals:
-        key = (len(comp), toral_rank(comp, alg))
+        key = (len(comp), toral_rank(comp))
         cands = _TYPE_TABLE.get(key, [])
         if len(cands) != 1:
             return "not-identified"
@@ -319,33 +318,20 @@ class RegularityLocus:
         }
 
 
-def nonregular_locus(P: AbelianParabolic, i1=0, i2=1) -> RegularityLocus:
+def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     """All lines C(mu X_{K1} + lambda X_{K2}) of non p_S-regular elements.
 
     Only defined for rank-2 pairs.  The locus is the rank-drop set of the
     pencil ad(mu X1 + lambda X2): p_S -> g, computed with exact
-    polynomial arithmetic; the line at infinity [0:1] is tested directly.
+    polynomial arithmetic (`linalg.projective_locus`).
     """
     if P.rank != 2:
         raise ValueError("non-regular locus requires a rank-2 pair")
-    xs = P.cartan_subspace()
-    X1, X2 = xs[i1], xs[i2]
     pb = P.p_basis()
-
-    def columns(x):
-        return [bracket(x, b).to_vector() for b in pb]
-
-    A, B = linalg.transpose(columns(X1)), linalg.transpose(columns(X2))
-    expected = len(pb) - P.rank
-    generic, drops, residual = linalg.pencil_locus(A, B)
-    if generic != expected:
-        raise ValueError("pencil is degenerate: generic centralizer "
-                         f"dimension is {len(pb) - generic}, not {P.rank}")
-    lines = [(Fraction(1), s) for s in drops]
-    if linalg.rank(B) < expected:
-        lines.append((Fraction(0), Fraction(1)))
-    return RegularityLocus(generic, tuple(sorted(lines)),
-                           tuple(tuple(f) for f in residual))
+    A, B = (linalg.transpose([bracket(x, b).to_vector() for b in pb])
+            for x in P.cartan_subspace())
+    lines, residual = linalg.projective_locus(A, B, P.rank)
+    return RegularityLocus(len(pb) - P.rank, lines, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,9 @@ class ChevalleyAlgebra:
         self._bracket_memo[key] = out
         return out
 
-    def random_element(self, rng: random.Random, indices=None, bound=9):
-        idxs = range(self.dimension) if indices is None else indices
+    def random_element(self, rng: random.Random, bound=9):
         coeffs = {}
-        for i in idxs:
+        for i in range(self.dimension):
             c = Fraction(rng.randint(-bound, bound))
             if c:
                 coeffs[i] = c

@@ -77,7 +77,8 @@ def build_parser():
     p = sub.add_parser("model", help="matrix-model orbit verification")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--orbit", required=True,
-                   help="shape[:signs][:numeral], e.g. 3,1,1:+++ or 2,2,1:I")
+                   help="shape[:signs][:numerals], e.g. 3,1,1:+++, 2,2,1:I "
+                        "or 2,2:++:II:I")
     p.add_argument("--verify", required=True,
                    choices=["triple", "characteristic", "sheet",
                             "distinguished"])

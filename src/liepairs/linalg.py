@@ -481,6 +481,21 @@ def pencil_locus(A, B):
     return generic_rank, sorted(drop_points), residual
 
 
+def projective_locus(A, B, nullity):
+    """(lines, residual_factors) of the pencil mu*A + lambda*B, whose
+    generic kernel must have dimension `nullity`: sorted pairs [1:s] for
+    the drop points s of `pencil_locus`, and [0:1] if B drops rank."""
+    ncols = len(A[0]) if A else 0
+    generic, drops, residual = pencil_locus(A, B)
+    if generic != ncols - nullity:
+        raise ValueError("pencil is degenerate: generic centralizer "
+                         f"dimension is {ncols - generic}, not {nullity}")
+    lines = [(F1, s) for s in drops]
+    if rank(B) < generic:
+        lines.append((F0, F1))
+    return tuple(sorted(lines)), tuple(tuple(f) for f in residual)
+
+
 def _eval_pencil(A, B, s):
     return [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 

@@ -550,23 +550,22 @@ def characteristic_from_triple(t: NormalTriple):
 # even-sheet and distinguishedness witnesses
 
 
-def even_sheet_witness(pair: MatrixPair, t: NormalTriple, lambdas=(1, 2, 3)):
+def even_sheet_witness(pair: MatrixPair, t: NormalTriple):
     """For an even X, check dim p^{X + s Y} = dim p^X and semisimplicity
-    of X + s Y for each nonzero sample s."""
+    of X + s Y for s = 1, 2, 3."""
     cands = characteristic_from_triple(t)
     if not any(all(x in (0, 2) for x in cc) for cc in cands):
         raise ValueError("X is not even: characteristic "
                          + "/".join(map(str, cands)))
     d0 = pair.dim_p_centralizer(t.X)
     results = []
-    for s in lambdas:
+    for s in (1, 2, 3):
         Xs = mat_add(t.X, mat_scale(t.Y, s))
-        entry = {
+        results.append({
             "lambda": str(s),
             "dim_match": pair.dim_p_centralizer(Xs) == d0,
-            "semisimple": True if s == 0 else is_semisimple(Xs),
-        }
-        results.append(entry)
+            "semisimple": is_semisimple(Xs),
+        })
     return {
         "dim_p_X": d0,
         "samples": results,
@@ -799,13 +798,5 @@ def nonregular_locus_matrix(pair: MatrixPair):
         return ([[z.re for z in r] for r in rows]
                 + [[z.im for z in r] for r in rows])
 
-    A = real_rows(pair.H(1))
-    B = real_rows(pair.H(2))
-    expected = len(pb) - 2
-    generic, drops, residual = linalg.pencil_locus(A, B)
-    if generic != expected:
-        raise ValueError("pencil is degenerate")
-    lines = [(Fraction(1), s) for s in drops]
-    if linalg.rank(B) < expected:
-        lines.append((Fraction(0), Fraction(1)))
-    return tuple(sorted(lines)), tuple(tuple(f) for f in residual)
+    A, B = real_rows(pair.H(1)), real_rows(pair.H(2))
+    return linalg.projective_locus(A, B, 2)

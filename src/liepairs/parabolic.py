@@ -18,10 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import chevalley, linalg
-from .cascade import cascade, full_cascade
-from .chevalley import (ChevalleyAlgebra, LieElement, bracket, build_algebra,
-                        lin_comb)
+from . import chevalley
+from .cascade import full_cascade
+from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -87,9 +86,9 @@ class AbelianParabolic:
             out.append(alg.x(e.epsilon_K) + alg.x(neg))
         return out
 
-    def random_cartan_element(self, rng, bound=9):
+    def random_cartan_element(self, rng):
         elems = self.cartan_subspace()
-        return lin_comb([rng.randint(-bound, bound) for _ in elems], elems)
+        return lin_comb([rng.randint(-9, 9) for _ in elems], elems)
 
 
 def build_parabolic(alg: ChevalleyAlgebra, S) -> AbelianParabolic:
@@ -264,16 +263,17 @@ def proposition_checks(P: AbelianParabolic) -> dict:
     }
 
 
-def generic_p_centralizer_dim(P: AbelianParabolic, seed=0, attempts=8):
+def generic_p_centralizer_dim(P: AbelianParabolic, seed=0):
     """dim p_S^X for random rational X in the Cartan subspace.
 
-    Redraws on degeneracy: returns the smallest dimension observed,
-    which for a Cartan subspace is the rank of the pair.
+    Redraws on degeneracy, up to eight draws: returns the smallest
+    dimension observed, which for a Cartan subspace is the rank of the
+    pair.
     """
     rng = random.Random(seed)
     pb = P.p_basis()
     best = None
-    for _ in range(attempts):
+    for _ in range(8):
         x = P.random_cartan_element(rng)
         if not x:
             continue

@@ -7,11 +7,16 @@ deterministic given (command, inputs, seed).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import matrixmodel as mm
 from . import orbits
-from .cascade import full_cascade, verify_gamma_partition
+from .cascade import (
+    epsilons_strongly_orthogonal,
+    full_cascade,
+    verify_gamma_partition,
+)
 from .centralizer import nonregular_locus, subpair
 from .chevalley import build_algebra
 from .parabolic import (
@@ -20,7 +25,6 @@ from .parabolic import (
     expected_rows,
     generic_p_centralizer_dim,
     proposition_checks,
-    scan_type,
 )
 from .rootsystem import build_root_system
 
@@ -140,35 +144,35 @@ def centralizer_report(type_label, rank, omitted=None):
 # model subcommand
 
 
+def _shape(d):
+    return tuple(sorted(d.shape, reverse=True))
+
+
 def parse_orbit(p, spec):
-    """shape[:signs][:numeral], e.g. "3,1,1:+++", "2,2,1:++-:I"."""
+    """shape[:signs][:numerals], e.g. "3,1,1:+++", "2,2,1:++-:I",
+    "2,2:++:II:I".  Numerals, when given, must be the diagram's numerals
+    in order; without them the first diagram that fits is taken."""
     parts = spec.split(":")
     try:
-        shape = tuple(int(x) for x in parts[0].split(","))
+        shape = tuple(sorted((int(x) for x in parts[0].split(",")),
+                             reverse=True))
     except ValueError:
         raise ValueError(f"bad shape {parts[0]!r}") from None
     signs = None
-    numeral = None
+    numerals = ()
     for extra in parts[1:]:
         if extra in ("I", "II"):
-            numeral = extra
+            numerals += (extra,)
         elif set(extra) <= {"+", "-"}:
             signs = extra
         else:
             raise ValueError(f"bad orbit component {extra!r}")
-    matches = []
     for d in orbits.enumerate_dyo(p):
-        if tuple(sorted(d.shape, reverse=True)) != tuple(
-                sorted(shape, reverse=True)):
-            continue
-        if signs is not None and "".join(s for _, s in d.rows) != signs:
-            continue
-        if numeral is not None and numeral not in d.numerals:
-            continue
-        matches.append(d)
-    if not matches:
-        raise ValueError(f"no so(p,2) orbit matches {spec!r} for p = {p}")
-    return matches[0]
+        if (_shape(d) == shape
+                and signs in (None, "".join(s for _, s in d.rows))
+                and numerals in ((), d.numerals)):
+            return d
+    raise ValueError(f"no so(p,2) orbit matches {spec!r} for p = {p}")
 
 
 def model_report(p, orbit_spec, verify, seed=0):
@@ -207,7 +211,7 @@ def model_report(p, orbit_spec, verify, seed=0):
                                "samples": rep["samples"]}))
     elif verify == "distinguished":
         expected = (2, 2) + (1,) * (p - 2)
-        if tuple(sorted(d.shape, reverse=True)) != expected or p < 3:
+        if _shape(d) != expected or p < 3:
             items.append(item("not-distinguished-witness", True,
                               {"note": "witness argument applies to shape "
                                "(2,2,1^(p-2)) with p >= 3"}, skipped=True))
@@ -224,89 +228,151 @@ def model_report(p, orbit_spec, verify, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# verify-all
+# verify-all: one function per item, shared with the acceptance gate
+# (tests/test_acceptance.py), which calls them at its own sizes
 
 
-def verify_all_report(max_rank=8, seed=0):
-    items = []
+# sorted dim g^X on the four special lines of (so_N, so_{N-2} x so_2)
+SPECIAL_LINE_DIMS = {("B", 3): (7, 7, 11, 11), ("D", 5): (19, 19, 29, 29)}
+SPECIAL_LINES = [["0", "1"], ["1", "-1"], ["1", "0"], ["1", "1"]]
 
-    catalog = enumerate_catalog(max_rank)  # raises on any oracle mismatch
-    items.append(item("catalog-table", True, {"rows": len(catalog)}))
 
-    bad = [p.pair_label for p in catalog
-           if not proposition_checks(p)["ok"]]
-    items.append(item("cartan-subspace-structure", not bad,
-                      {"failing": bad}))
+def orbit_shapes(p):
+    """{descending shape: number of so(p,2) orbits}; rows are <= 5 long."""
+    if p == 2:
+        return {(3, 1): 4, (2, 2): 4, (1, 1, 1, 1): 1}
+    if p == 3:
+        return {(5,): 2, (3, 1, 1): 3, (2, 2, 1): 2, (1,) * 5: 1}
+    return {(5,) + (1,) * (p - 3): 2,
+            (3, 3) + (1,) * (p - 4): 2 if p == 4 else 1,
+            (3,) + (1,) * (p - 1): 3,
+            (2, 2) + (1,) * (p - 2): 2,
+            (1,) * (p + 2): 1}
 
-    cas_bad = []
-    for t, n in [("A", max_rank), ("B", max_rank), ("C", max_rank),
-                 ("D", max(4, max_rank)), ("E6", 6), ("F4", 4), ("G2", 2)]:
+
+def catalog_item(catalog):
+    """Criterion 1: `enumerate_catalog` raises on any table mismatch."""
+    return item("catalog-table", True, {"rows": len(catalog)})
+
+
+def cartan_subspace_item(catalog):
+    """Criterion 3: the Cartan-subspace structure of every catalog pair."""
+    bad = [P.pair_label for P in catalog if not proposition_checks(P)["ok"]]
+    return item("cartan-subspace-structure", not bad, {"failing": bad})
+
+
+def cascade_item(types):
+    """Criterion 4: per (type, rank), the Gamma^K partition, Gamma sizes
+    summing to the positive roots, and strongly orthogonal eps_K."""
+    bad = []
+    for t, n in types:
         rs = build_root_system(t, n)
-        rep = verify_gamma_partition(rs, frozenset(range(n)))
-        if rep["failures"]:
-            cas_bad.append(f"{t}{n}")
-    items.append(item("cascade-invariants", not cas_bad,
-                      {"failing": cas_bad}))
+        full = frozenset(range(n))
+        rep = verify_gamma_partition(rs, full)
+        if (rep["failures"]
+                or sum(rep["gamma_sizes"]) != len(rs.positive_roots)
+                or not epsilons_strongly_orthogonal(rs, full)):
+            bad.append(f"{t}{n}")
+    return item("cascade-invariants", not bad, {"failing": bad})
 
-    for t, n, want in (("B", 3, (7, 7, 11, 11)), ("D", 5, (19, 19, 29, 29))):
-        alg = build_algebra(t, n)
-        P = build_parabolic(alg, frozenset(range(n)) - {0})
-        locus = nonregular_locus(P)
-        lines = sorted([str(a), str(b)] for a, b in locus.special_lines)
-        xs = P.cartan_subspace()
-        got = tuple(sorted(
-            subpair(P, mu * xs[0] + lam * xs[1]).dim_g_X
-            for mu, lam in locus.special_lines))
-        details = {"lines": lines, "dim_g_X": sorted(got)}
-        ok = (lines == [["0", "1"], ["1", "-1"], ["1", "0"], ["1", "1"]]
-              and got == want)
-        items.append(item(f"centralizer-dims-{t}{n}", ok, details))
 
-    counts = {2: 9, 3: 8, 4: 10, 5: 9, 6: 9}
-    bad = {p: len(orbits.enumerate_dyo(p)) for p in counts
-           if len(orbits.enumerate_dyo(p)) != counts[p]}
-    items.append(item("orbit-counts", not bad, {"mismatched": bad}))
+def centralizer_dims_item(t, n):
+    """Criterion 2: the non-regular lines of (so_N, so_{N-2} x so_2) and
+    dim g^X on each, from the `centralizer` report with alpha_1 omitted."""
+    _, rows = centralizer_report(t, n, 1)
+    lines = sorted([str(a), str(b)] for a, b in rows["special_lines"])
+    got = sorted(line["dim_g_X"] for line in rows["lines"])
+    ok = lines == SPECIAL_LINES and tuple(got) == SPECIAL_LINE_DIMS[(t, n)]
+    return item(f"centralizer-dims-{t}{n}", ok,
+                {"lines": lines, "dim_g_X": got})
 
-    parity_bad = []
-    for p in range(2, 9):
+
+def orbit_counts_item(ps):
+    """Criterion 6: the signed diagrams of each p, tallied by shape."""
+    bad = {}
+    for p in ps:
+        ds = orbits.enumerate_dyo(p)
+        if Counter(map(_shape, ds)) != orbit_shapes(p):
+            bad[p] = len(ds)
+    return item("orbit-counts", not bad, {"mismatched": bad})
+
+
+def parity_item(ps):
+    """Criterion 7: every so(p,2) orbit is even, except the
+    p-distinguished shape (2,2,1^(p-2)), p >= 3, whose characteristic
+    candidates all have an odd entry."""
+    bad = []
+    for p in ps:
         special = (2, 2) + (1,) * (p - 2)
         for d in orbits.enumerate_dyo(p):
             cands = orbits.characteristic(orbits.forget_signs(d))
-            shape = tuple(sorted(d.shape, reverse=True))
-            even = any(orbits.is_even(c) for c in cands)
-            if shape == special and p >= 3:
-                if even:
-                    parity_bad.append(repr(d))
-            elif not even:
-                parity_bad.append(repr(d))
-    items.append(item("distinguished-orbits-even", not parity_bad,
-                      {"failing": parity_bad}))
+            if _shape(d) == special and p >= 3:
+                ok = all(any(x % 2 for x in c) for c in cands)
+            else:
+                ok = any(orbits.is_even(c) for c in cands)
+            if not ok:
+                bad.append(repr(d))
+    return item("distinguished-orbits-even", not bad, {"failing": bad})
 
-    char_bad = []
-    for p in (3, 4):
+
+def characteristic_item(ps):
+    """Criterion 8: each orbit representative has the diagram's Jordan
+    type, and its normal triple gives a characteristic the recipe allows."""
+    bad = []
+    for p in ps:
         pair = mm.build_pair(p)
         for d in orbits.enumerate_dyo(p):
             X = mm.nilpotent_from_diagram(pair, d)
-            if mm.mat_is_zero(X):
-                continue
-            t = mm.normal_triple_for(pair, X)
-            c = mm.characteristic_from_triple(t)
-            cd = orbits.characteristic(orbits.forget_signs(d))
-            if not set(c) & set(cd):
-                char_bad.append(repr(d))
-    items.append(item("characteristic-oracle", not char_bad,
-                      {"failing": char_bad}))
+            ok = mm.jordan_type(mm.qi_entries(X)) == _shape(d)
+            if ok and not mm.mat_is_zero(X):
+                c = mm.characteristic_from_triple(mm.normal_triple_for(pair, X))
+                cd = orbits.characteristic(orbits.forget_signs(d))
+                ok = bool(set(c) & set(cd))
+            if not ok:
+                bad.append(repr(d))
+    return item("characteristic-oracle", not bad, {"failing": bad})
 
-    pair = mm.build_pair(4)
-    rep = mm.minimal_orbit_not_distinguished(pair)
-    items.append(item("minimal-orbit-witness", rep["ok"], None))
+
+def minimal_orbit_item(ps):
+    """Criterion 7: the semisimple witness that (2,2,1^(p-2)) is not
+    p-distinguished; details only on failure."""
+    bad = [p for p in ps
+           if not mm.minimal_orbit_not_distinguished(mm.build_pair(p))["ok"]]
+    return item("minimal-orbit-witness", not bad,
+                {"failing": bad} if bad else None)
+
+
+def jordan_component_item(p, trials, seed):
+    """Criterion 10: for sampled Y in p^X, X the witness element, the
+    semisimple component of Y is proportional to that of X."""
+    pair = mm.build_pair(p)
     X, _, _ = mm.lemma_witness_element(pair)
-    rep = mm.lemma51_check(pair, X, trials=20, seed=seed)
-    items.append(item("jordan-component-sampling", rep["ok"],
-                      {"trials": rep["trials"], "failures": rep["failures"]}))
-    rep = mm.dim_identity_check(pair, samples=20, seed=seed)
-    items.append(item("dimension-identity", rep["ok"],
-                      {"samples": rep["samples"],
-                       "failures": rep["failures"]}))
+    rep = mm.lemma51_check(pair, X, trials=trials, seed=seed)
+    return item("jordan-component-sampling", rep["ok"],
+                {"trials": rep["trials"], "failures": rep["failures"]})
 
+
+def dim_identity_item(p, samples, seed):
+    """Criterion 10: dim [k, X] + dim p^X = dim p on sampled X in p."""
+    rep = mm.dim_identity_check(mm.build_pair(p), samples=samples, seed=seed)
+    return item("dimension-identity", rep["ok"],
+                {"samples": rep["samples"], "failures": rep["failures"]})
+
+
+def verify_all_report(max_rank=8, seed=0):
+    catalog = enumerate_catalog(max_rank)  # raises on any oracle mismatch
+    types = [("A", max_rank), ("B", max_rank), ("C", max_rank),
+             ("D", max(4, max_rank)), ("E6", 6), ("F4", 4), ("G2", 2)]
+    items = [
+        catalog_item(catalog),
+        cartan_subspace_item(catalog),
+        cascade_item(types),
+        *(centralizer_dims_item(t, n) for t, n in SPECIAL_LINE_DIMS),
+        orbit_counts_item(range(2, 7)),
+        parity_item(range(2, 9)),
+        characteristic_item((3, 4)),
+        minimal_orbit_item((4,)),
+        jordan_component_item(4, 20, seed),
+        dim_identity_item(4, 20, seed),
+    ]
     return assemble(f"verify-all --max-rank {max_rank}", items, seed)

@@ -1,27 +1,20 @@
 """Acceptance gate: ten exact end-to-end criteria, one pass/fail line each.
 
-Each test prints "criterion N: <name> ... PASS" on success; a failure
-raises with a witness.  Budgets: criteria 1, 2, 3, 7, 9 under a minute;
-4 and 6 take seconds.
+Criteria 1-4, 6-8 and 10 run the `liepairs verify-all` item functions
+of `liepairs.report`, at the gate's sizes; criteria 5 and 9 run only
+here.  Each test prints "criterion N: <name> ... PASS" on success; a
+failure raises with the item's details as its witness.  Budgets:
+criteria 1, 2, 3, 7, 9 under a minute; 4 and 6 take seconds.
 """
 
 import random
 import sys
-from fractions import Fraction
-
-import pytest
 
 from liepairs import matrixmodel as mm
 from liepairs import orbits
-from liepairs.cascade import full_cascade, verify_gamma_partition
-from liepairs.centralizer import nonregular_locus, subpair
+from liepairs import report as rp
 from liepairs.chevalley import build_algebra, jacobi_defect
-from liepairs.parabolic import (
-    build_parabolic,
-    enumerate_catalog,
-    proposition_checks,
-)
-from liepairs.rootsystem import build_root_system, strongly_orthogonal
+from liepairs.parabolic import enumerate_catalog
 
 
 def _report(num, name):
@@ -29,10 +22,14 @@ def _report(num, name):
     sys.stdout.flush()
 
 
+def _check(it):
+    assert it["status"] == "pass", (it["name"], it.get("details"))
+
+
 def test_criterion_01_catalog_table():
     """Exhaustive abelian-radical scan reproduces the catalog exactly."""
-    # enumerate_catalog raises on any mismatch against the static rows
     catalog = enumerate_catalog(max_rank=8)
+    _check(rp.catalog_item(catalog))
     by_type = {}
     for P in catalog:
         by_type.setdefault(P.rs.type_label, []).append(P)
@@ -51,30 +48,15 @@ def test_criterion_01_catalog_table():
 def test_criterion_02_centralizer_dims_and_locus():
     """dim g^X is 7/11 (B3) and 19/29 (D5) on the non-regular lines,
     which are exactly {[1:0],[0:1],[1:1],[1:-1]}."""
-    expected = {("B", 3): (7, 7, 11, 11), ("D", 5): (19, 19, 29, 29)}
-    for (label, rank), dims in expected.items():
-        alg = build_algebra(label, rank)
-        P = build_parabolic(alg, frozenset(range(rank)) - {0})
-        locus = nonregular_locus(P)
-        lines = sorted((str(a), str(b)) for a, b in locus.special_lines)
-        assert lines == [("0", "1"), ("1", "-1"), ("1", "0"), ("1", "1")]
-        xs = P.cartan_subspace()
-        got = tuple(sorted(
-            subpair(P, Fraction(mu) * xs[0] + Fraction(lam) * xs[1]).dim_g_X
-            for mu, lam in locus.special_lines))
-        assert got == dims, (label, rank, got)
+    for label, rank in rp.SPECIAL_LINE_DIMS:
+        _check(rp.centralizer_dims_item(label, rank))
     _report(2, "B3/D5 centralizer dimensions and non-regular locus")
 
 
 def test_criterion_03_cartan_subspace_structure():
     """For every catalog entry: a abelian, X_K semisimple, radical
     covered by the Gamma^K, eps_K - alpha outside the radical."""
-    failures = []
-    for P in enumerate_catalog(max_rank=8):
-        rep = proposition_checks(P)
-        if not rep["ok"]:
-            failures.append((P.pair_label, rep["failures"]))
-    assert not failures, failures
+    _check(rp.cartan_subspace_item(enumerate_catalog(max_rank=8)))
     _report(3, "Cartan-subspace structure for all catalog pairs")
 
 
@@ -83,15 +65,7 @@ def test_criterion_04_cascade_invariants():
     jobs = ([("A", k) for k in range(1, 9)] + [("B", k) for k in range(2, 9)]
             + [("C", k) for k in range(2, 9)] + [("D", k) for k in range(4, 9)]
             + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
-    for label, rank in jobs:
-        rs = build_root_system(label, rank)
-        rep = verify_gamma_partition(rs, frozenset(range(rank)))
-        assert rep["failures"] == [], (label, rank, rep["failures"])
-        assert sum(rep["gamma_sizes"]) == len(rs.positive_roots)
-        eps = [e.epsilon_K for e in full_cascade(rs)]
-        for i in range(len(eps)):
-            for j in range(i + 1, len(eps)):
-                assert strongly_orthogonal(rs, eps[i], eps[j])
+    _check(rp.cascade_item(jobs))
     _report(4, "cascade invariants for all types to rank 8")
 
 
@@ -117,64 +91,22 @@ def test_criterion_05_jacobi():
 
 def test_criterion_06_orbit_lists():
     """Signed-diagram enumeration matches the displayed orbit lists."""
-    assert len(orbits.enumerate_dyo(2)) == 9
-    by_shape = {}
-    for d in orbits.enumerate_dyo(3):
-        by_shape.setdefault(tuple(sorted(d.shape, reverse=True)),
-                            []).append(d)
-    assert {s: len(v) for s, v in by_shape.items()} == {
-        (5,): 2, (3, 1, 1): 3, (2, 2, 1): 2, (1, 1, 1, 1, 1): 1}
-    for p in range(4, 13):
-        by_shape = {}
-        for d in orbits.enumerate_dyo(p):
-            by_shape.setdefault(tuple(sorted(d.shape, reverse=True)),
-                                []).append(d)
-        expect = {
-            (5,) + (1,) * (p - 3): 2,
-            (3, 3) + (1,) * (p - 4): 2 if p == 4 else 1,
-            (3,) + (1,) * (p - 1): 3,
-            (2, 2) + (1,) * (p - 2): 2,
-            (1,) * (p + 2): 1,
-        }
-        assert {s: len(v) for s, v in by_shape.items()} == expect, p
-        for d in orbits.enumerate_dyo(p):
-            assert max(d.shape) <= 5
+    _check(rp.orbit_counts_item(range(2, 13)))
     _report(6, "signed orbit enumeration for p = 2..12")
 
 
 def test_criterion_07_distinguished_evenness_and_witness():
     """Every shape other than (2,2,1^(p-2)) is even; that shape has an
     odd characteristic entry and an explicit H in p^X witness."""
-    for p in range(2, 13):
-        special = (2, 2) + (1,) * (p - 2)
-        for d in orbits.enumerate_dyo(p):
-            shape = tuple(sorted(d.shape, reverse=True))
-            cands = orbits.characteristic(orbits.forget_signs(d))
-            if shape == special and p >= 3:
-                assert all(any(x % 2 == 1 for x in cc) for cc in cands), d
-            else:
-                assert any(orbits.is_even(cc) for cc in cands), d
-    for p in range(3, 13):
-        rep = mm.minimal_orbit_not_distinguished(mm.build_pair(p))
-        assert rep["ok"], (p, rep)
+    _check(rp.parity_item(range(2, 13)))
+    _check(rp.minimal_orbit_item(range(3, 13)))
     _report(7, "evenness of p-distinguished orbits plus witnesses")
 
 
 def test_criterion_08_characteristic_oracle():
     """(alpha_i(H)) from exact normal triples equals the combinatorial
     recipe for every orbit representative, p <= 8."""
-    for p in range(2, 9):
-        pair = mm.build_pair(p)
-        for d in orbits.enumerate_dyo(p):
-            X = mm.nilpotent_from_diagram(pair, d)
-            assert mm.jordan_type(mm.qi_entries(X)) == tuple(
-                sorted(d.shape, reverse=True))
-            if mm.mat_is_zero(X):
-                continue
-            t = mm.normal_triple_for(pair, X)
-            c = mm.characteristic_from_triple(t)
-            cd = orbits.characteristic(orbits.forget_signs(d))
-            assert set(c) & set(cd), (p, d, c, cd)
+    _check(rp.characteristic_item(range(2, 9)))
     _report(8, "characteristics from normal triples, p = 2..8")
 
 
@@ -199,10 +131,6 @@ def test_criterion_09_even_sheet():
 def test_criterion_10_jordan_component_and_dim_identity():
     """100 fixed-seed trials: semisimple component of Y in p^X stays
     proportional to X_s; plus dim[k,X] + dim p^X = dim p on 100 X."""
-    pair = mm.build_pair(5)
-    X, _, _ = mm.lemma_witness_element(pair)
-    rep = mm.lemma51_check(pair, X, trials=100, seed=0)
-    assert rep["ok"], rep
-    rep = mm.dim_identity_check(mm.build_pair(4), samples=100, seed=0)
-    assert rep["ok"], rep
+    _check(rp.jordan_component_item(5, 100, 0))
+    _check(rp.dim_identity_item(4, 100, 0))
     _report(10, "Jordan-component sampling and dimension identity")

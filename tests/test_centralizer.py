@@ -154,7 +154,7 @@ E7_POINTS = {
 
 
 @pytest.mark.skipif(not os.environ.get("LIEPAIRS_SLOW"),
-                    reason="E7 subpair scan takes ~20 min; "
+                    reason="E7 subpair scan takes ~100 s; "
                            "set LIEPAIRS_SLOW=1 to run")
 def test_e7_special_point_subpairs():
     P = scan_type("E7", 7)[0]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from liepairs.cli import run
+from liepairs.orbits import enumerate_dyo
 from liepairs.report import frac_str, model_report, parse_orbit
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,8 +31,11 @@ def test_frac_str():
 def test_usage_errors():
     assert run(["bogus"]) == 2
     assert run(["model", "--p", "3"]) == 2          # missing required flags
-    assert run(["model", "--p", "3", "--orbit", "9,9",
-                "--verify", "triple"]) == 2         # no such orbit
+    for spec in ("9,9", "3,1,1:-++:I:II"):        # no such orbit
+        assert run(["model", "--p", "3", "--orbit", spec,
+                    "--verify", "triple"]) == 2
+    assert run(["model", "--p", "2", "--orbit", "2,2:I",  # needs two numerals
+                "--verify", "triple"]) == 2
 
 
 def test_cascade_command(capsys):
@@ -91,6 +95,10 @@ def test_parse_orbit():
         parse_orbit(3, "x,y")
     with pytest.raises(ValueError):
         parse_orbit(3, "3,1,1:*")
+    # every so(2,2) orbit by its own spec, numerals in the diagram's order
+    specs = ["3,1:+-:I", "3,1:+-:II", "3,1:-+:I", "3,1:-+:II", "2,2:++:I:I",
+             "2,2:++:I:II", "2,2:++:II:I", "2,2:++:II:II", "1,1,1,1"]
+    assert [parse_orbit(2, s) for s in specs] == enumerate_dyo(2)
 
 
 def test_model_report_zero_orbit_skips():
