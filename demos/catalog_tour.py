@@ -24,7 +24,8 @@ print("=" * 72)
 print("All symmetric pairs from abelian-radical maximal parabolics")
 print("(exhaustive scan, checked against the static catalog)")
 print("=" * 72)
-catalog = enumerate_catalog(max_rank=6)
+catalog, mismatches = enumerate_catalog(max_rank=6)
+assert not mismatches, mismatches
 for P in catalog:
     print(f"{P.rs.type_label}{P.rs.rank} alpha_{P.omitted_index + 1}:"
           f"  {P.pair_label:<28} rank {P.rank}  dim p = {2 * len(P.R_S1)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -334,41 +335,23 @@ def rational_roots(p):
         roots.append(F0)
         p = p[1:]
     if poly_deg(p) >= 1:
-        # clear denominators
-        from math import gcd, lcm
-        den = 1
-        for c in p:
-            den = lcm(den, c.denominator)
+        # rational root theorem on the primitive integer multiple of p
+        den = lcm(*(c.denominator for c in p))
         ip = [int(c * den) for c in p]
-        g = 0
-        for c in ip:
-            g = gcd(g, c)
-        ip = [c // g for c in ip]
+        g = gcd(*ip)
 
         def divisors(n):
-            n = abs(n)
-            out = set()
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.add(d)
-                    out.add(n // d)
-                d += 1
-            return out
+            n = abs(n) // g
+            return {d for k in range(1, isqrt(n) + 1) if n % k == 0
+                    for d in (k, n // k)}
 
-        cands = sorted(
-            {Fraction(s * a, b) for a in divisors(ip[0]) for b in divisors(ip[-1])
-             for s in (1, -1)},
-        )
-        changed = True
-        while changed and poly_deg(p) >= 1:
-            changed = False
-            for r in cands:
-                if not poly_eval(p, r):
-                    roots.append(r)
-                    p = poly_divmod(p, [-r, F1])[0]
-                    changed = True
-                    break
+        cands = sorted({Fraction(s * a, b) for a in divisors(ip[0])
+                        for b in divisors(ip[-1]) for s in (1, -1)})
+        # each candidate once, divided out as often as it is a root
+        for r in cands:
+            while poly_deg(p) >= 1 and not poly_eval(p, r):
+                roots.append(r)
+                p = poly_divmod(p, [-r, F1])[0]
     roots = sorted(set(roots))
     return roots, poly_monic(p)
 

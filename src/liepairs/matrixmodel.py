@@ -526,7 +526,9 @@ def characteristic_from_triple(t: NormalTriple):
     m = 0
     while len(eigs) < n:
         if m > 8 * n:
-            raise ValueError("H has non-integer eigenvalues")
+            raise ValueError(
+                f"{n}x{n} H has non-integer eigenvalues: the integers up "
+                f"to {8 * n} in size give only {eigs}")
         for val in ({0} if m == 0 else {m, -m}):
             Mv = mat_sub(H, eye(n, val))
             k = n - linalg.rank(Mv)

@@ -24,10 +24,6 @@ class YoungDiagram:
     rows: tuple                 # weakly decreasing positive ints
     numeral: str | None = None  # "I" / "II" when all rows are even
 
-    @property
-    def size(self):
-        return sum(self.rows)
-
     def __repr__(self):
         tag = f", {self.numeral}" if self.numeral else ""
         return f"YD({self.rows}{tag})"

@@ -7,6 +7,8 @@ deterministic given (command, inputs, seed).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from .cascade import (
     verify_gamma_partition,
 )
 from .centralizer import nonregular_locus, subpair
-from .chevalley import build_algebra
+from .chevalley import build_algebra, jacobi_defect
 from .parabolic import (
     build_parabolic,
     enumerate_catalog,
@@ -57,7 +59,7 @@ def assemble(command, items, seed=None):
 
 
 def pairs_report(max_rank=8):
-    catalog = enumerate_catalog(max_rank)
+    catalog, mismatches = enumerate_catalog(max_rank)
     rows = []
     for P in catalog:
         rows.append({
@@ -69,8 +71,9 @@ def pairs_report(max_rank=8):
             "E": [sorted(i + 1 for i in e.subset_K) for e in P.E_entries],
             "dim_p": 2 * len(P.R_S1),
         })
-    items = [item("catalog-matches-static-table", True,
-                  {"rows": len(rows), "max_rank": max_rank})]
+    extra = {"mismatches": mismatches} if mismatches else {}
+    items = [item("catalog-matches-static-table", not mismatches,
+                  {"rows": len(rows), "max_rank": max_rank, **extra})]
     return assemble("pairs", items), rows
 
 
@@ -94,6 +97,8 @@ def cascade_report(type_label, rank):
 
 
 def orbits_report(p, signed):
+    if p < 0:
+        raise ValueError(f"--p must be >= 0, got {p}")
     if signed:
         ds = orbits.enumerate_dyo(p)
         rows = [{"shape": list(d.shape),
@@ -232,9 +237,14 @@ def model_report(p, orbit_spec, verify, seed=0):
 # (tests/test_acceptance.py), which calls them at its own sizes
 
 
-# sorted dim g^X on the four special lines of (so_N, so_{N-2} x so_2)
-SPECIAL_LINE_DIMS = {("B", 3): (7, 7, 11, 11), ("D", 5): (19, 19, 29, 29)}
-SPECIAL_LINES = [["0", "1"], ["1", "-1"], ["1", "0"], ["1", "1"]]
+# (dim g^X, dim l, type of l, subpair) on the coordinate lines [0:1], [1:0]
+# and the diagonal lines [1:1], [1:-1] of (so_N, so_{N-2} x so_2)
+SPECIAL_LINES = {
+    ("B", 3): ((7, 6, "A1xA1", "(so_3, so_2)"),
+               (11, 10, "B2", "(so_5, so_4)")),
+    ("D", 5): ((19, 18, "A1xA3", "(so_3, so_2)"),
+               (29, 28, "D4", "(so_8, so_7)")),
+}
 
 
 def orbit_shapes(p):
@@ -250,17 +260,36 @@ def orbit_shapes(p):
             (1,) * (p + 2): 1}
 
 
-def catalog_item(catalog):
-    """Criterion 1: `enumerate_catalog` raises on any table mismatch."""
-    return item("catalog-table", True, {"rows": len(catalog)})
+def check(name):
+    """Make a function returning (ok, details) the verify-all item `name`,
+    formatted with its arguments; an exception fails it as witness."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args):
+            try:
+                ok, details = fn(*args)
+            except Exception as e:
+                ok, details = False, {"error": f"{type(e).__name__}: {e}"}
+            return item(name.format(*args), ok, details)
+        return run
+    return wrap
 
 
+@check("catalog-table")
+def catalog_item(catalog, mismatches):
+    """Criterion 1: the exhaustive scan agrees with the static oracle."""
+    extra = {"mismatches": mismatches} if mismatches else {}
+    return not mismatches, {"rows": len(catalog), **extra}
+
+
+@check("cartan-subspace-structure")
 def cartan_subspace_item(catalog):
     """Criterion 3: the Cartan-subspace structure of every catalog pair."""
     bad = [P.pair_label for P in catalog if not proposition_checks(P)["ok"]]
-    return item("cartan-subspace-structure", not bad, {"failing": bad})
+    return not bad, {"failing": bad}
 
 
+@check("cascade-invariants")
 def cascade_item(types):
     """Criterion 4: per (type, rank), the Gamma^K partition, Gamma sizes
     summing to the positive roots, and strongly orthogonal eps_K."""
@@ -273,20 +302,49 @@ def cascade_item(types):
                 or sum(rep["gamma_sizes"]) != len(rs.positive_roots)
                 or not epsilons_strongly_orthogonal(rs, full)):
             bad.append(f"{t}{n}")
-    return item("cascade-invariants", not bad, {"failing": bad})
+    return not bad, {"failing": bad}
 
 
+@check("centralizer-dims-{}{}")
 def centralizer_dims_item(t, n):
     """Criterion 2: the non-regular lines of (so_N, so_{N-2} x so_2) and
-    dim g^X on each, from the `centralizer` report with alpha_1 omitted."""
+    dim g^X, dim l, the type of l and the subpair on each, from the
+    `centralizer` report with alpha_1 omitted."""
     _, rows = centralizer_report(t, n, 1)
-    lines = sorted([str(a), str(b)] for a, b in rows["special_lines"])
-    got = sorted(line["dim_g_X"] for line in rows["lines"])
-    ok = lines == SPECIAL_LINES and tuple(got) == SPECIAL_LINE_DIMS[(t, n)]
-    return item(f"centralizer-dims-{t}{n}", ok,
-                {"lines": lines, "dim_g_X": got})
+    fields = ("dim_g_X", "l_dim", "l_type", "r_pair_label")
+    got = {tuple(line["line"]): tuple(line[f] for f in fields)
+           for line in rows["lines"]}
+    details = {"lines": sorted([str(a), str(b)] for a, b in got),
+               "dim_g_X": sorted(v[0] for v in got.values())}
+    coord, diag = SPECIAL_LINES[(t, n)]
+    ok = got == {(0, 1): coord, (1, 0): coord, (1, 1): diag, (1, -1): diag}
+    if not ok:
+        details["per_line"] = [[*k, *v] for k, v in got.items()]
+    return ok, details
 
 
+@check("jacobi-identity")
+def jacobi_item(types):
+    """Criterion 5: [e_i, e_j] = -[e_j, e_i] on every ordered basis pair
+    and the Jacobi identity on every i < j < k, which together cover
+    every triple; the first failure of a type is its witness."""
+    bad = []
+    for t, n in types:
+        alg = build_algebra(t, n)
+        d = range(alg.dimension)
+        witnesses = itertools.chain(
+            ({"antisymmetry": [i, j]} for i in d for j in d
+             if alg.bracket_basis(i, j)
+             != {k: -c for k, c in alg.bracket_basis(j, i).items()}),
+            ({"jacobi": [i, j, k]} for i in d for j in d[i + 1:]
+             for k in d[j + 1:] if jacobi_defect(alg, i, j, k)))
+        w = next(witnesses, None)
+        if w:
+            bad.append({"type": f"{t}{n}", **w})
+    return not bad, {"failing": bad}
+
+
+@check("orbit-counts")
 def orbit_counts_item(ps):
     """Criterion 6: the signed diagrams of each p, tallied by shape."""
     bad = {}
@@ -294,9 +352,10 @@ def orbit_counts_item(ps):
         ds = orbits.enumerate_dyo(p)
         if Counter(map(_shape, ds)) != orbit_shapes(p):
             bad[p] = len(ds)
-    return item("orbit-counts", not bad, {"mismatched": bad})
+    return not bad, {"mismatched": bad}
 
 
+@check("distinguished-orbits-even")
 def parity_item(ps):
     """Criterion 7: every so(p,2) orbit is even, except the
     p-distinguished shape (2,2,1^(p-2)), p >= 3, whose characteristic
@@ -312,9 +371,10 @@ def parity_item(ps):
                 ok = any(orbits.is_even(c) for c in cands)
             if not ok:
                 bad.append(repr(d))
-    return item("distinguished-orbits-even", not bad, {"failing": bad})
+    return not bad, {"failing": bad}
 
 
+@check("characteristic-oracle")
 def characteristic_item(ps):
     """Criterion 8: each orbit representative has the diagram's Jordan
     type, and its normal triple gives a characteristic the recipe allows."""
@@ -330,48 +390,73 @@ def characteristic_item(ps):
                 ok = bool(set(c) & set(cd))
             if not ok:
                 bad.append(repr(d))
-    return item("characteristic-oracle", not bad, {"failing": bad})
+    return not bad, {"failing": bad}
 
 
+@check("minimal-orbit-witness")
 def minimal_orbit_item(ps):
     """Criterion 7: the semisimple witness that (2,2,1^(p-2)) is not
     p-distinguished; details only on failure."""
     bad = [p for p in ps
            if not mm.minimal_orbit_not_distinguished(mm.build_pair(p))["ok"]]
-    return item("minimal-orbit-witness", not bad,
-                {"failing": bad} if bad else None)
+    return not bad, {"failing": bad} if bad else None
 
 
+@check("even-sheet-property")
+def even_sheet_item(ps):
+    """Criterion 9: for every nonzero even orbit, X + lambda Y keeps
+    dim p^X and is semisimple at lambda = 1, 2, 3."""
+    bad = []
+    for p in ps:
+        pair = mm.build_pair(p)
+        for d in orbits.enumerate_dyo(p):
+            cands = orbits.characteristic(orbits.forget_signs(d))
+            if not any(orbits.is_even(c) for c in cands):
+                continue
+            X = mm.nilpotent_from_diagram(pair, d)
+            if mm.mat_is_zero(X):
+                continue
+            rep = mm.even_sheet_witness(pair, mm.normal_triple_for(pair, X))
+            if not rep["ok"]:
+                bad.append(repr(d))
+    return not bad, {"failing": bad}
+
+
+@check("jordan-component-sampling")
 def jordan_component_item(p, trials, seed):
     """Criterion 10: for sampled Y in p^X, X the witness element, the
     semisimple component of Y is proportional to that of X."""
     pair = mm.build_pair(p)
     X, _, _ = mm.lemma_witness_element(pair)
     rep = mm.lemma51_check(pair, X, trials=trials, seed=seed)
-    return item("jordan-component-sampling", rep["ok"],
-                {"trials": rep["trials"], "failures": rep["failures"]})
+    return rep["ok"], {"trials": rep["trials"], "failures": rep["failures"]}
 
 
+@check("dimension-identity")
 def dim_identity_item(p, samples, seed):
     """Criterion 10: dim [k, X] + dim p^X = dim p on sampled X in p."""
     rep = mm.dim_identity_check(mm.build_pair(p), samples=samples, seed=seed)
-    return item("dimension-identity", rep["ok"],
-                {"samples": rep["samples"], "failures": rep["failures"]})
+    return rep["ok"], {"samples": rep["samples"],
+                       "failures": rep["failures"]}
 
 
 def verify_all_report(max_rank=8, seed=0):
-    catalog = enumerate_catalog(max_rank)  # raises on any oracle mismatch
+    if max_rank < 2:
+        raise ValueError(f"--max-rank must be >= 2, got {max_rank}")
+    catalog, mismatches = enumerate_catalog(max_rank)
     types = [("A", max_rank), ("B", max_rank), ("C", max_rank),
              ("D", max(4, max_rank)), ("E6", 6), ("F4", 4), ("G2", 2)]
     items = [
-        catalog_item(catalog),
+        catalog_item(catalog, mismatches),
         cartan_subspace_item(catalog),
         cascade_item(types),
-        *(centralizer_dims_item(t, n) for t, n in SPECIAL_LINE_DIMS),
+        *(centralizer_dims_item(t, n) for t, n in SPECIAL_LINES),
+        jacobi_item([("B", 3), ("D", 5)]),
         orbit_counts_item(range(2, 7)),
         parity_item(range(2, 9)),
         characteristic_item((3, 4)),
         minimal_orbit_item((4,)),
+        even_sheet_item(range(2, 5)),
         jordan_component_item(4, 20, seed),
         dim_identity_item(4, 20, seed),
     ]

@@ -8,7 +8,7 @@ pairing used here is rational and most are integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
@@ -146,9 +146,6 @@ class RootSystem:
 
     def orthogonal(self, a, b):
         return self.form(a, b) == 0
-
-    def height(self, a):
-        return sum(a)
 
     def highest_root(self):
         """Unique positive root dominating all others coordinatewise.

@@ -1,25 +1,18 @@
 """Acceptance gate: ten exact end-to-end criteria, one pass/fail line each.
 
-Criteria 1-4, 6-8 and 10 run the `liepairs verify-all` item functions
-of `liepairs.report`, at the gate's sizes; criteria 5 and 9 run only
-here.  Each test prints "criterion N: <name> ... PASS" on success; a
-failure raises with the item's details as its witness.  Budgets:
-criteria 1, 2, 3, 7, 9 under a minute; 4 and 6 take seconds.
+Every criterion runs the `liepairs verify-all` item functions of
+`liepairs.report`, at the gate's sizes.  Each test prints
+"criterion N: <name> ... PASS" on success; a failure raises with the
+item's details as its witness.  Budgets: criteria 1, 2, 3, 7, 9 under a
+minute; 4, 5 and 6 take seconds.
 """
 
-import random
-import sys
-
-from liepairs import matrixmodel as mm
-from liepairs import orbits
 from liepairs import report as rp
-from liepairs.chevalley import build_algebra, jacobi_defect
 from liepairs.parabolic import enumerate_catalog
 
 
 def _report(num, name):
     print(f"criterion {num}: {name} ... PASS", flush=True)
-    sys.stdout.flush()
 
 
 def _check(it):
@@ -28,27 +21,24 @@ def _check(it):
 
 def test_criterion_01_catalog_table():
     """Exhaustive abelian-radical scan reproduces the catalog exactly."""
-    catalog = enumerate_catalog(max_rank=8)
-    _check(rp.catalog_item(catalog))
-    by_type = {}
-    for P in catalog:
-        by_type.setdefault(P.rs.type_label, []).append(P)
-    # spot-frozen rows
-    b = [P for P in by_type["B"] if P.rs.rank == 5][0]
+    catalog, mismatches = enumerate_catalog(max_rank=8)
+    _check(rp.catalog_item(catalog, mismatches))
+    # spot-frozen rows: the one pair each of B5, C5 and E7
+    b, c, e7 = ([P for P in catalog if (P.rs.type_label, P.rs.rank) == tn][0]
+                for tn in (("B", 5), ("C", 5), ("E7", 7)))
     assert b.omitted_index == 0 and b.rank == 2
     assert sorted(sorted(i + 1 for i in e.subset_K) for e in b.E_entries) \
         == [[1], [1, 2, 3, 4, 5]]
-    c = [P for P in by_type["C"] if P.rs.rank == 5][0]
     assert c.omitted_index == 4 and c.rank == 5
-    e7 = by_type["E7"][0]
     assert e7.omitted_index == 6 and e7.rank == 3
     _report(1, "catalog of abelian-radical parabolic pairs")
 
 
 def test_criterion_02_centralizer_dims_and_locus():
     """dim g^X is 7/11 (B3) and 19/29 (D5) on the non-regular lines,
-    which are exactly {[1:0],[0:1],[1:1],[1:-1]}."""
-    for label, rank in rp.SPECIAL_LINE_DIMS:
+    which are exactly {[1:0],[0:1],[1:1],[1:-1]}; dim l, the type of l
+    and the subpair on each line match too."""
+    for label, rank in rp.SPECIAL_LINES:
         _check(rp.centralizer_dims_item(label, rank))
     _report(2, "B3/D5 centralizer dimensions and non-regular locus")
 
@@ -56,7 +46,7 @@ def test_criterion_02_centralizer_dims_and_locus():
 def test_criterion_03_cartan_subspace_structure():
     """For every catalog entry: a abelian, X_K semisimple, radical
     covered by the Gamma^K, eps_K - alpha outside the radical."""
-    _check(rp.cartan_subspace_item(enumerate_catalog(max_rank=8)))
+    _check(rp.cartan_subspace_item(enumerate_catalog(max_rank=8)[0]))
     _report(3, "Cartan-subspace structure for all catalog pairs")
 
 
@@ -70,23 +60,10 @@ def test_criterion_04_cascade_invariants():
 
 
 def test_criterion_05_jacobi():
-    """Jacobi identity: exhaustive for B3/D5, 10^6 fixed-seed samples
-    for E6 and E7."""
-    for label, rank in (("B", 3), ("D", 5)):
-        alg = build_algebra(label, rank)
-        d = alg.dimension
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    assert not jacobi_defect(alg, i, j, k), (label, i, j, k)
-    for label, rank in (("E6", 6), ("E7", 7)):
-        alg = build_algebra(label, rank)
-        d = alg.dimension
-        rng = random.Random(2024)
-        for _ in range(10 ** 6):
-            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
-            assert not jacobi_defect(alg, i, j, k), (label, i, j, k)
-    _report(5, "Jacobi identity (B3/D5 exhaustive, E6/E7 sampled)")
+    """Antisymmetry on every ordered basis pair and the Jacobi identity
+    on every i < j < k: every triple of B3, D5, E6 and E7."""
+    _check(rp.jacobi_item([("B", 3), ("D", 5), ("E6", 6), ("E7", 7)]))
+    _report(5, "Jacobi identity (B3/D5/E6/E7 exhaustive)")
 
 
 def test_criterion_06_orbit_lists():
@@ -113,18 +90,7 @@ def test_criterion_08_characteristic_oracle():
 def test_criterion_09_even_sheet():
     """For every even orbit: dim p^(X+lambda Y) = dim p^X at
     lambda = 1, 2, 3 and X + lambda Y is semisimple."""
-    for p in range(2, 9):
-        pair = mm.build_pair(p)
-        for d in orbits.enumerate_dyo(p):
-            cands = orbits.characteristic(orbits.forget_signs(d))
-            if not any(orbits.is_even(c) for c in cands):
-                continue
-            X = mm.nilpotent_from_diagram(pair, d)
-            if mm.mat_is_zero(X):
-                continue
-            t = mm.normal_triple_for(pair, X)
-            rep = mm.even_sheet_witness(pair, t)
-            assert rep["ok"], (p, d, rep)
+    _check(rp.even_sheet_item(range(2, 9)))
     _report(9, "even-sheet property at lambda = 1, 2, 3 for p = 2..8")
 
 

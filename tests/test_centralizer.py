@@ -54,46 +54,14 @@ def test_identify_type_never_guesses_on_collision():
     assert identify_semisimple_type(full, alg) == "not-identified"
 
 
-def test_b3_locus_and_dims():
-    P = _pair("B", 3, 1)
-    locus = nonregular_locus(P)
-    lines = sorted((str(a), str(b)) for a, b in locus.special_lines)
-    assert lines == [("0", "1"), ("1", "-1"), ("1", "0"), ("1", "1")]
-    assert locus.residual_factors == ()
-    xs = P.cartan_subspace()
-    dims = {}
-    for mu, lam in locus.special_lines:
-        rep = subpair(P, Fraction(mu) * xs[0] + Fraction(lam) * xs[1])
-        dims[(str(mu), str(lam))] = (rep.dim_g_X, rep.r_pair_label)
-    assert dims[("1", "1")] == (11, "(so_5, so_4)")
-    assert dims[("1", "-1")] == (11, "(so_5, so_4)")
-    assert dims[("1", "0")] == (7, "(so_3, so_2)")
-    assert dims[("0", "1")] == (7, "(so_3, so_2)")
-
-
-def test_d5_locus_and_dims():
-    P = _pair("D", 5, 1)
-    locus = nonregular_locus(P)
-    lines = sorted((str(a), str(b)) for a, b in locus.special_lines)
-    assert lines == [("0", "1"), ("1", "-1"), ("1", "0"), ("1", "1")]
-    xs = P.cartan_subspace()
-    got = {}
-    for mu, lam in locus.special_lines:
-        rep = subpair(P, Fraction(mu) * xs[0] + Fraction(lam) * xs[1])
-        got[(str(mu), str(lam))] = (rep.dim_g_X, rep.l_dim, rep.l_type,
-                                    rep.r_pair_label)
-    assert got[("1", "1")] == (29, 28, "D4", "(so_8, so_7)")
-    assert got[("1", "-1")] == (29, 28, "D4", "(so_8, so_7)")
-    assert got[("1", "0")] == (19, 18, "A1xA3", "(so_3, so_2)")
-    assert got[("0", "1")] == (19, 18, "A1xA3", "(so_3, so_2)")
-
-
 def test_regularity_generic_vs_special():
     P = _pair("B", 3, 1)
     xs = P.cartan_subspace()
     assert regularity_check(P, 2 * xs[0] + 3 * xs[1])
     assert not regularity_check(P, xs[0] + xs[1])
     assert not regularity_check(P, xs[0])
+    # every non-regular line is rational: no root-free factor is left
+    assert nonregular_locus(P).residual_factors == ()
 
 
 def test_d5_gl5_side_locus():
@@ -135,8 +103,12 @@ def test_e6_subpair_spot_check():
     P = _pair("E6", 6, 1)
     xs = P.cartan_subspace()
     rep = subpair(P, xs[0] + xs[1])
-    assert rep.dim_g_X + 2 * rep.dim_p_X >= 0  # structural sanity
-    assert rep.dim_k_X + rep.dim_p_X <= rep.dim_g_X + rep.dim_p_X
+    # E III: restricted roots BC2, multiplicities 8, 6, 1, dim m = 16
+    # (Helgason, ch. X, Table VI); at X1 + X2 only c1 - c2 (multiplicity
+    # 6) vanishes, so dim p^X = 2 + 6 and dim g^X = 16 + 2 + 2 * 6
+    assert (rep.dim_g_X, rep.dim_k_X, rep.dim_p_X) == (30, 22, 8)
+    assert rep.l_type == "D4"
+    assert rep.r_pair_label == "(so_8, so_7)"
 
 
 E7_POINTS = {

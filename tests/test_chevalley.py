@@ -16,6 +16,7 @@ from liepairs.chevalley import (
     lin_comb,
     minimal_polynomial_ad,
 )
+from liepairs.report import jacobi_item
 
 
 def test_sl2_relations():
@@ -62,12 +63,8 @@ def test_g2_chain_constants():
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G2", 2),
                                         ("A", 3), ("B", 3), ("C", 3)])
 def test_jacobi_exhaustive_small(label, rank):
-    alg = build_algebra(label, rank)
-    d = alg.dimension
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                assert not jacobi_defect(alg, i, j, k), (label, rank, i, j, k)
+    it = jacobi_item([(label, rank)])
+    assert it["status"] == "pass", it
 
 
 def test_jacobi_sampled_d4():

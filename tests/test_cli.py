@@ -1,10 +1,15 @@
 """CLI front door: subcommands, exit codes, JSON hygiene."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liepairs import parabolic, report
 from liepairs.cli import run
 from liepairs.orbits import enumerate_dyo
 from liepairs.report import frac_str, model_report, parse_orbit
@@ -36,6 +41,39 @@ def test_usage_errors():
                     "--verify", "triple"]) == 2
     assert run(["model", "--p", "2", "--orbit", "2,2:I",  # needs two numerals
                 "--verify", "triple"]) == 2
+    for p in ("-1", "-3"):
+        assert run(["orbits", "--p", p]) == 2
+
+
+@st.composite
+def argvs(draw):
+    """argv from a small grammar: every subcommand, with valid and invalid
+    arguments (rank <= 4, p in -3..6, malformed orbit specs)."""
+    def pick(*choices):
+        return draw(st.sampled_from(choices))
+    rank, p = pick(*range(-1, 5)), pick(*range(-3, 7))
+    typ = pick("A", "B", "C", "D", "E6", "F4", "G2", "Q")
+    verify = pick("triple", "characteristic", "sheet", "distinguished", "x")
+    spec = pick(",".join(["3"] + ["1"] * (p - 1)),
+                ",".join(["2", "2"] + ["1"] * (p - 2)),
+                "3,1:+-:II", "9,9", "x,y", "3,1,1:*", "3:I:I:I", "")
+    argv = pick(f"pairs --max-rank {rank}", f"cascade {typ} {rank}",
+                f"orbits --p {p}", f"orbits --p {p} --signed",
+                f"centralizer {typ} {rank}",
+                f"centralizer {typ} {rank} --root {pick(0, 1, 3, 9)}",
+                f"model --p {p} --verify {verify} --orbit={spec}",
+                f"verify-all --max-rank {pick(*range(-1, 4))}", "bogus")
+    return argv.split() + pick([], ["--json"])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 def test_cascade_command(capsys):
@@ -58,6 +96,34 @@ def test_pairs_json(capsys):
     assert _no_floats(doc)
     labels = {r["pair"] for r in doc["rows"]}
     assert "(so_7, so_5 x so_2)" in labels
+
+
+def test_centralizer_c8_generic_dim_is_rank(capsys):
+    assert run(["centralizer", "C", "8", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["items"][0]["details"] == {"dim": 8, "rank": 8}
+
+
+def test_catalog_mismatch_fails_items(monkeypatch, capsys):
+    oracle = parabolic.expected_rows
+    # a wrong E set for (so_5, so_3 x so_2): the oracle says {alpha_1} only
+    monkeypatch.setattr(parabolic, "expected_rows", lambda t, n: (
+        {0: ([frozenset({0})], 1)} if (t, n) == ("B", 2) else oracle(t, n)))
+    assert run(["verify-all", "--max-rank", "2"]) == 1
+    assert "[fail] catalog-table" in capsys.readouterr().out.splitlines()
+    assert run(["pairs", "--max-rank", "2", "--json"]) == 1
+    item = json.loads(capsys.readouterr().out)["items"][0]
+    assert item["status"] == "fail" and item["details"]["mismatches"] == [
+        "E-set mismatch for B2, alpha_1: computed [[0], [0, 1]] rank 2,"
+        " oracle [[0]] rank 1"]
+
+
+def test_item_error_is_a_failing_item(monkeypatch):
+    monkeypatch.setattr(report, "centralizer_report", lambda *args: 1 // 0)
+    assert report.centralizer_dims_item("B", 3) == {
+        "name": "centralizer-dims-B3", "status": "fail",
+        "details": {"error": "ZeroDivisionError: integer division or "
+                             "modulo by zero"}}
 
 
 def test_centralizer_json(capsys):

@@ -110,6 +110,9 @@ def test_rational_roots():
     # 2x^2 - 3x + 1 = (2x - 1)(x - 1)
     roots, _ = linalg.rational_roots([F(1), F(-3), F(2)])
     assert sorted(roots) == [F(1, 2), F(1)]
+    # x^2 (x - 1)^2 (x^2 + 1): repeated roots are divided out
+    p = [F(c) for c in (0, 0, 1, -2, 2, -2, 1)]
+    assert linalg.rational_roots(p) == ([F(0), F(1)], [F(1), F(0), F(1)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 normal triples, Jordan decomposition, Cayley transforms, witnesses."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,6 +86,12 @@ def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(ValueError,
                        match=r"2x2 matrix is not nilpotent.*\[2, 1, 1\]"):
         mm.jordan_type(mm.qi_entries([[1, 0], [0, 0]]))
+
+
+def test_characteristic_names_non_integer_eigenvalues():
+    H = mm.qi_entries([[F(1, 2), 0], [0, -2]])
+    with pytest.raises(ValueError, match=r"2x2 H .* up to 16 .* \[-2\]"):
+        mm.characteristic_from_triple(SimpleNamespace(H=H))
 
 
 def test_jordan_decompose_newton_is_bounded(monkeypatch):
