@@ -68,9 +68,9 @@ def span_intersection(basis_a, basis_b, alg):
     """Basis of span(basis_a) ∩ span(basis_b)."""
     if not basis_a or not basis_b:
         return []
-    cols = ([e.to_vector() for e in basis_a]
-            + [[-c for c in e.to_vector()] for e in basis_b])
-    # lin_comb zips, so it reads only the basis_a part of each solution
+    cols = [e.to_vector() for e in basis_a + basis_b]
+    # a solution (x, y) has x . basis_a = -y . basis_b; lin_comb zips, so
+    # it reads only the x part
     meet = [lin_comb(sol, basis_a) for sol in linalg.kernel(cols)]
     return _span_elems(_span_of(meet, alg.dimension), alg)
 

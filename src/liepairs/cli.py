@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Subcommands: pairs, cascade, orbits, centralizer, model, verify-all.
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage error.
+Exit codes: 0 all assertions pass, 1 assertion failure or internal error
+(one `error: <Type>: <message>` line on stderr), 2 usage error.
 With --json the full verification report is emitted as JSON (exact
 values only: ints and "a/b" strings, never floats).
 """
@@ -126,6 +127,9 @@ def run(argv):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, orbits
 from .gaussian import QI
 from .linalg import mat_mul, transpose
 
@@ -521,7 +521,6 @@ def characteristic_from_triple(t: NormalTriple):
     """
     H = t.H
     n = len(H)
-    r = n // 2
     eigs = []
     m = 0
     while len(eigs) < n:
@@ -534,18 +533,7 @@ def characteristic_from_triple(t: NormalTriple):
             k = n - linalg.rank(Mv)
             eigs.extend([val] * k)
         m += 1
-    pos = sorted((e for e in eigs if e > 0), reverse=True)
-    zeros_count = eigs.count(0)
-    if n % 2 == 1:
-        h = pos + [0] * ((zeros_count - 1) // 2)
-        return (tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],),)
-    h = pos + [0] * (zeros_count // 2)
-    if 0 in eigs:
-        head = tuple(h[i] - h[i + 1] for i in range(r - 1))
-        return (head + (h[r - 2] + h[r - 1],),)
-    head = tuple(h[i] - h[i + 1] for i in range(r - 2))
-    return (head + (h[r - 2] - h[r - 1], h[r - 2] + h[r - 1]),
-            head + (h[r - 2] + h[r - 1], h[r - 2] - h[r - 1]))
+    return orbits.characteristic_of_weights(eigs, None)
 
 
 # ---------------------------------------------------------------------------

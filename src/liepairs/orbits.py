@@ -16,7 +16,7 @@ characteristic entry is 0 or 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 
 @dataclass(frozen=True)
@@ -99,34 +99,32 @@ def _canonical_rows(rows):
     return tuple(sorted(rows, key=lambda t: (-t[0], t[1] != "+")))
 
 
+# The rows that can hold one of the two - boxes of signature (p,2): a row
+# of length l holds at least l // 2 of them.  Every other row is (1,+).
+_MINUS_ROWS = ((1, "-"), (3, "+"), (3, "-"), (5, "+"), (2, "+"), (4, "+"))
+
+
 def enumerate_dyo(p):
-    """All real nilpotent orbits of so(p,2) as signed diagrams."""
+    """All real nilpotent orbits of so(p,2) as signed diagrams, ordered by
+    descending shape, then by leading signs (+ before -).
+
+    Each diagram is one or two rows of _MINUS_ROWS holding exactly two -
+    boxes, with paired even rows (P1), filled up with (1,+) rows.
+    """
     if p < 2:
         raise ValueError("signature (p,2) requires p >= 2")
     n = p + 2
-    out = []
-    for shape in _partitions(n):
-        counts = {}
-        for r in shape:
-            counts[r] = counts.get(r, 0) + 1
-        if any(r % 2 == 0 and c % 2 for r, c in counts.items()):
-            continue
-        odd_positions = [i for i, r in enumerate(shape) if r % 2]
-        seen = set()
-        for leads in product("+-", repeat=len(odd_positions)):
-            rows = []
-            it = iter(leads)
-            for r in shape:
-                rows.append((r, "+" if r % 2 == 0 else next(it)))
-            minus = sum(_count_signs(l, s)[1] for l, s in rows)
-            if minus != 2:
-                continue
-            canon = _canonical_rows(rows)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.extend(_numeral_variants(canon))
-    return out
+    found = []
+    for k in (1, 2):
+        for pick in combinations_with_replacement(_MINUS_ROWS, k):
+            size = sum(l for l, _ in pick)
+            if (size <= n
+                    and sum(_count_signs(l, s)[1] for l, s in pick) == 2
+                    and all(l % 2 or pick.count((l, s)) % 2 == 0
+                            for l, s in pick)):
+                found.append(_canonical_rows(pick + ((1, "+"),) * (n - size)))
+    found.sort(key=lambda rows: ([-l for l, _ in rows], [s for _, s in rows]))
+    return [d for rows in found for d in _numeral_variants(rows)]
 
 
 def _numeral_variants(rows):
@@ -167,38 +165,40 @@ def _weight_terms(rows):
 
 def characteristic(d: YoungDiagram):
     """Candidate characteristics of the orbit with the given diagram, as a
-    tuple of tuples over {0,1,2}.
+    tuple of tuples over {0,1,2}; see characteristic_of_weights."""
+    return characteristic_of_weights(_weight_terms(d.rows), d.numeral)
 
-    There is one candidate, except for an all-even diagram of so_{2r}
-    without a fixed numeral, which gives the pair (C^I, C^II); with the
-    numeral set, only the matching one.
+
+def characteristic_of_weights(weights, numeral):
+    """Candidate characteristics of a nilpotent orbit of so_n whose neutral
+    element H has the eigenvalue multiset `weights` (length n).
+
+    There is one candidate, except for so_{2r} without the weight 0 (an
+    all-even diagram), which gives the pair (C^I, C^II) when `numeral` is
+    None and only the matching one when it is "I" or "II".
     """
-    rows = d.rows
-    n = sum(rows)
+    n = len(weights)
     r = n // 2
-    terms = _weight_terms(rows)
+    pos = sorted((t for t in weights if t > 0), reverse=True)
+    zeros = weights.count(0)
     if n % 2 == 1:
         # sequence rearranges to (0, h_1..h_r, -h_1..-h_r): one zero leads,
         # the remaining zeros split evenly between the h's and the -h's
-        pos = sorted((t for t in terms if t > 0), reverse=True)
-        zeros = terms.count(0)
         h = pos + [0] * ((zeros - 1) // 2)
         assert len(h) == r
         return (tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],),)
-    pos = sorted((t for t in terms if t > 0), reverse=True)
-    zeros = terms.count(0)
     h = pos + [0] * (zeros // 2)
     assert len(h) == r
-    if not all(x % 2 == 0 for x in rows):
+    if zeros:
         head = tuple(h[i] - h[i + 1] for i in range(r - 1))
         return (head + (h[r - 2] + h[r - 1],),)
     a = 0 if r % 4 == 0 else 2
     head = tuple(h[i] - h[i + 1] for i in range(r - 2))
     c1 = head + (a, 2 - a)
     c2 = head + (2 - a, a)
-    if d.numeral == "I":
+    if numeral == "I":
         return (c1,)
-    if d.numeral == "II":
+    if numeral == "II":
         return (c2,)
     return (c1, c2)
 

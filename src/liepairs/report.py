@@ -59,6 +59,8 @@ def assemble(command, items, seed=None):
 
 
 def pairs_report(max_rank=8):
+    if max_rank < 1:
+        raise ValueError(f"--max-rank must be >= 1, got {max_rank}")
     catalog, mismatches = enumerate_catalog(max_rank)
     rows = []
     for P in catalog:

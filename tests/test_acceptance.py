@@ -68,14 +68,14 @@ def test_criterion_05_jacobi():
 
 def test_criterion_06_orbit_lists():
     """Signed-diagram enumeration matches the displayed orbit lists."""
-    _check(rp.orbit_counts_item(range(2, 13)))
-    _report(6, "signed orbit enumeration for p = 2..12")
+    _check(rp.orbit_counts_item(range(2, 65)))
+    _report(6, "signed orbit enumeration for p = 2..64")
 
 
 def test_criterion_07_distinguished_evenness_and_witness():
     """Every shape other than (2,2,1^(p-2)) is even; that shape has an
     odd characteristic entry and an explicit H in p^X witness."""
-    _check(rp.parity_item(range(2, 13)))
+    _check(rp.parity_item(range(2, 65)))
     _check(rp.minimal_orbit_item(range(3, 13)))
     _report(7, "evenness of p-distinguished orbits plus witnesses")
 

@@ -43,6 +43,8 @@ def test_usage_errors():
                 "--verify", "triple"]) == 2
     for p in ("-1", "-3"):
         assert run(["orbits", "--p", p]) == 2
+    for n in ("0", "-1"):
+        assert run(["pairs", "--max-rank", n]) == 2
 
 
 @st.composite
@@ -124,6 +126,16 @@ def test_item_error_is_a_failing_item(monkeypatch):
         "name": "centralizer-dims-B3", "status": "fail",
         "details": {"error": "ZeroDivisionError: integer division or "
                              "modulo by zero"}}
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    def broken(*args):
+        raise AssertionError("structure constant out of range")
+    monkeypatch.setattr(report, "cascade_report", broken)
+    assert run(["cascade", "B", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: AssertionError: structure constant out of range\n"
 
 
 def test_centralizer_json(capsys):

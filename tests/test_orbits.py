@@ -1,17 +1,43 @@
 """Nilpotent orbit combinatorics: diagram enumeration, characteristics,
 evenness."""
 
+from itertools import product
+
 import pytest
 
 from liepairs.orbits import (
     SignedYoungDiagram,
     YoungDiagram,
+    _canonical_rows,
+    _count_signs,
+    _numeral_variants,
+    _partitions,
     characteristic,
     enumerate_dyo,
     enumerate_yd,
     forget_signs,
     is_even,
 )
+
+
+def exhaustive_dyo(p):
+    """Reference: every sign tuple of every partition of p + 2 with paired
+    even rows, keeping those with exactly two - boxes, in scan order."""
+    out = []
+    for shape in _partitions(p + 2):
+        if any(r % 2 == 0 and shape.count(r) % 2 for r in shape):
+            continue
+        seen = set()
+        for leads in product("+-", repeat=sum(r % 2 for r in shape)):
+            it = iter(leads)
+            rows = [(r, "+" if r % 2 == 0 else next(it)) for r in shape]
+            if sum(_count_signs(l, s)[1] for l, s in rows) != 2:
+                continue
+            canon = _canonical_rows(rows)
+            if canon not in seen:
+                seen.add(canon)
+                out.extend(_numeral_variants(canon))
+    return out
 
 
 def test_complex_orbits_small():
@@ -36,8 +62,14 @@ def test_even_row_pairing_enforced():
                 assert c % 2 == 0
 
 
+def test_enumerate_dyo_matches_exhaustive_scan():
+    # same diagrams in the same order: parse_orbit takes the first match
+    for p in range(2, 14):
+        assert enumerate_dyo(p) == exhaustive_dyo(p), p
+
+
 def test_signature_always_p_2():
-    for p in (2, 3, 5, 8):
+    for p in (2, 3, 5, 8, 64):
         for d in enumerate_dyo(p):
             assert d.plus_count() == p
             assert d.minus_count() == 2
