@@ -19,12 +19,15 @@ from dataclasses import asdict, dataclass
 
 from . import linalg
 from .chevalley import (
+    F0,
     LieElement,
     bracket,
+    bracket_span,
     centralizer_in,
     derived_subalgebra,
     is_ad_semisimple,
     lin_comb,
+    span_of,
 )
 from .parabolic import AbelianParabolic
 
@@ -53,37 +56,19 @@ RANK2_PAIRS = (
 # span utilities over LieElements
 
 
-def _span_of(elems, dim):
-    sp = linalg.Span(dim)
-    for e in elems:
-        sp.add(e.to_vector())
-    return sp
-
-
 def _span_elems(span, alg):
-    return [LieElement.from_vector(alg, row) for row in span.rows]
+    return [LieElement(alg, row) for row in span.rows]
 
 
 def span_intersection(basis_a, basis_b, alg):
     """Basis of span(basis_a) ∩ span(basis_b)."""
     if not basis_a or not basis_b:
         return []
-    cols = [e.to_vector() for e in basis_a + basis_b]
+    cols = [e.coeffs for e in basis_a + basis_b]
     # a solution (x, y) has x . basis_a = -y . basis_b; lin_comb zips, so
     # it reads only the x part
     meet = [lin_comb(sol, basis_a) for sol in linalg.kernel(cols)]
-    return _span_elems(_span_of(meet, alg.dimension), alg)
-
-
-def bracket_span(basis, alg):
-    """Basis of the span of all pairwise brackets of `basis`."""
-    sp = linalg.Span(alg.dimension)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            v = bracket(basis[i], basis[j]).to_vector()
-            if any(v):
-                sp.add(v)
-    return _span_elems(sp, alg)
+    return _span_elems(span_of(meet), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +77,17 @@ def bracket_span(basis, alg):
 
 def ideal_closure(seed, ambient, alg):
     """Smallest ad(ambient)-stable subspace containing the seed vectors."""
-    sp = linalg.Span(alg.dimension)
+    sp = linalg.Span()
     frontier = []
     for e in seed:
-        if sp.add(e.to_vector()):
+        if sp.add(e.coeffs):
             frontier.append(e)
     while frontier:
         nxt = []
         for e in frontier:
             for b in ambient:
                 v = bracket(b, e)
-                if v and sp.add(v.to_vector()):
+                if v and sp.add(v.coeffs):
                     nxt.append(v)
         frontier = nxt
     return _span_elems(sp, alg)
@@ -262,9 +247,8 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     pX = centralizer_in(X, P.p_basis())
     l = derived_subalgebra(gX)
     l_minus = span_intersection(l, pX, alg)
-    r_plus = bracket_span(l_minus, alg)
-    r = _span_of(l_minus + r_plus, alg.dimension)
-    r_basis = _span_elems(r, alg)
+    r_plus = bracket_span(l_minus)
+    r_basis = _span_elems(span_of(l_minus + r_plus), alg)
 
     factors = []
     label = "not-identified"
@@ -328,8 +312,9 @@ def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     if P.rank != 2:
         raise ValueError("non-regular locus requires a rank-2 pair")
     pb = P.p_basis()
-    A, B = (linalg.transpose([bracket(x, b).to_vector() for b in pb])
-            for x in P.cartan_subspace())
+    A, B = ([[col.get(i, F0) for col in cols] for i in range(P.alg.dimension)]
+            for cols in ([bracket(x, b).coeffs for b in pb]
+                         for x in P.cartan_subspace()))
     lines, residual = linalg.projective_locus(A, B, P.rank)
     return RegularityLocus(len(pb) - P.rank, lines, residual)
 

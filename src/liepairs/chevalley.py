@@ -224,16 +224,6 @@ class LieElement:
     def __neg__(self):
         return (-1) * self
 
-    def to_vector(self):
-        v = [F0] * self.alg.dimension
-        for i, c in self.coeffs.items():
-            v[i] = c
-        return v
-
-    @staticmethod
-    def from_vector(alg, v):
-        return LieElement(alg, {i: c for i, c in enumerate(v) if c})
-
     def __repr__(self):
         alg = self.alg
         parts = []
@@ -296,7 +286,7 @@ def centralizer_in(x: LieElement, subspace_basis):
     """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
     if not subspace_basis:
         return []
-    cols = [bracket(x, b).to_vector() for b in subspace_basis]
+    cols = [bracket(x, b).coeffs for b in subspace_basis]
     return [lin_comb(c, subspace_basis) for c in linalg.kernel(cols)]
 
 
@@ -309,29 +299,35 @@ def minimal_polynomial_ad(x: LieElement):
     return linalg.min_poly(ad_apply(x), x.alg.dimension)
 
 
-def derived_subalgebra(basis):
-    """Basis of the span of all pairwise brackets of the input basis.
+def span_of(elems):
+    """The `linalg.Span` of the coefficient vectors of elems."""
+    sp = linalg.Span()
+    for e in elems:
+        sp.add(e.coeffs)
+    return sp
 
-    The input must span a subalgebra; anything falling outside that span is
-    rejected.
-    """
-    if not basis:
-        return []
-    alg = basis[0].alg
-    input_span = linalg.Span(alg.dimension)
-    for b in basis:
-        input_span.add(b.to_vector())
-    out_span = linalg.Span(alg.dimension)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            v = bracket(basis[i], basis[j]).to_vector()
-            if not any(v):
-                continue
-            if not input_span.contains(v):
-                raise ValueError("input basis is not closed under the bracket")
-            out_span.add(v)
-    # return the reduced echelon rows for determinism
-    return [LieElement.from_vector(alg, row) for row in out_span.rows]
+
+def bracket_span(basis):
+    """Reduced echelon basis of the span of all pairwise brackets of
+    `basis`."""
+    sp = linalg.Span()
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            v = bracket(x, y)
+            if v:
+                sp.add(v.coeffs)
+    return [LieElement(basis[0].alg, row) for row in sp.rows]
+
+
+def derived_subalgebra(basis):
+    """Reduced echelon basis of the span of all pairwise brackets of the
+    input basis, which must span a subalgebra: a bracket outside that
+    span is rejected."""
+    out = bracket_span(basis)
+    inside = span_of(basis)
+    if not all(inside.contains(e.coeffs) for e in out):
+        raise ValueError("input basis is not closed under the bracket")
+    return out
 
 
 def jacobi_defect(alg, i, j, k):

@@ -1,12 +1,15 @@
 """Exact linear algebra over a field (Fraction or QI) plus univariate
 polynomial helpers.
 
-The API is dense: matrices are lists of rows and vectors are lists.
-Elimination is sparse inside: `rref` and `Span` keep each reduced row as a
-{column: value} dict of its nonzero entries, so no field arithmetic is
-spent on zeros.  Everything is duck-typed over the field operations +, -,
-*, /, and truthiness as the zero test, so the same routines serve the
-rational and Gaussian-rational cases.
+Two vector formats, one elimination core.  The incremental API (`Span`,
+`nullspace`, `kernel`) takes sparse vectors: {column: value} dicts of
+the nonzero entries, such as the coefficients of a Lie element.  The
+dense routines (`rref`, `solve`, `det`, `rank`, the pencil) take lists
+of rows; `sparse` turns a dense vector into the sparse format.  Every
+elimination keeps each reduced row as a sparse dict, so no field
+arithmetic is spent on zeros.  Everything is duck-typed over the field
+operations +, -, *, /, and truthiness as the zero test, so the same
+routines serve the rational and Gaussian-rational cases.
 """
 
 from __future__ import annotations
@@ -44,9 +47,14 @@ def transpose(a):
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination: a reduced row is {column: value} over its nonzero
-# entries, value 1 at its pivot column; a row space in reduced row echelon
-# form is {pivot column: reduced row}
+# sparse elimination: a sparse vector is {column: value} over its nonzero
+# entries; a reduced row has value 1 at its pivot column; a row space in
+# reduced row echelon form is {pivot column: reduced row}
+
+
+def sparse(vec):
+    """The sparse vector of the dense vector vec."""
+    return {c: x for c, x in enumerate(vec) if x}
 
 
 def _eliminate(vec, pc, row):
@@ -66,9 +74,9 @@ def _eliminate(vec, pc, row):
                 del vec[c]
 
 
-def _reduce(echelon, vec):
-    """The sparse remainder of the dense vector vec modulo the row space."""
-    red = {c: x for c, x in enumerate(vec) if x}
+def _reduce(echelon, red):
+    """Reduce the fresh sparse vector red modulo the row space, in place;
+    returns red, now the remainder."""
     # a reduced row is zero at every other pivot column, so eliminating
     # one pivot never brings back another
     for pc in [c for c in red if c in echelon]:
@@ -88,57 +96,60 @@ def _insert(echelon, red):
     echelon[pc] = row
 
 
-def _dense_rows(echelon, ncols):
-    """The reduced rows as dense lists, in pivot order."""
-    out = []
-    for pc in sorted(echelon):
-        row = echelon[pc]
-        dense = [row[pc] * 0] * ncols
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-    return out
+def _echelon(fresh_rows):
+    """The reduced row space of fresh sparse rows, consumed in place."""
+    echelon = {}
+    for red in fresh_rows:
+        if _reduce(echelon, red):
+            _insert(echelon, red)
+    return echelon
 
 
 def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    if not mat:
-        return [], []
-    echelon = {}
-    for vec in mat:
-        red = _reduce(echelon, vec)
-        if red:
-            _insert(echelon, red)
-    return _dense_rows(echelon, len(mat[0])), sorted(echelon)
+    """Reduced row echelon form of a dense matrix; returns
+    (dense rows, pivot_columns)."""
+    echelon = _echelon(sparse(vec) for vec in mat)
+    out = []
+    for pc in sorted(echelon):
+        row = echelon[pc]
+        dense = [row[pc] * 0] * len(mat[0])
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out, sorted(echelon)
 
 
 def rank(mat):
     return len(rref(mat)[0])
 
 
-def nullspace(mat, ncols=None):
-    """Basis of {x : mat @ x = 0}."""
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    rows, pivots = rref(mat)
-    pivot_set = set(pivots)
+def nullspace(rows, ncols):
+    """Basis of {x : row . x = 0 for every sparse row}, as dense vectors of
+    length ncols."""
+    echelon = _echelon(dict(row) for row in rows)
+    # a pivot row lacking the free column gives a zero of its field
+    pivots = [(pc, row, row[pc] * 0) for pc, row in echelon.items()]
     basis = []
     for fc in range(ncols):
-        if fc in pivot_set:
+        if fc in echelon:
             continue
         vec = [F0] * ncols
         vec[fc] = F1
-        for r, pc in enumerate(pivots):
-            x = rows[r][fc]
-            vec[pc] = -x if x else x    # a zero keeps its field type
+        for pc, row, zero in pivots:
+            x = row.get(fc)
+            vec[pc] = zero if x is None else -x
         basis.append(vec)
     return basis
 
 
 def kernel(columns):
     """Basis of the coefficient vectors c with sum_j c[j] * columns[j] = 0,
-    the columns being equally long vectors."""
-    return nullspace(transpose(columns), len(columns))
+    the columns being sparse vectors."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return nullspace([rows[i] for i in sorted(rows)], len(columns))
 
 
 def solve(mat, rhs):
@@ -189,23 +200,22 @@ def det(mat):
 class Span:
     """Incrementally maintained row space in reduced echelon form.
 
-    Vectors go in as dense lists and `rows` hands the reduced rows back as
-    dense lists in pivot order.  Inside, each reduced row is a sparse
-    {column: value} dict keyed by its pivot column, so reduction and
+    Vectors go in and come out as sparse {column: value} dicts; `rows`
+    hands back copies of the reduced rows in pivot order.  Inside, each
+    reduced row is keyed by its pivot column, so reduction and
     back-substitution touch only nonzero entries.  Truthiness is the zero
     test: an entry is kept only while it is truthy.
     """
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self._echelon = {}      # pivot column -> sparse reduced row
 
     def contains(self, vec):
-        return not _reduce(self._echelon, vec)
+        return not _reduce(self._echelon, dict(vec))
 
     def add(self, vec):
         """Insert vec; returns True if it enlarged the span."""
-        red = _reduce(self._echelon, vec)
+        red = _reduce(self._echelon, dict(vec))
         if not red:
             return False
         _insert(self._echelon, red)
@@ -213,8 +223,8 @@ class Span:
 
     @property
     def rows(self):
-        """The reduced rows as dense lists, in pivot order (built per read)."""
-        return _dense_rows(self._echelon, self.ncols)
+        """Copies of the reduced rows, in pivot order."""
+        return [dict(self._echelon[pc]) for pc in sorted(self._echelon)]
 
     @property
     def pivots(self):
@@ -373,7 +383,7 @@ def min_poly(apply_op, dim):
         v = _apply_poly(apply_op, p, e)
         if not any(v):
             continue
-        q = _krylov_annihilator(apply_op, v, dim)
+        q = _krylov_annihilator(apply_op, v)
         p = poly_mul(p, q)
     return poly_monic(p)
 
@@ -390,15 +400,16 @@ def _apply_poly(apply_op, p, v):
     return acc
 
 
-def _krylov_annihilator(apply_op, v, dim):
-    span = Span(dim)
+def _krylov_annihilator(apply_op, v):
+    span = Span()
     chain = [list(v)]
-    span.add(v)
+    span.add(sparse(v))
     while True:
         nxt = apply_op(chain[-1])
-        if span.contains(nxt):
+        vec = sparse(nxt)
+        if span.contains(vec):
             break
-        span.add(nxt)
+        span.add(vec)
         chain.append(nxt)
     # express nxt in terms of the chain: solve chain^T c = nxt
     coeffs = solve(transpose(chain), nxt)

@@ -86,7 +86,8 @@ def _kernel(basis, image):
     """The elements of span(basis) that the linear map `image` (matrix to
     flat list of entries) sends to zero."""
     return [lin_comb(sol, basis)
-            for sol in linalg.kernel([image(b) for b in basis])]
+            for sol in linalg.kernel([linalg.sparse(image(b))
+                                      for b in basis])]
 
 
 def _joint_eigenspace(basis, ops):
@@ -203,9 +204,9 @@ class MatrixPair:
         return len(self.centralizer_in(X, self.p_basis()))
 
     def dim_bracket_k(self, X):
-        sp = linalg.Span(self.n * self.n)
+        sp = linalg.Span()
         for b in self.k_basis():
-            sp.add(flatten(commutator(b, X)))
+            sp.add(linalg.sparse(flatten(commutator(b, X))))
         return sp.dim
 
 

@@ -118,7 +118,10 @@ def orbits_report(p, signed):
 def centralizer_report(type_label, rank, omitted=None):
     alg = build_algebra(type_label, rank)
     table = expected_rows(type_label, rank)
-    if omitted is None:
+    command = f"centralizer {type_label} {rank}"
+    if omitted is not None:
+        command += f" --root {omitted}"
+    else:
         if not table:
             raise ValueError(f"{type_label}{rank} has no catalog rows")
         omitted = min(table) + 1
@@ -144,7 +147,7 @@ def centralizer_report(type_label, rank, omitted=None):
         d = generic_p_centralizer_dim(P)
         items.append(item("generic-centralizer-dim-is-rank", d == P.rank,
                           {"dim": d, "rank": P.rank}))
-    return assemble(f"centralizer {type_label} {rank}", items), rows
+    return assemble(command, items), rows
 
 
 # ---------------------------------------------------------------------------

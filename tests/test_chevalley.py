@@ -135,3 +135,10 @@ def test_derived_subalgebra_of_borel():
              + [alg.x(r) for r in alg.rs.positive_roots])
     der = derived_subalgebra(borel)
     assert len(der) == 3  # the nilradical
+
+
+def test_derived_subalgebra_rejects_a_non_subalgebra():
+    alg = build_algebra("A", 2)
+    # [x_a1, x_a2] is a nonzero multiple of x_(a1+a2), outside the span
+    with pytest.raises(ValueError, match="not closed"):
+        derived_subalgebra([alg.x((1, 0)), alg.x((0, 1))])

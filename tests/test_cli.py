@@ -147,6 +147,19 @@ def test_centralizer_json(capsys):
     assert dims == [7, 7, 11, 11]
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["centralizer", "B", "3"], "centralizer_B3.json"),
+    (["centralizer", "D", "5", "--root", "5"], "centralizer_D5_root5.json"),
+])
+def test_centralizer_golden(argv, golden, capsys):
+    assert run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    # the command names every option given: D5 with root 5 is (so_10, gl_5),
+    # not the default (so_10, so_8 x so_2)
+    assert json.loads(out)["command"] == " ".join(argv)
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_model_verify_commands(capsys):
     for verify in ("triple", "characteristic", "sheet", "distinguished"):
         code = run(["model", "--p", "3", "--orbit", "2,2,1",

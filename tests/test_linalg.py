@@ -16,7 +16,7 @@ def test_rref_rank_nullspace():
          [F(2), F(4), F(6)],
          [F(1), F(0), F(1)]]
     assert linalg.rank(M) == 2
-    ns = linalg.nullspace(M, 3)
+    ns = linalg.nullspace([linalg.sparse(row) for row in M], 3)
     assert len(ns) == 1
     v = ns[0]
     for row in M:
@@ -41,15 +41,15 @@ def test_rank_over_gaussian_rationals():
     i = QI(0, 1)
     M = [[QI(1), i], [i, QI(-1)]]      # second row = i * first
     assert linalg.rank(M) == 1
-    ns = linalg.nullspace(M, 2)
+    ns = linalg.nullspace([linalg.sparse(row) for row in M], 2)
     assert len(ns) == 1
 
 
 def test_span_incremental():
-    sp = linalg.Span(3)
-    assert sp.add([F(1), F(0), F(1)])
-    assert sp.add([F(0), F(1), F(0)])
-    assert not sp.add([F(1), F(1), F(1)])
+    sp = linalg.Span()
+    assert sp.add({0: F(1), 2: F(1)})
+    assert sp.add({1: F(1)})
+    assert not sp.add({0: F(1), 1: F(1), 2: F(1)})
     assert sp.dim == 2
 
 
@@ -220,7 +220,8 @@ def test_rref_rank_nullspace_match_dense_reference(mat):
     assert pivots == want_pivots
     assert_same(rows, want_rows)
     assert linalg.rank(mat) == len(want_pivots)
-    assert_same(linalg.nullspace(mat, ncols), dense_nullspace(mat, ncols))
+    assert_same(linalg.nullspace([linalg.sparse(r) for r in mat], ncols),
+                dense_nullspace(mat, ncols))
 
 
 @PROPERTY
@@ -230,7 +231,7 @@ def test_rref_rank_nullspace_match_dense_reference(mat):
 @example([[F(0), F(0)], [F(1), F(2)], [F(0), F(0)]])
 def test_kernel_matches_dense_reference(columns):
     k = len(columns)
-    basis = linalg.kernel(columns)
+    basis = linalg.kernel([linalg.sparse(col) for col in columns])
     assert len(basis) == k - len(dense_rref(columns)[1])
     assert_same(basis, dense_nullspace([list(r) for r in zip(*columns)], k))
     for c in basis:
@@ -269,17 +270,30 @@ def test_solve_matches_dense_reference(system):
 @given(_fields(matrices))
 def test_span_stream_matches_dense_reference(vectors):
     ncols = len(vectors[0]) if vectors else 0
-    sp = linalg.Span(ncols)
+    sp = linalg.Span()
     assert sp.rows == [] and sp.pivots == [] and sp.dim == 0
-    for k, v in enumerate(vectors):
+    for k, dense in enumerate(vectors):
+        v = linalg.sparse(dense)
         before = sp.dim
         inside = sp.contains(v)
         assert sp.add(v) == (not inside)
+        assert v == linalg.sparse(dense)    # the input is not consumed
         want_rows, want_pivots = dense_rref(vectors[:k + 1])
         assert sp.dim == len(want_pivots) == before + (not inside)
         assert sp.pivots == want_pivots
-        assert_same(sp.rows, want_rows)
+        assert_same(_dense(sp.rows, ncols), want_rows)
         assert sp.contains(v)
+
+
+def _dense(rows, ncols):
+    """Sparse reduced rows as dense lists, zero-filled in each row's field."""
+    out = []
+    for row in rows:
+        dense = [next(iter(row.values())) * 0] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out
 
 
 def dense_min_poly(mat):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liepairs import matrixmodel as mm
 from liepairs import orbits
@@ -72,6 +74,36 @@ def test_jordan_decompose_block_plus_scalar():
     assert N[0][1] == QI(1)
     assert mm.mat_eq(mm.mat_mul(S, N), mm.mat_mul(N, S))
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
+
+
+def _in_p(pair, Z):
+    """theta(Z) = -Z; the zero matrix counts."""
+    return mm.mat_is_zero(mm.mat_add(pair.theta(Z), Z))
+
+
+@st.composite
+def p_elements(draw):
+    """(pair, M): M in p of the pair for p = 2..4, small QI coefficients."""
+    pair = mm.build_pair(draw(st.integers(2, 4)))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)])
+    coeffs = [QI(draw(small), draw(small)) for _ in pair.p_basis()]
+    return pair, mm.lin_comb(coeffs, pair.p_basis())
+
+
+WITNESS_PAIR = mm.build_pair(4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(p_elements())
+# both Jordan components nonzero
+@example((WITNESS_PAIR, mm.lemma_witness_element(WITNESS_PAIR)[0]))
+def test_jordan_decompose_property(drawn):
+    pair, M = drawn
+    S, N = mm.jordan_decompose(M)
+    assert mm.mat_eq(mm.mat_add(S, N), M)
+    assert mm.mat_is_zero(mm.commutator(S, N))
+    assert mm.is_semisimple(S) and mm.is_nilpotent(N)
+    assert _in_p(pair, S) and _in_p(pair, N)
 
 
 def test_jordan_type():

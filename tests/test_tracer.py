@@ -26,7 +26,7 @@ def test_tracer_installs_and_uninstalls():
         tracer.install()    # raises LookupError on a renamed target
         assert linalg.nullspace is not nullspace
         # the kernel routine goes through the traced nullspace
-        assert linalg.kernel([[Fraction(1), Fraction(2)]]) == []
+        assert linalg.kernel([linalg.sparse([Fraction(1), Fraction(2)])]) == []
         mm.commutator(mm.eye(2), mm.eye(2))
     finally:
         tracer.uninstall()
