@@ -261,27 +261,6 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(alg, out)
 
 
-def ad_apply(x: LieElement):
-    """The operator ad(x) acting on plain coefficient vectors."""
-    alg = x.alg
-    columns = [dict() for _ in range(alg.dimension)]
-    for i, ci in x.coeffs.items():
-        for j in range(alg.dimension):
-            for k, n in alg.bracket_basis(i, j).items():
-                columns[j][k] = columns[j].get(k, F0) + ci * n
-
-    def apply(v):
-        out = [F0] * alg.dimension
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, c in columns[j].items():
-                out[k] = out[k] + vj * c
-        return out
-
-    return apply
-
-
 def centralizer_in(x: LieElement, subspace_basis):
     """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
     if not subspace_basis:
@@ -296,7 +275,9 @@ def is_ad_semisimple(x: LieElement) -> bool:
 
 
 def minimal_polynomial_ad(x: LieElement):
-    return linalg.min_poly(ad_apply(x), x.alg.dimension)
+    alg = x.alg
+    return linalg.min_poly([bracket(x, alg.basis_element(j)).coeffs
+                            for j in range(alg.dimension)])
 
 
 def span_of(elems):

@@ -3,13 +3,15 @@ polynomial helpers.
 
 Two vector formats, one elimination core.  The incremental API (`Span`,
 `nullspace`, `kernel`) takes sparse vectors: {column: value} dicts of
-the nonzero entries, such as the coefficients of a Lie element.  The
-dense routines (`rref`, `solve`, `det`, `rank`, the pencil) take lists
-of rows; `sparse` turns a dense vector into the sparse format.  Every
-elimination keeps each reduced row as a sparse dict, so no field
-arithmetic is spent on zeros.  Everything is duck-typed over the field
-operations +, -, *, /, and truthiness as the zero test, so the same
-routines serve the rational and Gaussian-rational cases.
+the nonzero entries, such as the coefficients of a Lie element.  A
+linear map, for both `kernel` and `min_poly`, is the list of the sparse
+images of the basis vectors, its columns.  The dense routines (`rref`,
+`solve`, `det`, `rank`, the pencil) take lists of rows; `sparse` turns
+a dense vector into the sparse format.  Every elimination keeps each
+reduced row as a sparse dict, so no field arithmetic is spent on zeros.
+Everything is duck-typed over the field operations +, -, *, /, and
+truthiness as the zero test, so the same routines serve the rational
+and Gaussian-rational cases.
 """
 
 from __future__ import annotations
@@ -159,9 +161,6 @@ def solve(mat, rhs):
     ncols = len(mat[0])
     aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
     rows, pivots = rref(aug)
-    for row in rows:
-        if not any(row[:-1]) and row[-1]:
-            return None
     x = [F0] * ncols
     for r, pc in enumerate(pivots):
         if pc == ncols:
@@ -370,51 +369,62 @@ def rational_roots(p):
 # minimal polynomial of a linear operator (Krylov, exact)
 
 
-def min_poly(apply_op, dim):
-    """Minimal polynomial of the operator v -> apply_op(v) on F^dim.
+def min_poly(columns):
+    """Minimal polynomial of the linear map whose j-th column, the image of
+    the j-th basis vector, is the sparse vector columns[j].
 
     Works by accumulating annihilators of Krylov chains until the candidate
     kills every basis vector, so the result is certified, not probabilistic.
     """
     p = [F1]
-    for i in range(dim):
-        e = [F0] * dim
-        e[i] = F1
-        v = _apply_poly(apply_op, p, e)
-        if not any(v):
-            continue
-        q = _krylov_annihilator(apply_op, v)
-        p = poly_mul(p, q)
+    for i in range(len(columns)):
+        v = _apply_poly(columns, p, i)
+        if v:
+            p = poly_mul(p, _krylov_annihilator(columns, v))
     return poly_monic(p)
 
 
-def _apply_poly(apply_op, p, v):
-    """p(op) v by Horner's rule; only the nonzero entries of v are added."""
-    support = [(j, b) for j, b in enumerate(v) if b]
-    acc = [x * 0 for x in v]
+def _apply(columns, v):
+    """The image of the sparse vector v under the map with these columns."""
+    out = {}
+    for j, x in v.items():
+        for i, c in columns[j].items():
+            y = out.get(i)
+            out[i] = x * c if y is None else y + x * c
+    return {i: y for i, y in out.items() if y}
+
+
+def _apply_poly(columns, p, i):
+    """p(A) e_i by Horner's rule, as a sparse vector."""
+    acc = {}
     for c in reversed(p):
-        acc = list(apply_op(acc))
+        acc = _apply(columns, acc)
         if c:
-            for j, b in support:
-                acc[j] = acc[j] + c * b
+            x = acc.get(i)
+            x = c if x is None else x + c
+            if x:
+                acc[i] = x
+            else:
+                del acc[i]
     return acc
 
 
-def _krylov_annihilator(apply_op, v):
+def _krylov_annihilator(columns, v):
+    """The monic q of least degree with q(A) v = 0."""
     span = Span()
-    chain = [list(v)]
-    span.add(sparse(v))
+    chain = [v]
+    span.add(v)
     while True:
-        nxt = apply_op(chain[-1])
-        vec = sparse(nxt)
-        if span.contains(vec):
+        nxt = _apply(columns, chain[-1])
+        if span.contains(nxt):
             break
-        span.add(vec)
+        span.add(nxt)
         chain.append(nxt)
-    # express nxt in terms of the chain: solve chain^T c = nxt
-    coeffs = solve(transpose(chain), nxt)
-    q = [-c for c in coeffs] + [F1]
-    return poly_trim(q)
+    # nxt = sum c_k chain[k], solved on the rows where the chain has support
+    support = sorted(set().union(*chain))
+    coeffs = solve([[u.get(r, F0) for u in chain] for r in support],
+                   [nxt.get(r, F0) for r in support])
+    return poly_trim([-c for c in coeffs] + [F1])
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,6 @@ def _kernel(basis, image):
                                       for b in basis])]
 
 
-def _joint_eigenspace(basis, ops):
-    """The elements Z of span(basis) with [A, Z] = c Z for each (A, c)."""
-    return _kernel(basis, lambda b: [
-        x for A, c in ops
-        for x in flatten(mat_sub(commutator(A, b), mat_scale(b, c)))])
-
-
 def mat_is_zero(a):
     return all(not x for row in a for x in row)
 
@@ -146,11 +139,6 @@ class MatrixPair:
 
     def __post_init__(self):
         self.n = self.p + 2
-        self.Jt = eye(self.n)
-        self.Jt_inv = eye(self.n)
-        for i in (self.n - 2, self.n - 1):
-            self.Jt[i][i] = -I_UNIT
-            self.Jt_inv[i][i] = I_UNIT
 
     def theta(self, X):
         """J X J: flips the sign of the two off-diagonal blocks."""
@@ -159,8 +147,12 @@ class MatrixPair:
                 for i, row in enumerate(X)]
 
     def phi(self, X0):
-        """Embedding of the real form: conjugation by diag(I_p, -i I_2)."""
-        return mat_mul(self.Jt, mat_mul(X0, self.Jt_inv))
+        """Embedding of the real form, conjugation by diag(I_p, -i I_2):
+        multiplies the upper corner block by i and the lower by -i."""
+        p = self.p
+        return [[(I_UNIT if i < p else -I_UNIT) * x if (i < p) != (j < p)
+                 else x for j, x in enumerate(row)]
+                for i, row in enumerate(X0)]
 
     def parity_tag(self, X):
         tX = self.theta(X)
@@ -221,13 +213,7 @@ def build_pair(p) -> MatrixPair:
 
 
 def matrix_min_poly(M):
-    n = len(M)
-
-    def apply(v):
-        return [sum((row[j] * v[j] for j in range(n) if v[j]), Q0)
-                for row in M]
-
-    return linalg.min_poly(apply, n)
+    return linalg.min_poly([linalg.sparse(c) for c in transpose(M)])
 
 
 def poly_of_matrix(p, M):
@@ -270,8 +256,8 @@ def jordan_decompose(M):
 
 
 def is_nilpotent(M):
-    S, _ = jordan_decompose(M)
-    return mat_is_zero(S)
+    """True iff the minimal polynomial of M is a power of x."""
+    return not any(matrix_min_poly(qi_entries(M))[:-1])
 
 
 def is_semisimple(M):
@@ -565,9 +551,10 @@ def even_sheet_witness(pair: MatrixPair, t: NormalTriple):
 
 
 def restricted_root_space(pair: MatrixPair, c1, c2):
-    """Elements Z of so_{p+2} with [H_k, Z] = i c_k Z for k = 1, 2."""
-    return _joint_eigenspace(pair.g_basis(), [
-        (pair.H(k), I_UNIT * QI.coerce(c)) for k, c in ((1, c1), (2, c2))])
+    """Elements Z of so_{p+2} with [H_k, Z] = i c_k Z for k = 1, 2: the
+    images under phi of the real root space at (-c1, -c2), since
+    phi(K_k) = i H_k."""
+    return [pair.phi(Z) for Z in real_restricted_root_space(pair, -c1, -c2)]
 
 
 def real_form_basis(pair: MatrixPair):
@@ -601,8 +588,10 @@ def K(pair: MatrixPair, i):
 
 def real_restricted_root_space(pair: MatrixPair, c1, c2):
     """Elements Z of so(p,2) with [K_k, Z] = c_k Z for k = 1, 2."""
-    return _joint_eigenspace(real_form_basis(pair),
-                             [(K(pair, 1), c1), (K(pair, 2), c2)])
+    ops = ((K(pair, 1), c1), (K(pair, 2), c2))
+    return _kernel(real_form_basis(pair), lambda b: [
+        x for A, c in ops
+        for x in flatten(mat_sub(commutator(A, b), mat_scale(b, c)))])
 
 
 def _fraction_sqrt(q: Fraction):

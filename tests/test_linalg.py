@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liepairs import linalg
+from liepairs.chevalley import build_algebra, lin_comb, minimal_polynomial_ad
 from liepairs.gaussian import QI
+from liepairs.parabolic import build_parabolic
 
 F = Fraction
 
@@ -78,11 +80,7 @@ def test_min_poly_certified():
          [F(0), F(0), F(1), F(0)],
          [F(0), F(0), F(0), F(0)],
          [F(0), F(0), F(0), F(1)]]
-
-    def apply(v):
-        return [sum(row[j] * v[j] for j in range(4)) for row in M]
-
-    p = linalg.min_poly(apply, 4)
+    p = linalg.min_poly([linalg.sparse(c) for c in linalg.transpose(M)])
     expect = linalg.poly_monic(
         linalg.poly_mul([F(0), F(0), F(0), F(1)], [F(-1), F(1)]))
     assert p == expect
@@ -322,10 +320,37 @@ def square_matrices(draw, entry):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_fields(square_matrices))
 def test_min_poly_matches_dense_reference(mat):
-    n = len(mat)
+    columns = [linalg.sparse(c) for c in linalg.transpose(mat)]
+    assert linalg.min_poly(columns) == dense_min_poly(mat)
 
-    def apply(v):
-        return [sum((a * x for a, x in zip(row, v)), mat[0][0] * 0)
-                for row in mat]
 
-    assert linalg.min_poly(apply, n) == dense_min_poly(mat)
+def dense_ad(x):
+    """The dense matrix of ad x, built straight from `bracket_basis`."""
+    alg = x.alg
+    n = alg.dimension
+    mat = [[F(0)] * n for _ in range(n)]
+    for i, c in x.coeffs.items():
+        for j in range(n):
+            for k, v in alg.bracket_basis(i, j).items():
+                mat[k][j] += c * v
+    return mat
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from(["A", "B", "G2"]),
+       st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                min_size=14, max_size=14))
+def test_minimal_polynomial_ad_matches_dense_reference(label, coeffs):
+    # mostly-zero coefficients give nilpotent and mixed elements too
+    alg = build_algebra(label, 2)
+    x = lin_comb(coeffs, [alg.basis_element(j) for j in range(alg.dimension)])
+    assert minimal_polynomial_ad(x) == dense_min_poly(dense_ad(x))
+
+
+def test_minimal_polynomial_ad_of_cartan_element():
+    P = build_parabolic(build_algebra("C", 3), {0, 1})
+    assert P.pair_label == "(sp_6, gl_3)"
+    x = lin_comb([1, 2, 3], P.cartan_subspace())
+    p = minimal_polynomial_ad(x)
+    assert p == dense_min_poly(dense_ad(x))
+    assert linalg.is_squarefree(p)

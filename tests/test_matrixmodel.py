@@ -62,6 +62,9 @@ def test_jordan_decompose_trivial_cases():
     D = [[F(2), F(0)], [F(0), F(5)]]
     S, Nn = mm.jordan_decompose(D)
     assert mm.mat_eq(S, mm.qi_entries(D)) and mm.mat_is_zero(Nn)
+    R = [[F(0), F(1)], [F(1), F(0)]]      # minimal polynomial x^2 - 1
+    assert mm.is_nilpotent(N)
+    assert not mm.is_nilpotent(D) and not mm.is_nilpotent(R)
 
 
 def test_jordan_decompose_block_plus_scalar():
@@ -268,3 +271,12 @@ def test_restricted_root_multiplicities():
     assert len(mm.real_restricted_root_space(pair, 1, 1)) == 1
     # short restricted root e1 has multiplicity p - 2
     assert len(mm.real_restricted_root_space(pair, 1, 0)) == 3
+    # the complex root spaces have the same dimensions, with
+    # [H_k, Z] = i c_k Z
+    for c in ((1, -1), (1, 1), (1, 0), (0, 1), (-1, 0), (2, 0)):
+        space = mm.restricted_root_space(pair, *c)
+        assert len(space) == len(mm.real_restricted_root_space(pair, *c))
+        for Z in space:
+            for k, ck in zip((1, 2), c):
+                assert mm.mat_eq(mm.commutator(pair.H(k), Z),
+                                 mm.mat_scale(Z, mm.I_UNIT * ck))
