@@ -75,22 +75,54 @@ def span_intersection(basis_a, basis_b, alg):
 # ideal decomposition of a semisimple subalgebra
 
 
-def ideal_closure(seed, ambient, alg):
-    """Smallest ad(ambient)-stable subspace containing the seed vectors."""
-    sp = linalg.Span()
-    frontier = []
-    for e in seed:
-        if sp.add(e.coeffs):
-            frontier.append(e)
+def _close(sp, frontier, gens):
+    """Grow the Span sp until it is ad(gens)-stable: each new vector, the
+    frontier first, is bracketed with every generator once."""
     while frontier:
         nxt = []
         for e in frontier:
-            for b in ambient:
-                v = bracket(b, e)
+            for g in gens:
+                v = bracket(g, e)
                 if v and sp.add(v.coeffs):
                     nxt.append(v)
         frontier = nxt
+
+
+def ideal_closure(seed, gens, alg):
+    """Smallest ad(gens)-stable subspace containing the seed vectors.
+
+    When gens generates a Lie algebra, this is the ideal of that algebra
+    generated by the seed: {x : [x, V] ⊆ V} is a subalgebra, and it
+    holds gens.
+    """
+    sp = linalg.Span()
+    _close(sp, [e for e in seed if sp.add(e.coeffs)], gens)
     return _span_elems(sp, alg)
+
+
+def generators(basis, alg):
+    """A subset of a linearly independent basis of a subalgebra that
+    generates it.
+
+    Basis vectors are taken greedily: one joins only if it lies outside
+    the subalgebra the vectors already chosen generate, which is
+    ideal_closure(S, S), since right-normed brackets of S span Lie(S).
+    That closure is grown in place with the new vector b as the only
+    frontier: [b, w] for w a right-normed bracket of S lands in it by
+    induction, as ad(w) is a polynomial in ad(S).  Raises if the
+    closure leaves span(basis).
+    """
+    gens = []
+    sp = linalg.Span()
+    for b in basis:
+        if sp.add(b.coeffs):
+            gens.append(b)
+            _close(sp, [b], gens)
+    if sp.dim != len(basis):
+        raise ValueError(f"the {len(basis)} basis vectors do not span a "
+                         f"subalgebra: {len(gens)} of them generate one of "
+                         f"dimension {sp.dim}")
+    return gens
 
 
 def centralizer_of_subspace(gens, ambient, alg):
@@ -106,17 +138,19 @@ def centralizer_of_subspace(gens, ambient, alg):
 def split_ideals(basis, alg):
     """Decompose a semisimple subalgebra into its simple ideals.
 
-    Tries the ideal generated by each basis vector and peels off the
-    smallest; the complement of an ideal in a semisimple algebra is its
-    centralizer.  Raises if the candidate complement does not give a
-    direct sum (e.g. the input has a center).
+    Tries the ideal generated by each basis vector, as its closure under
+    a generating set, and peels off the smallest; the complement of an
+    ideal in a semisimple algebra is its centralizer.  Raises if the
+    input is not a subalgebra, or if the candidate complement does not
+    give a direct sum (e.g. the input has a center).
     """
     ideals = []
     remaining = basis
     while remaining:
+        gens = generators(remaining, alg)
         best = None
         for v in remaining:
-            cand = ideal_closure([v], remaining, alg)
+            cand = ideal_closure([v], gens, alg)
             if best is None or len(cand) < len(best):
                 best = cand
             if len(best) == 1 or len(best) * 2 <= len(remaining):
@@ -126,7 +160,10 @@ def split_ideals(basis, alg):
             break
         comp = centralizer_of_subspace(best, remaining, alg)
         if len(best) + len(comp) != len(remaining):
-            raise ValueError("subalgebra is not a direct sum of ideals")
+            raise ValueError(
+                f"subalgebra of dimension {len(remaining)} is not a direct "
+                f"sum of ideals: an ideal of dimension {len(best)} has a "
+                f"centralizer of dimension {len(comp)}")
         ideals.append(best)
         remaining = comp
     return ideals
@@ -156,39 +193,42 @@ _TYPE_TABLE = _simple_type_table()
 
 
 def toral_rank(basis):
-    """Rank of a reductive subalgebra: minimal centralizer dimension of a
-    fixed deterministic sample of six elements of the span."""
+    """Rank of a semisimple subalgebra: the centralizer dimension of the
+    first of six fixed samples whose centralizer is abelian.
+
+    By Kostant (1963), g^x is abelian iff x is regular, so that
+    dimension is the exact rank.  Raises if no sample is regular.
+    """
     import random
     if not basis:
         return 0
     rng = random.Random(7)
-    best = len(basis)
     for _ in range(6):
         x = lin_comb([rng.randint(-5, 5) for _ in basis], basis)
         if not x:
             continue
-        best = min(best, len(centralizer_in(x, basis)))
-        if best == 1:
-            break
-    return best
+        c = centralizer_in(x, basis)
+        if not any(bracket(a, b) for i, a in enumerate(c) for b in c[i + 1:]):
+            return len(c)
+    raise ValueError(f"none of six samples of a {len(basis)}-dimensional "
+                     "algebra has an abelian centralizer")
 
 
-def identify_semisimple_type(basis, alg):
+def identify_semisimple_type(ideals):
     """Multiset of simple component labels, or "not-identified".
 
-    Identification is by simple-ideal decomposition followed by a
-    (dimension, rank) table lookup per factor; a factor whose invariants
-    are shared by two non-isomorphic types is never guessed.
+    Takes the simple ideals that `split_ideals` returns and looks up each
+    one's (dimension, rank) in a table; a factor whose invariants are
+    shared by two non-isomorphic types is never guessed.
     """
-    if not basis:
+    if not ideals:
         return "0"
-    try:
-        ideals = split_ideals(basis, alg)
-    except ValueError:
-        return "not-identified"
     labels = []
     for comp in ideals:
-        key = (len(comp), toral_rank(comp))
+        try:
+            key = (len(comp), toral_rank(comp))
+        except ValueError:
+            return "not-identified"
         cands = _TYPE_TABLE.get(key, [])
         if len(cands) != 1:
             return "not-identified"
@@ -248,22 +288,23 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     l = derived_subalgebra(gX)
     l_minus = span_intersection(l, pX, alg)
     r_plus = bracket_span(l_minus)
-    r_basis = _span_elems(span_of(l_minus + r_plus), alg)
+    r_span = span_of(l_minus + r_plus)
 
-    factors = []
-    label = "not-identified"
-    if not r_basis:
-        label = _so_pair_label([])
+    # r is an ideal of l ([l ∩ k, l_minus] ⊆ l_minus), so each simple
+    # ideal of l lies in r or meets it in 0; r is the sum of those inside
+    l_type = label = "not-identified"
+    try:
+        l_ideals = split_ideals(l, alg)
+    except ValueError:
+        pass
     else:
-        try:
-            ideals = split_ideals(r_basis, alg)
-            for comp in ideals:
-                cm = span_intersection(comp, l_minus, alg)
-                cp = span_intersection(comp, r_plus, alg)
-                factors.append((len(comp), len(cm), len(cp)))
+        l_type = identify_semisimple_type(l_ideals)
+        factors = [(len(comp), len(span_intersection(comp, l_minus, alg)),
+                    len(span_intersection(comp, r_plus, alg)))
+                   for comp in l_ideals
+                   if all(r_span.contains(e.coeffs) for e in comp)]
+        if sum(f[0] for f in factors) == r_span.dim:
             label = _so_pair_label(factors)
-        except ValueError:
-            label = "not-identified"
 
     return SubpairReport(
         dim_g_X=len(gX),
@@ -271,7 +312,7 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
         dim_p_X=len(pX),
         l_dim=len(l),
         l_center_dim=len(gX) - len(l),
-        l_type=identify_semisimple_type(l, alg),
+        l_type=l_type,
         dim_l_minus=len(l_minus),
         dim_r_plus=len(r_plus),
         r_pair_label=label,

@@ -2,6 +2,7 @@
 non-regular locus."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,23 @@ from liepairs.centralizer import (
     RANK1_PAIRS,
     RANK2_PAIRS,
     commuting_nilpotent_witnesses,
+    generators,
+    ideal_closure,
     identify_semisimple_type,
     nonregular_locus,
     regularity_check,
     split_ideals,
     subpair,
+    toral_rank,
 )
-from liepairs.chevalley import build_algebra
+from liepairs.chevalley import (
+    LieElement,
+    bracket,
+    build_algebra,
+    centralizer_in,
+    derived_subalgebra,
+    span_of,
+)
 from liepairs.parabolic import build_parabolic, scan_type
 
 
@@ -31,11 +42,127 @@ def test_classification_lists_present():
     assert len(RANK1_PAIRS) == 4 and len(RANK2_PAIRS) == 10
 
 
+def reference_ideal_closure(seed, ambient):
+    """Reference: the smallest subspace holding the seed and stable under
+    ad of every ambient basis vector."""
+    sp = span_of([])
+    frontier = [e for e in seed if sp.add(e.coeffs)]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for b in ambient:
+                v = bracket(b, e)
+                if v and sp.add(v.coeffs):
+                    nxt.append(v)
+        frontier = nxt
+    return [LieElement(seed[0].alg, row) for row in sp.rows]
+
+
+def reference_split_ideals(basis):
+    """Reference: peel off the ideal generated by one basis vector, closed
+    under the whole remaining basis; its complement is its centralizer."""
+    ideals, remaining = [], basis
+    while remaining:
+        best = None
+        for v in remaining:
+            cand = reference_ideal_closure([v], remaining)
+            if best is None or len(cand) < len(best):
+                best = cand
+            if len(best) == 1 or len(best) * 2 <= len(remaining):
+                break
+        if len(best) == len(remaining):
+            return ideals + [remaining]
+        ideals.append(best)
+        for g in best:
+            remaining = centralizer_in(g, remaining)
+    return ideals
+
+
+def _echelon_set(ideals):
+    """The ideals as subspaces: each one's reduced echelon rows."""
+    return {tuple(tuple(sorted(row.items())) for row in span_of(i).rows)
+            for i in ideals}
+
+
+def _levi(label, rank, line):
+    """The semisimple part l of g^X at mu X_1 + lambda X_2, alpha_1
+    omitted."""
+    P = _pair(label, rank, 1)
+    x1, x2 = P.cartan_subspace()
+    X = line[0] * x1 + line[1] * x2
+    full = [P.alg.basis_element(i) for i in range(P.alg.dimension)]
+    return P.alg, derived_subalgebra(centralizer_in(X, full))
+
+
 def test_split_ideals_of_semisimple():
-    alg = build_algebra("D", 2)     # A1 x A1
+    # the ambient-basis reference's ideals on D2 = A1 x A1 and D4 in
+    # full, and on the Levis of (so_9, so_7 x so_2) at [1:1] (so_7) and
+    # of (so_10, so_8 x so_2) at [0:1] (so_3 + so_6)
+    cases = [(alg, [alg.basis_element(i) for i in range(alg.dimension)])
+             for alg in (build_algebra("D", 2), build_algebra("D", 4))]
+    cases += [_levi("B", 4, (1, 1)), _levi("D", 5, (0, 1))]
+    for (alg, basis), dims in zip(cases, ([3, 3], [28], [21], [3, 15])):
+        got = split_ideals(basis, alg)
+        assert sorted(len(i) for i in got) == dims
+        assert _echelon_set(got) == _echelon_set(
+            reference_split_ideals(basis))
+
+
+def test_closure_of_generators_spans_the_algebra():
+    for label, rank in (("A", 2), ("B", 3), ("G2", 2)):
+        alg = build_algebra(label, rank)
+        full = [alg.basis_element(i) for i in range(alg.dimension)]
+        gens = generators(full, alg)
+        # greedy over the Chevalley basis keeps exactly the x_{±a_i}
+        simple = [tuple(s * (i == k) for i in range(rank))
+                  for s in (1, -1) for k in range(rank)]
+        assert sorted(i for g in gens for i in g.coeffs) == \
+            sorted(alg.x_index(a) for a in simple)
+        assert len(ideal_closure(gens, gens, alg)) == alg.dimension
+
+
+def test_generators_reject_a_non_subalgebra():
+    # x_{a1} and x_{a2} bracket to x_{a1+a2}, outside their span
+    alg = build_algebra("A", 2)
+    with pytest.raises(ValueError, match="2 basis vectors.*dimension 3"):
+        generators([alg.x((1, 0)), alg.x((0, 1))], alg)
+
+
+def test_toral_rank_is_the_rank():
+    for label, rank in (("A", 2), ("B", 2), ("G2", 2), ("D", 4)):
+        alg = build_algebra(label, rank)
+        full = [alg.basis_element(i) for i in range(alg.dimension)]
+        assert toral_rank(full) == rank
+
+
+def test_toral_rank_skips_a_sample_that_is_not_regular():
+    # rewrite one basis vector of A2 so that the first of the six fixed
+    # samples is a root vector, whose centralizer has dimension 4 and is
+    # not abelian; the rank must come from a later sample
+    alg = build_algebra("A", 2)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
-    ideals = split_ideals(full, alg)
-    assert sorted(len(i) for i in ideals) == [3, 3]
+    rng = random.Random(7)
+    c = [rng.randint(-5, 5) for _ in full]
+    j = next(i for i, ci in enumerate(c) if ci)
+    root_vector = full[j]
+    assert j < len(alg.roots)
+    others = alg.zero()
+    for i, (ci, e) in enumerate(zip(c, full)):
+        if i != j:
+            others = others + ci * e
+    basis = list(full)
+    basis[j] = Fraction(1, c[j]) * (root_vector - others)
+    assert len(centralizer_in(root_vector, basis)) == 4
+    assert toral_rank(basis) == 2
+
+
+def test_toral_rank_bounded_when_no_sample_is_regular():
+    # every sample of the span of a zero vector is zero, so none is
+    # regular: the six samples are all it tries
+    alg = build_algebra("A", 1)
+    with pytest.raises(ValueError, match="1-dimensional"):
+        toral_rank([alg.zero()])
+    assert identify_semisimple_type([[alg.zero()]]) == "not-identified"
 
 
 def test_identify_type():
@@ -43,7 +170,7 @@ def test_identify_type():
                                 ("D", 4, "D4"), ("G2", 2, "G2")):
         alg = build_algebra(label, rank)
         full = [alg.basis_element(i) for i in range(alg.dimension)]
-        assert identify_semisimple_type(full, alg) == expect
+        assert identify_semisimple_type(split_ideals(full, alg)) == expect
 
 
 def test_identify_type_never_guesses_on_collision():
@@ -51,7 +178,8 @@ def test_identify_type_never_guesses_on_collision():
     # refuse rather than guess
     alg = build_algebra("B", 3)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
-    assert identify_semisimple_type(full, alg) == "not-identified"
+    assert identify_semisimple_type(split_ideals(full, alg)) == \
+        "not-identified"
 
 
 def test_regularity_generic_vs_special():
@@ -125,19 +253,33 @@ E7_POINTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def e7_pair():
+    return scan_type("E7", 7)[0]
+
+
+def _check_e7_point(P, c):
+    X = P.alg.zero()
+    for ci, x in zip(c, P.cartan_subspace()):
+        if ci:
+            X = X + Fraction(ci) * x
+    dg, dp, ltype, label = E7_POINTS[c]
+    rep = subpair(P, X)
+    assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
+    if ltype is not None:
+        assert rep.l_type == ltype, c
+        assert rep.r_pair_label == label, c
+
+
+@pytest.mark.parametrize("c", [(-1, 0, 0), (-1, -1, 0)])
+def test_e7_subpair_one_point_per_l_type(e7_pair, c):
+    # the D6 and the A1xD5 special points; the scan below runs all ten
+    _check_e7_point(e7_pair, c)
+
+
 @pytest.mark.skipif(not os.environ.get("LIEPAIRS_SLOW"),
-                    reason="E7 subpair scan takes ~100 s; "
+                    reason="E7 subpair scan takes ~25 s; "
                            "set LIEPAIRS_SLOW=1 to run")
-def test_e7_special_point_subpairs():
-    P = scan_type("E7", 7)[0]
-    xs = P.cartan_subspace()
-    for c, (dg, dp, ltype, label) in E7_POINTS.items():
-        X = P.alg.zero()
-        for ci, x in zip(c, xs):
-            if ci:
-                X = X + Fraction(ci) * x
-        rep = subpair(P, X)
-        assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
-        if ltype is not None:
-            assert rep.l_type == ltype, c
-            assert rep.r_pair_label == label, c
+def test_e7_special_point_subpairs(e7_pair):
+    for c in E7_POINTS:
+        _check_e7_point(e7_pair, c)
