@@ -24,8 +24,8 @@ from liepairs import (
 from liepairs.matrixmodel import (
     jordan_type,
     lemma_witness_element,
+    mat_eq,
     minimal_orbit_cayley_triple,
-    qi_entries,
 )
 
 p = 4
@@ -38,7 +38,7 @@ print("orbit representatives and their characteristics")
 print("=" * 72)
 for d in enumerate_dyo(p):
     X = nilpotent_from_diagram(pair, d)
-    shape = jordan_type(qi_entries(X))
+    shape = jordan_type(X)
     if shape == (1,) * (p + 2):
         print(f"  {d.sign_string():<14} zero orbit")
         continue
@@ -79,7 +79,7 @@ print("=" * 72)
 X, Xs, Xn = lemma_witness_element(pair)
 S, N = jordan_decompose(X)
 print("X = Xs + Xn with [Xs, Xn] = 0 recovered exactly:",
-      S == qi_entries(Xs) and N == qi_entries(Xn))
+      mat_eq(S, Xs) and mat_eq(N, Xn))
 rep = lemma51_check(pair, X, trials=20, seed=0)
 print(f"sampled Y in p^X with Y_s proportional to X_s:"
       f" {rep['trials'] - rep['failures']}/{rep['trials']}")

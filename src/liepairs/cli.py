@@ -2,7 +2,8 @@
 
 Subcommands: pairs, cascade, orbits, centralizer, model, verify-all.
 Exit codes: 0 all assertions pass, 1 assertion failure or internal error
-(one `error: <Type>: <message>` line on stderr), 2 usage error.
+(one `error: <Type>: <message>` line on stderr), 2 usage error: bad
+arguments, or a `UsageError` raised where input is validated.
 With --json the full verification report is emitted as JSON (exact
 values only: ints and "a/b" strings, never floats).
 """
@@ -14,6 +15,7 @@ import json
 import sys
 
 from . import report as rp
+from .errors import UsageError
 
 
 def _print_table(rows, columns):
@@ -124,7 +126,7 @@ def run(argv):
         if args.command == "verify-all":
             rep = rp.verify_all_report(args.max_rank, args.seed)
             return _finish(rep, None, args)
-    except ValueError as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

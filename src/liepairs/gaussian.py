@@ -1,8 +1,11 @@
 """Gaussian rationals: the field Q(i), kept exact via a pair of Fractions.
 
 Only the matrix realization of so(p+2) needs the imaginary unit (the real
-form embedding and the Cayley transform); everything root-theoretic stays
-over plain Fractions.
+form embedding, the Cayley transform and the orbit representatives), and
+even there an entry stays a plain Fraction until i multiplies it;
+everything root-theoretic stays over Fractions.  The two mix in one
+matrix: Fraction's operators return NotImplemented for a QI, so Python
+falls back to the reflected QI operator, and `__eq__` coerces.
 
 Invariant: `re` and `im` are always exactly of type `Fraction`, and a
 `QI` is never mutated after `__init__`.  That is why an operation may

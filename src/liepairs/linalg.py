@@ -3,12 +3,14 @@ polynomial helpers.
 
 Two vector formats, one elimination core.  The incremental API (`Span`,
 `nullspace`, `kernel`) takes sparse vectors: {column: value} dicts of
-the nonzero entries, such as the coefficients of a Lie element.  A
-linear map, for both `kernel` and `min_poly`, is the list of the sparse
-images of the basis vectors, its columns.  The dense routines (`rref`,
-`solve`, `det`, `rank`, the pencil) take lists of rows; `sparse` turns
-a dense vector into the sparse format.  Every elimination keeps each
-reduced row as a sparse dict, so no field arithmetic is spent on zeros.
+the nonzero entries, such as the coefficients of a Lie element or the
+entries of a model matrix keyed by (row, column); `Span` and the
+columns of `kernel` take any keys that sort.  A linear map, for both
+`kernel` and `min_poly`, is the list of the sparse images of the basis
+vectors, its columns.  The dense routines (`rref`, `solve`, `det`,
+`rank`, the pencil) take lists of rows; `sparse` turns a dense vector
+into the sparse format.  Every elimination keeps each reduced row as a
+sparse dict, so no field arithmetic is spent on zeros.
 Everything is duck-typed over the field operations +, -, *, /, and
 truthiness as the zero test, so the same routines serve the rational
 and Gaussian-rational cases.
@@ -22,30 +24,6 @@ from math import gcd, isqrt, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-def mat_mul(a, b):
-    zero = a[0][0] * 0
-    out = [[zero] * len(b[0]) for _ in a]
-    support = [None] * len(b)   # nonzero (j, b[t][j]) of row t, on first use
-    for ai, oi in zip(a, out):
-        for t, x in enumerate(ai):
-            if not x:
-                continue
-            bt = support[t]
-            if bt is None:
-                bt = support[t] = [(j, y) for j, y in enumerate(b[t]) if y]
-            for j, y in bt:
-                oi[j] = oi[j] + x * y
-    return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 # ---------------------------------------------------------------------------

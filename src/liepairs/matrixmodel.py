@@ -1,13 +1,22 @@
 """Matrix realization of so_{p+2} with the involution given by
 conjugation with J = diag(I_p, -I_2), and the real form so(p,2).
 
-Everything is exact over the Gaussian rationals.  The module covers:
-the k/p grading of skew matrices, the embedding phi of so(p,2) given by
-conjugation with diag(I_p, -i I_2), Cayley triples and their Cayley
-transform into normal triples, exact Jordan decomposition, nilpotent
-orbit representatives built from signed Young diagrams, normal
-sl2-triples by linear solves, and the even-sheet / minimal-orbit
-witnesses.
+Everything is exact.  The module covers: the k/p grading of skew
+matrices, the embedding phi of so(p,2) given by conjugation with
+diag(I_p, -i I_2), Cayley triples and their Cayley transform into normal
+triples, exact Jordan decomposition, nilpotent orbit representatives
+built from signed Young diagrams, normal sl2-triples by linear solves,
+and the even-sheet / minimal-orbit witnesses.
+
+One matrix format: an n x n matrix is a list of n sparse rows
+{column: value} that hold the nonzero entries only, so `not any(M)` is
+the zero test and `==` is equality.  `entries(M)` keys the entries by
+(row, column), the vector format that `linalg.kernel` and `Span` take.
+Entries are `Fraction`s until i multiplies them: the real-form basis,
+k, p, H_k, K_k, the real restricted root spaces and the Cayley triples
+stay rational.  `QI` enters only through `phi`, the Cayley transform,
+the diagram representatives and the sampled elements of
+`dim_identity_check`; the two scalar types mix freely.
 
 Orbit representatives are built directly on the complex side: each
 diagram row gives a Jordan string with an invariant symmetric form and
@@ -26,55 +35,68 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, orbits
+from .errors import UsageError
 from .gaussian import QI
-from .linalg import mat_mul, transpose
 
+F0 = Fraction(0)
+F1 = Fraction(1)
 I_UNIT = QI(0, 1)
-Q0 = QI(0)
-Q1 = QI(1)
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers over QI
+# sparse matrix helpers
 
 
 def zeros(n):
-    return [[Q0] * n for _ in range(n)]
+    return [{} for _ in range(n)]
 
 
-def eye(n, scale=Q1):
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = QI.coerce(scale)
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = QI.coerce(c)
-    return [[c * x if x else Q0 for x in row] for row in a]
+def eye(n, scale=F1):
+    return [{i: scale} for i in range(n)]
 
 
 def lin_comb(coeffs, mats):
-    """sum c * M over the pairs (c, M), adding only nonzero entries."""
+    """sum c * M over the pairs (c, M), deleting the entries that cancel."""
     out = zeros(len(mats[0]))
     for c, M in zip(coeffs, mats):
         if not c:
             continue
-        c = QI.coerce(c)
+        unit = c == 1
         for row, orow in zip(M, out):
-            for j, x in enumerate(row):
-                if x:
-                    orow[j] = orow[j] + c * x
+            for j, x in row.items():
+                if not unit:
+                    x = c * x
+                y = orow.get(j)
+                if y is None:
+                    orow[j] = x
+                elif y := y + x:
+                    orow[j] = y
+                else:
+                    del orow[j]
+    return out
+
+
+def mat_add(a, b):
+    return lin_comb((F1, F1), (a, b))
+
+
+def mat_sub(a, b):
+    return lin_comb((F1, -F1), (a, b))
+
+
+def mat_scale(a, c):
+    return lin_comb((c,), (a,))
+
+
+def mat_mul(a, b):
+    out = []
+    for ra in a:
+        acc = {}
+        for t, x in ra.items():
+            for j, y in b[t].items():
+                z = acc.get(j)
+                acc[j] = x * y if z is None else z + x * y
+        out.append({j: z for j, z in acc.items() if z})
     return out
 
 
@@ -82,44 +104,65 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def _kernel(basis, image):
-    """The elements of span(basis) that the linear map `image` (matrix to
-    flat list of entries) sends to zero."""
-    return [lin_comb(sol, basis)
-            for sol in linalg.kernel([linalg.sparse(image(b))
-                                      for b in basis])]
+def transpose(a):
+    out = zeros(len(a))
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def entries(a):
+    """{(row, column): value}; the keys sort like the flat index i n + j."""
+    return {(i, j): x for i, row in enumerate(a) for j, x in row.items()}
 
 
 def mat_is_zero(a):
-    return all(not x for row in a for x in row)
+    return not any(a)
 
 
 def mat_eq(a, b):
-    return mat_is_zero(mat_sub(a, b))
+    return a == b
 
 
-def flatten(a):
-    return [x for row in a for x in row]
-
-
-def qi_entries(a):
-    return [[QI.coerce(x) for x in row] for row in a]
+def rank(a):
+    sp = linalg.Span()
+    for row in a:
+        sp.add(row)
+    return sp.dim
 
 
 def mat_inverse(a):
     n = len(a)
-    aug = [list(row) + [Q1 if i == j else Q0 for j in range(n)]
-           for i, row in enumerate(a)]
-    rows, pivots = linalg.rref(aug)
-    if pivots[:n] != list(range(n)):
+    sp = linalg.Span()
+    for i, row in enumerate(a):
+        sp.add({**row, n + i: F1})
+    if sp.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [{c - n: x for c, x in row.items() if c >= n} for row in sp.rows]
+
+
+def _kernel(basis, image):
+    """The elements of span(basis) that the linear map `image` (matrix to
+    its `entries`) sends to zero."""
+    return [lin_comb(sol, basis)
+            for sol in linalg.kernel([image(b) for b in basis])]
+
+
+def _solve(columns, rhs):
+    """rref's particular solution x of sum_j x[j] columns[j] = rhs, free
+    unknowns 0: the kernel vector of (columns | -rhs) ending in 1; or None
+    if there is no solution."""
+    sol = linalg.kernel(columns + [{k: -x for k, x in rhs.items()}])
+    if sol and sol[-1][-1]:
+        return sol[-1][:-1]
+    return None
 
 
 def skew_elementary(n, i, j):
     out = zeros(n)
-    out[i][j] = Q1
-    out[j][i] = -Q1
+    out[i][j] = F1
+    out[j][i] = -F1
     return out
 
 
@@ -143,15 +186,15 @@ class MatrixPair:
     def theta(self, X):
         """J X J: flips the sign of the two off-diagonal blocks."""
         p = self.p
-        return [[-x if (i < p) != (j < p) else x for j, x in enumerate(row)]
+        return [{j: -x if (i < p) != (j < p) else x for j, x in row.items()}
                 for i, row in enumerate(X)]
 
     def phi(self, X0):
         """Embedding of the real form, conjugation by diag(I_p, -i I_2):
         multiplies the upper corner block by i and the lower by -i."""
         p = self.p
-        return [[(I_UNIT if i < p else -I_UNIT) * x if (i < p) != (j < p)
-                 else x for j, x in enumerate(row)]
+        return [{j: (I_UNIT if i < p else -I_UNIT) * x if (i < p) != (j < p)
+                 else x for j, x in row.items()}
                 for i, row in enumerate(X0)]
 
     def parity_tag(self, X):
@@ -174,10 +217,6 @@ class MatrixPair:
         n, p = self.n, self.p
         return [skew_elementary(n, i, j) for i in range(p) for j in (n - 2, n - 1)]
 
-    def g_basis(self):
-        n = self.n
-        return [skew_elementary(n, i, j) for i in range(n) for j in range(i + 1, n)]
-
     def H(self, i):
         """The Cartan-subspace basis H_i = E_{i,n-i+1} - E_{n-i+1,i}."""
         if i not in (1, 2):
@@ -190,7 +229,7 @@ class MatrixPair:
         """Coefficient basis of {Y in span(basis) : [X, Y] = 0}."""
         if not basis:
             return []
-        return _kernel(basis, lambda b: flatten(commutator(X, b)))
+        return _kernel(basis, lambda b: entries(commutator(X, b)))
 
     def dim_p_centralizer(self, X):
         return len(self.centralizer_in(X, self.p_basis()))
@@ -198,13 +237,13 @@ class MatrixPair:
     def dim_bracket_k(self, X):
         sp = linalg.Span()
         for b in self.k_basis():
-            sp.add(linalg.sparse(flatten(commutator(b, X))))
+            sp.add(entries(commutator(b, X)))
         return sp.dim
 
 
 def build_pair(p) -> MatrixPair:
     if p < 2:
-        raise ValueError("signature (p,2) requires p >= 2")
+        raise UsageError("signature (p,2) requires p >= 2")
     return MatrixPair(p)
 
 
@@ -213,7 +252,7 @@ def build_pair(p) -> MatrixPair:
 
 
 def matrix_min_poly(M):
-    return linalg.min_poly([linalg.sparse(c) for c in transpose(M)])
+    return linalg.min_poly(transpose(M))
 
 
 def poly_of_matrix(p, M):
@@ -235,7 +274,6 @@ def jordan_decompose(M):
     n and each step squares the order of f(S), so ceil(log2 n) steps
     reach f(S) = 0.
     """
-    M = qi_entries(M)
     n = len(M)
     f = linalg.squarefree_part(matrix_min_poly(M))
     fd = linalg.poly_deriv(f)
@@ -257,11 +295,11 @@ def jordan_decompose(M):
 
 def is_nilpotent(M):
     """True iff the minimal polynomial of M is a power of x."""
-    return not any(matrix_min_poly(qi_entries(M))[:-1])
+    return not any(matrix_min_poly(M)[:-1])
 
 
 def is_semisimple(M):
-    return linalg.is_squarefree(matrix_min_poly(qi_entries(M)))
+    return linalg.is_squarefree(matrix_min_poly(M))
 
 
 def jordan_type(M):
@@ -275,7 +313,7 @@ def jordan_type(M):
                 f"jordan_type: the {n}x{n} matrix is not nilpotent; "
                 f"ranks of its powers 0..{n}: {ranks}")
         P = mat_mul(P, M)
-        ranks.append(linalg.rank(P))
+        ranks.append(rank(P))
     # ge[k - 1], the number of blocks of size >= k, is ranks[k-1] - ranks[k]
     ge = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
     return tuple(k for k in range(len(ge) - 1, 0, -1)
@@ -343,27 +381,16 @@ def cayley_transform(pair: MatrixPair, t: CayleyTriple) -> NormalTriple:
     errs = t.validate()
     if errs:
         raise ValueError("not a Cayley triple: " + "; ".join(errs))
-    H0 = pair.phi(qi_entries(t.H0))
-    X0 = pair.phi(qi_entries(t.X0))
-    Y0 = pair.phi(qi_entries(t.Y0))
+    H0, X0, Y0 = pair.phi(t.H0), pair.phi(t.X0), pair.phi(t.Y0)
     HS = mat_scale(mat_sub(X0, Y0), I_UNIT)
     half = Fraction(1, 2)
-    XS = mat_scale(mat_add(mat_add(X0, Y0), mat_scale(H0, I_UNIT)), half)
-    YS = mat_scale(mat_sub(mat_add(X0, Y0), mat_scale(H0, I_UNIT)), half)
+    XS = lin_comb((half, half, half * I_UNIT), (X0, Y0, H0))
+    YS = lin_comb((half, half, -half * I_UNIT), (X0, Y0, H0))
     out = NormalTriple(pair, HS, XS, YS)
     errs = out.validate()
     if errs:
         raise ValueError("Cayley transform failed: " + "; ".join(errs))
     return out
-
-
-def inverse_cayley_transform(pair: MatrixPair, t: NormalTriple):
-    """Recover the embedded real-form triple (phi images) from a normal
-    triple; inverse of the transform above, before un-embedding."""
-    H0 = mat_scale(mat_sub(t.X, t.Y), QI(0, -1))
-    X0 = mat_scale(mat_sub(mat_add(t.X, t.Y), mat_scale(t.H, I_UNIT)), Fraction(1, 2))
-    Y0 = mat_scale(mat_add(mat_add(t.X, t.Y), mat_scale(t.H, I_UNIT)), Fraction(1, 2))
-    return H0, X0, Y0
 
 
 def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
@@ -372,7 +399,6 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     H is solved for in k intersected with the image of ad X, then Y in
     p from [X,Y] = H, [H,Y] = -2Y; both steps are exact linear solves.
     """
-    X = qi_entries(X)
     if mat_is_zero(X):
         raise ValueError("X must be nonzero")
     if pair.parity_tag(X) != "in-p":
@@ -382,17 +408,14 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     # H = sum a_j [X, p_j] with [H, X] = 2 X
     pb = pair.p_basis()
     cands = [commutator(X, b) for b in pb]
-    mat = transpose([flatten(commutator(c, X)) for c in cands])
-    sol = linalg.solve(mat, flatten(mat_scale(X, 2)))
+    sol = _solve([entries(commutator(c, X)) for c in cands],
+                 entries(mat_scale(X, 2)))
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
     H = lin_comb(sol, cands)
-    # Y in p with [X, Y] = H and [H, Y] = -2 Y
-    rows = transpose([
-        flatten(c) + flatten(mat_add(commutator(H, b), mat_scale(b, 2)))
-        for c, b in zip(cands, pb)])
-    h = flatten(H)
-    sol = linalg.solve(rows, h + [Q0] * len(h))
+    # Y in p with [X, Y] = H and [H, Y] = -2 Y, the two stacked
+    sol = _solve([entries(c + lin_comb((F1, 2), (commutator(H, b), b)))
+                  for c, b in zip(cands, pb)], entries(H))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
     Y = lin_comb(sol, pb)
@@ -434,30 +457,19 @@ def nilpotent_from_diagram(pair: MatrixPair, diagram):
     plus_vecs, minus_vecs = [], []
     base = 0
 
-    def unit(idx, coeff=Q1):
-        v = [Q0] * n
-        v[idx] = QI.coerce(coeff)
-        return v
-
-    def combine(*terms):
-        v = [Q0] * n
-        for coeff, idx in terms:
-            v[idx] = v[idx] + QI.coerce(coeff)
-        return v
-
     for l, s in odd:
         for m in range(l - 1):
-            Xstr[base + m + 1][base + m] = Q1
+            Xstr[base + m + 1][base + m] = F1
         m0 = (l - 1) // 2
         c = Fraction((-1) ** m0)
         sgn = 1 if s == "+" else -1
         store = plus_vecs if sgn * (-1) ** m0 > 0 else minus_vecs
-        store.append(unit(base + m0))
+        store.append({base + m0: F1})
         for a in range(m0):
             q = Fraction((-1) ** a) * c
             beta = 1 / (2 * q)
-            e1 = combine((1, base + a), (beta, base + l - 1 - a))
-            e2 = combine((I_UNIT, base + a), (-beta * I_UNIT, base + l - 1 - a))
+            e1 = {base + a: F1, base + l - 1 - a: beta}
+            e2 = {base + a: I_UNIT, base + l - 1 - a: -beta * I_UNIT}
             store = plus_vecs if sgn * (-1) ** a > 0 else minus_vecs
             store.append(e1)
             store.append(e2)
@@ -466,8 +478,8 @@ def nilpotent_from_diagram(pair: MatrixPair, diagram):
     for l in pairs:
         bv, bw = base, base + l
         for m in range(l - 1):
-            Xstr[bv + m + 1][bv + m] = Q1
-            Xstr[bw + m + 1][bw + m] = Q1
+            Xstr[bv + m + 1][bv + m] = F1
+            Xstr[bw + m + 1][bw + m] = F1
         c = Fraction(-1, 2)
         # u+_m = v_m + (-1)^m w_m pairs with u+_{l-1-m}, product -2c = 1
         # u-_m = v_m - (-1)^m w_m pairs with u-_{l-1-m}, product  2c = -1
@@ -476,20 +488,17 @@ def nilpotent_from_diagram(pair: MatrixPair, diagram):
             for sign, store, q in ((1, plus_vecs, -2 * c),
                                    (-1, minus_vecs, 2 * c)):
                 beta = 1 / (2 * q)
-                ua = combine((1, bv + a), (sign * (-1) ** a, bw + a))
-                ub = combine((1, bv + b), (sign * (-1) ** b, bw + b))
-                e1 = [x + QI.coerce(beta) * y for x, y in zip(ua, ub)]
-                e2 = [I_UNIT * (x - QI.coerce(beta) * y)
-                      for x, y in zip(ua, ub)]
-                store.append(e1)
-                store.append(e2)
+                sa, sb = sign * (-1) ** a, sign * (-1) ** b
+                # e1 = u_a + beta u_b and e2 = i (u_a - beta u_b)
+                for f, g in ((F1, beta), (I_UNIT, -beta * I_UNIT)):
+                    store.append({bv + a: f, bw + a: f * sa,
+                                  bv + b: g, bw + b: g * sb})
         base += 2 * l
 
     if len(plus_vecs) != pair.p or len(minus_vecs) != 2:
         raise ValueError("diagram signature is not (p,2)")
     P = transpose(plus_vecs + minus_vecs)
-    X = mat_mul(mat_inverse(P), mat_mul(Xstr, P))
-    return X
+    return mat_mul(mat_inverse(P), mat_mul(Xstr, P))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +525,7 @@ def characteristic_from_triple(t: NormalTriple):
                 f"{n}x{n} H has non-integer eigenvalues: the integers up "
                 f"to {8 * n} in size give only {eigs}")
         for val in ({0} if m == 0 else {m, -m}):
-            Mv = mat_sub(H, eye(n, val))
-            k = n - linalg.rank(Mv)
+            k = n - rank(lin_comb((F1, -val), (H, eye(n))))
             eigs.extend([val] * k)
         m += 1
     return orbits.characteristic_of_weights(eigs, None)
@@ -537,7 +545,7 @@ def even_sheet_witness(pair: MatrixPair, t: NormalTriple):
     d0 = pair.dim_p_centralizer(t.X)
     results = []
     for s in (1, 2, 3):
-        Xs = mat_add(t.X, mat_scale(t.Y, s))
+        Xs = lin_comb((F1, s), (t.X, t.Y))
         results.append({
             "lambda": str(s),
             "dim_match": pair.dim_p_centralizer(Xs) == d0,
@@ -561,16 +569,11 @@ def real_form_basis(pair: MatrixPair):
     """Basis of so(p,2) in the form-preserving realization
     Z^t J = -J Z: skew in the two diagonal blocks, symmetric corners."""
     n, p = pair.n, pair.p
-    basis = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            basis.append(skew_elementary(n, i, j))
-    basis.append(skew_elementary(n, n - 2, n - 1))
+    basis = pair.k_basis()
     for i in range(p):
         for j in (n - 2, n - 1):
             M = zeros(n)
-            M[i][j] = Q1
-            M[j][i] = Q1
+            M[i][j] = M[j][i] = F1
             basis.append(M)
     return basis
 
@@ -581,17 +584,17 @@ def K(pair: MatrixPair, i):
     if i not in (1, 2):
         raise ValueError("only K_1 and K_2 span the Cartan subspace")
     M = zeros(pair.n)
-    M[i - 1][pair.n - i] = Q1
-    M[pair.n - i][i - 1] = Q1
+    M[i - 1][pair.n - i] = M[pair.n - i][i - 1] = F1
     return M
 
 
 def real_restricted_root_space(pair: MatrixPair, c1, c2):
     """Elements Z of so(p,2) with [K_k, Z] = c_k Z for k = 1, 2."""
     ops = ((K(pair, 1), c1), (K(pair, 2), c2))
-    return _kernel(real_form_basis(pair), lambda b: [
-        x for A, c in ops
-        for x in flatten(mat_sub(commutator(A, b), mat_scale(b, c)))])
+    # the two conditions stacked, as rows 0..n-1 and n..2n-1
+    return _kernel(real_form_basis(pair), lambda b: entries([
+        row for A, c in ops
+        for row in lin_comb((F1, -c), (commutator(A, b), b))]))
 
 
 def _fraction_sqrt(q: Fraction):
@@ -618,15 +621,9 @@ def minimal_orbit_cayley_triple(pair: MatrixPair, sign=1) -> CayleyTriple:
     H0 = commutator(X0, Y0)
     # rescale so that [H0, X0] = 2 X0
     B = commutator(H0, X0)
-    lam = None
-    for rb, rx in zip(B, X0):
-        for xb, xx in zip(rb, rx):
-            if xx:
-                lam = (QI.coerce(xb) / QI.coerce(xx)).re
-                break
-        if lam is not None:
-            break
-    if lam is None or not mat_eq(B, mat_scale(X0, lam)):
+    i, j = min(entries(X0))
+    lam = B[i].get(j, F0) / X0[i][j]
+    if not mat_eq(B, mat_scale(X0, lam)):
         raise ValueError("root vector is not an eigenvector of its coroot")
     s = _fraction_sqrt(Fraction(2) / lam)
     if s is None:
@@ -655,14 +652,14 @@ def minimal_orbit_not_distinguished(pair: MatrixPair):
     if pair.p < 3:
         raise ValueError("the minimal-orbit witness argument needs p >= 3; "
                          "for p = 2 the (2,2) shape is a different case")
-    Hw = mat_scale(mat_add(pair.H(1), pair.H(2)), I_UNIT)
+    Hw = lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
     expected = (2, 2) + (1,) * (pair.p - 2)
     reports = []
     for sign in (1, -1):
         t = cayley_transform(pair, minimal_orbit_cayley_triple(pair, sign))
         reports.append({
             "sign": sign,
-            "jordan_type": jordan_type(qi_entries(t.X)),
+            "jordan_type": jordan_type(t.X),
             "triple_valid": not t.validate(),
             "witness_commutes": mat_is_zero(commutator(Hw, t.X)),
             "witness_semisimple": is_semisimple(Hw),
@@ -681,32 +678,23 @@ def lemma_witness_element(pair: MatrixPair):
     kills the restricted root e1 - e2, plus the commuting minimal
     nilpotent in p obtained from that root by Cayley transform."""
     t = cayley_transform(pair, minimal_orbit_cayley_triple(pair))
-    Xs = mat_scale(mat_add(pair.H(1), pair.H(2)), I_UNIT)
+    Xs = lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
     Xn = t.X
     return mat_add(Xs, Xn), Xs, Xn
 
 
 def proportional(A, B):
     """True iff A = c B for some scalar c (B may be zero only if A is)."""
-    ratio = None
     for ra, rb in zip(A, B):
-        for x, y in zip(ra, rb):
-            if not x and not y:
-                continue
-            if not y:
-                return False
-            r = QI.coerce(x) / QI.coerce(y)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
+        for j, x in ra.items():
+            y = rb.get(j)
+            return y is not None and mat_eq(A, mat_scale(B, x / y))
     return True
 
 
 def lemma51_check(pair: MatrixPair, X, trials=20, seed=0):
     """Sampled check that for Y in p^X the semisimple component of Y is
     proportional to that of X."""
-    X = qi_entries(X)
     Xs, Xn = jordan_decompose(X)
     if mat_is_zero(Xs) or mat_is_zero(Xn):
         raise ValueError("X must be neither semisimple nor nilpotent")
@@ -740,43 +728,3 @@ def dim_identity_check(pair: MatrixPair, samples=100, seed=0):
         if pair.dim_bracket_k(X) + pair.dim_p_centralizer(X) != len(pb):
             bad += 1
     return {"samples": samples, "failures": bad, "ok": bad == 0}
-
-
-def phi_equivariance_check(pair: MatrixPair):
-    """phi . theta_0 = theta . phi on a basis of the real form."""
-    for M in real_form_basis(pair):
-        lhs = pair.phi(mat_scale(transpose(M), -1))
-        rhs = pair.theta(pair.phi(M))
-        if not mat_eq(lhs, rhs):
-            return False
-    return True
-
-
-def centralizer_dims(pair: MatrixPair, X):
-    """(dim g^X, dim k^X, dim p^X) for X in the matrix model."""
-    X = qi_entries(X)
-    return (len(pair.centralizer_in(X, pair.g_basis())),
-            len(pair.centralizer_in(X, pair.k_basis())),
-            pair.dim_p_centralizer(X))
-
-
-def cartan_point(pair: MatrixPair, mu, lam):
-    """The Cartan-subspace element i(mu H_1 + lambda H_2)."""
-    return mat_scale(mat_add(mat_scale(pair.H(1), mu),
-                             mat_scale(pair.H(2), lam)), I_UNIT)
-
-
-def nonregular_locus_matrix(pair: MatrixPair):
-    """Rank-drop lines of the pencil ad(mu H1 + lambda H2) on p, as
-    projective pairs (mu, lambda); the matrix-model analogue of the
-    root-space locus, usable for the so_4 case too."""
-    pb = pair.p_basis()
-
-    def real_rows(X):
-        # the matrix of ad X on p, each Q(i) row split into two real rows
-        rows = transpose([flatten(commutator(X, b)) for b in pb])
-        return ([[z.re for z in r] for r in rows]
-                + [[z.im for z in r] for r in rows])
-
-    A, B = real_rows(pair.H(1)), real_rows(pair.H(2))
-    return linalg.projective_locus(A, B, 2)

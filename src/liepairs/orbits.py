@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class YoungDiagram:
@@ -112,7 +114,7 @@ def enumerate_dyo(p):
     boxes, with paired even rows (P1), filled up with (1,+) rows.
     """
     if p < 2:
-        raise ValueError("signature (p,2) requires p >= 2")
+        raise UsageError("signature (p,2) requires p >= 2")
     n = p + 2
     found = []
     for k in (1, 2):

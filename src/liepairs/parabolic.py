@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import chevalley
 from .cascade import full_cascade
 from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
+from .errors import UsageError
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -91,9 +92,9 @@ def build_parabolic(alg: ChevalleyAlgebra, S) -> AbelianParabolic:
     S = frozenset(S)
     omitted = sorted(set(range(rs.rank)) - S)
     if len(omitted) != 1:
-        raise ValueError("S must omit exactly one simple root")
+        raise UsageError("S must omit exactly one simple root")
     if not is_abelian_radical(rs, S):
-        raise ValueError("unipotent radical is not abelian for this S")
+        raise UsageError("unipotent radical is not abelian for this S")
     r1 = abelian_set(rs, S)
     r1set = set(r1)
     entries = tuple(e for e in full_cascade(rs) if e.epsilon_K in r1set)

@@ -21,6 +21,7 @@ from .cascade import (
 )
 from .centralizer import nonregular_locus, subpair
 from .chevalley import build_algebra, jacobi_defect
+from .errors import UsageError
 from .parabolic import (
     build_parabolic,
     enumerate_catalog,
@@ -60,7 +61,7 @@ def assemble(command, items, seed=None):
 
 def pairs_report(max_rank=8):
     if max_rank < 1:
-        raise ValueError(f"--max-rank must be >= 1, got {max_rank}")
+        raise UsageError(f"--max-rank must be >= 1, got {max_rank}")
     catalog, mismatches = enumerate_catalog(max_rank)
     rows = []
     for P in catalog:
@@ -100,7 +101,7 @@ def cascade_report(type_label, rank):
 
 def orbits_report(p, signed):
     if p < 0:
-        raise ValueError(f"--p must be >= 0, got {p}")
+        raise UsageError(f"--p must be >= 0, got {p}")
     if signed:
         ds = orbits.enumerate_dyo(p)
         rows = [{"shape": list(d.shape),
@@ -123,7 +124,7 @@ def centralizer_report(type_label, rank, omitted=None):
         command += f" --root {omitted}"
     else:
         if not table:
-            raise ValueError(f"{type_label}{rank} has no catalog rows")
+            raise UsageError(f"{type_label}{rank} has no catalog rows")
         omitted = min(table) + 1
     S = frozenset(range(rank)) - {omitted - 1}
     P = build_parabolic(alg, S)
@@ -167,7 +168,7 @@ def parse_orbit(p, spec):
         shape = tuple(sorted((int(x) for x in parts[0].split(",")),
                              reverse=True))
     except ValueError:
-        raise ValueError(f"bad shape {parts[0]!r}") from None
+        raise UsageError(f"bad shape {parts[0]!r}") from None
     signs = None
     numerals = ()
     for extra in parts[1:]:
@@ -176,13 +177,13 @@ def parse_orbit(p, spec):
         elif set(extra) <= {"+", "-"}:
             signs = extra
         else:
-            raise ValueError(f"bad orbit component {extra!r}")
+            raise UsageError(f"bad orbit component {extra!r}")
     for d in orbits.enumerate_dyo(p):
         if (_shape(d) == shape
                 and signs in (None, "".join(s for _, s in d.rows))
                 and numerals in ((), d.numerals)):
             return d
-    raise ValueError(f"no so(p,2) orbit matches {spec!r} for p = {p}")
+    raise UsageError(f"no so(p,2) orbit matches {spec!r} for p = {p}")
 
 
 def model_report(p, orbit_spec, verify, seed=0):
@@ -192,7 +193,7 @@ def model_report(p, orbit_spec, verify, seed=0):
     X = mm.nilpotent_from_diagram(pair, d)
     items = [item("representative-in-model", mm.is_skew(X),
                   {"diagram": repr(d),
-                   "jordan_type": list(mm.jordan_type(mm.qi_entries(X)))})]
+                   "jordan_type": list(mm.jordan_type(X))})]
     if mm.mat_is_zero(X):
         items.append(item(verify, True, {"note": "zero orbit"}, skipped=True))
         return assemble(command, items, seed)
@@ -233,7 +234,7 @@ def model_report(p, orbit_spec, verify, seed=0):
                                    for k, v in r.items()}
                                   for r in rep["reports"]]}))
     else:
-        raise ValueError(f"unknown verification {verify!r}")
+        raise UsageError(f"unknown verification {verify!r}")
     return assemble(command, items, seed)
 
 
@@ -388,7 +389,7 @@ def characteristic_item(ps):
         pair = mm.build_pair(p)
         for d in orbits.enumerate_dyo(p):
             X = mm.nilpotent_from_diagram(pair, d)
-            ok = mm.jordan_type(mm.qi_entries(X)) == _shape(d)
+            ok = mm.jordan_type(X) == _shape(d)
             if ok and not mm.mat_is_zero(X):
                 c = mm.characteristic_from_triple(mm.normal_triple_for(pair, X))
                 cd = orbits.characteristic(orbits.forget_signs(d))
@@ -447,7 +448,7 @@ def dim_identity_item(p, samples, seed):
 
 def verify_all_report(max_rank=8, seed=0):
     if max_rank < 2:
-        raise ValueError(f"--max-rank must be >= 2, got {max_rank}")
+        raise UsageError(f"--max-rank must be >= 2, got {max_rank}")
     catalog, mismatches = enumerate_catalog(max_rank)
     types = [("A", max_rank), ("B", max_rank), ("C", max_rank),
              ("D", max(4, max_rank)), ("E6", 6), ("F4", 4), ("G2", 2)]

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UsageError
+
 TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
 
@@ -29,23 +31,23 @@ def cartan_matrix(type_label, rank):
 
     if type_label == "A":
         if n < 1:
-            raise ValueError("A requires rank >= 1")
+            raise UsageError("A requires rank >= 1")
         return chain(n)
     if type_label == "B":
         if n < 2:
-            raise ValueError("B requires rank >= 2 (B1 = A1 by convention)")
+            raise UsageError("B requires rank >= 2 (B1 = A1 by convention)")
         C = chain(n)
         C[n - 1][n - 2] = -2      # alpha_n short
         return C
     if type_label == "C":
         if n < 2:
-            raise ValueError("C requires rank >= 2 (C1 = A1 by convention)")
+            raise UsageError("C requires rank >= 2 (C1 = A1 by convention)")
         C = chain(n)
         C[n - 2][n - 1] = -2      # alpha_n long
         return C
     if type_label == "D":
         if n < 2:
-            raise ValueError("D requires rank >= 2 (D2 = A1 x A1, D3 = A3)")
+            raise UsageError("D requires rank >= 2 (D2 = A1 x A1, D3 = A3)")
         if n == 2:
             return [[2, 0], [0, 2]]
         C = chain(n - 1)
@@ -62,7 +64,7 @@ def cartan_matrix(type_label, rank):
     if type_label in ("E6", "E7", "E8"):
         n = int(type_label[1])
         if rank != n:
-            raise ValueError(f"{type_label} has rank {n}")
+            raise UsageError(f"{type_label} has rank {n}")
         # Bourbaki: alpha_2 attaches to alpha_4; chain 1-3-4-5-...-n
         C = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -75,16 +77,16 @@ def cartan_matrix(type_label, rank):
         return C
     if type_label == "F4":
         if rank != 4:
-            raise ValueError("F4 has rank 4")
+            raise UsageError("F4 has rank 4")
         C = chain(4)
         C[2][1] = -2   # alpha_3, alpha_4 short
         C[1][2] = -1
         return C
     if type_label == "G2":
         if rank != 2:
-            raise ValueError("G2 has rank 2")
+            raise UsageError("G2 has rank 2")
         return [[2, -3], [-1, 2]]
-    raise ValueError(f"unknown type label {type_label!r}")
+    raise UsageError(f"unknown type label {type_label!r}")
 
 
 def _root_lengths(type_label, rank, C):

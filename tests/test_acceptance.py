@@ -76,22 +76,22 @@ def test_criterion_07_distinguished_evenness_and_witness():
     """Every shape other than (2,2,1^(p-2)) is even; that shape has an
     odd characteristic entry and an explicit H in p^X witness."""
     _check(rp.parity_item(range(2, 65)))
-    _check(rp.minimal_orbit_item(range(3, 13)))
+    _check(rp.minimal_orbit_item(range(3, 25)))
     _report(7, "evenness of p-distinguished orbits plus witnesses")
 
 
 def test_criterion_08_characteristic_oracle():
     """(alpha_i(H)) from exact normal triples equals the combinatorial
-    recipe for every orbit representative, p <= 8."""
-    _check(rp.characteristic_item(range(2, 9)))
-    _report(8, "characteristics from normal triples, p = 2..8")
+    recipe for every orbit representative, p <= 24."""
+    _check(rp.characteristic_item(range(2, 25)))
+    _report(8, "characteristics from normal triples, p = 2..24")
 
 
 def test_criterion_09_even_sheet():
     """For every even orbit: dim p^(X+lambda Y) = dim p^X at
-    lambda = 1, 2, 3 and X + lambda Y is semisimple."""
-    _check(rp.even_sheet_item(range(2, 9)))
-    _report(9, "even-sheet property at lambda = 1, 2, 3 for p = 2..8")
+    lambda = 1, 2, 3 and X + lambda Y is semisimple, p <= 16."""
+    _check(rp.even_sheet_item(range(2, 17)))
+    _report(9, "even-sheet property at lambda = 1, 2, 3 for p = 2..16")
 
 
 def test_criterion_10_jordan_component_and_dim_identity():

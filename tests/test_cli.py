@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepairs import parabolic, report
+from liepairs import centralizer, parabolic, report
 from liepairs.cli import run
 from liepairs.orbits import enumerate_dyo
 from liepairs.report import frac_str, model_report, parse_orbit
@@ -45,6 +45,12 @@ def test_usage_errors():
         assert run(["orbits", "--p", p]) == 2
     for n in ("0", "-1"):
         assert run(["pairs", "--max-rank", n]) == 2
+    # each place that validates input raises a UsageError
+    for argv in ("cascade Q 3", "cascade B 1", "centralizer E6 5",
+                 "centralizer B 3 --root 9", "centralizer C 3 --root 1",
+                 "centralizer G2 2", "orbits --p 1 --signed",
+                 "model --p 1 --orbit 3 --verify triple"):
+        assert run(argv.split()) == 2, argv
 
 
 @st.composite
@@ -136,6 +142,15 @@ def test_internal_error_exits_1(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: AssertionError: structure constant out of range\n"
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    # an inconsistency found deep in the computation is not bad input
+    monkeypatch.setattr(centralizer, "is_ad_semisimple", lambda x: False)
+    assert run(["centralizer", "B", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ValueError: X must be ad-semisimple\n"
 
 
 def test_centralizer_json(capsys):

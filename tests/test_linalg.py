@@ -80,7 +80,7 @@ def test_min_poly_certified():
          [F(0), F(0), F(1), F(0)],
          [F(0), F(0), F(0), F(0)],
          [F(0), F(0), F(0), F(1)]]
-    p = linalg.min_poly([linalg.sparse(c) for c in linalg.transpose(M)])
+    p = linalg.min_poly([linalg.sparse(c) for c in zip(*M)])
     expect = linalg.poly_monic(
         linalg.poly_mul([F(0), F(0), F(0), F(1)], [F(-1), F(1)]))
     assert p == expect
@@ -320,7 +320,7 @@ def square_matrices(draw, entry):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_fields(square_matrices))
 def test_min_poly_matches_dense_reference(mat):
-    columns = [linalg.sparse(c) for c in linalg.transpose(mat)]
+    columns = [linalg.sparse(c) for c in zip(*mat)]
     assert linalg.min_poly(columns) == dense_min_poly(mat)
 
 

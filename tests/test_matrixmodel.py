@@ -8,18 +8,165 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liepairs import linalg, orbits
 from liepairs import matrixmodel as mm
-from liepairs import orbits
 from liepairs.gaussian import QI
 
 F = Fraction
+
+
+def sp(dense):
+    """The model matrix of a dense list of rows."""
+    return [linalg.sparse(row) for row in dense]
+
+
+# test-local helpers: the checks below go through them, and nothing in
+# the package needs them
+
+
+def g_basis(pair):
+    n = pair.n
+    return [mm.skew_elementary(n, i, j) for i in range(n)
+            for j in range(i + 1, n)]
+
+
+def cartan_point(pair, mu, lam):
+    """The Cartan-subspace element i(mu H_1 + lambda H_2)."""
+    return mm.lin_comb((QI(0, mu), QI(0, lam)), (pair.H(1), pair.H(2)))
+
+
+def centralizer_dims(pair, X):
+    """(dim g^X, dim k^X, dim p^X) for X in the matrix model."""
+    return (len(pair.centralizer_in(X, g_basis(pair))),
+            len(pair.centralizer_in(X, pair.k_basis())),
+            pair.dim_p_centralizer(X))
+
+
+def phi_equivariance_check(pair):
+    """phi . theta_0 = theta . phi on a basis of the real form."""
+    return all(
+        mm.mat_eq(pair.phi(mm.mat_scale(mm.transpose(M), -1)),
+                  pair.theta(pair.phi(M)))
+        for M in mm.real_form_basis(pair))
+
+
+def inverse_cayley_transform(t):
+    """The embedded real-form triple (phi images) of a normal triple;
+    inverse of the Cayley transform, before un-embedding."""
+    half, i = F(1, 2), QI(0, 1)
+    H0 = mm.mat_scale(mm.mat_sub(t.X, t.Y), -i)
+    X0 = mm.lin_comb((half, half, -half * i), (t.X, t.Y, t.H))
+    Y0 = mm.lin_comb((half, half, half * i), (t.X, t.Y, t.H))
+    return H0, X0, Y0
+
+
+def nonregular_locus_matrix(pair):
+    """Rank-drop lines of the pencil ad(mu H1 + lambda H2) on p, as
+    projective pairs (mu, lambda); the matrix-model analogue of the
+    root-space locus, usable for the so_4 case too.  H_1 and H_2 are
+    rational, so the pencil is too."""
+    pb = pair.p_basis()
+    keys = [(i, j) for i in range(pair.n) for j in range(pair.n)]
+
+    def ad_rows(X):
+        cols = [mm.entries(mm.commutator(X, b)) for b in pb]
+        return [[c.get(k, F(0)) for c in cols] for k in keys]
+
+    return linalg.projective_locus(ad_rows(pair.H(1)), ad_rows(pair.H(2)), 2)
+
+
+# -- the sparse helpers against a dense reference ---------------------------
+
+SCALARS = (
+    [F(0)] * 5 + [F(1), F(-1), F(2), F(1, 3)],
+    [QI(0)] * 5 + [QI(1), QI(-1), QI(0, 1), QI(F(1, 2), -1)],
+)
+
+
+@st.composite
+def model_operands(draw):
+    """(A, B, C, (a, b)): dense n x n matrices over Q, Q(i) or both mixed,
+    mostly zero, C invertible, and two scalars."""
+    pools = draw(st.sampled_from([SCALARS[:1], SCALARS[1:], SCALARS]))
+    scalar = st.sampled_from([x for pool in pools for x in pool])
+    n = draw(st.integers(1, 4))
+
+    def matrix(keep=lambda i, j: True, diag=None):
+        return [[diag if i == j and diag is not None
+                 else draw(scalar) if keep(i, j) else F(0)
+                 for j in range(n)] for i in range(n)]
+
+    A, B = matrix(), matrix()
+    # unit lower times unit upper triangular, rows permuted
+    C = dense_mul(matrix(lambda i, j: i > j, F(1)),
+                  matrix(lambda i, j: i < j, F(1)))
+    C = [C[i] for i in draw(st.permutations(range(n)))]
+    return A, B, C, (draw(scalar), draw(scalar))
+
+
+def dense(M):
+    return [[row.get(j, F(0)) for j in range(len(M))] for row in M]
+
+
+def dense_mul(A, B):
+    return [[sum((x * B[t][j] for t, x in enumerate(row)), F(0))
+             for j in range(len(B[0]))] for row in A]
+
+
+def dense_lin_comb(coeffs, mats):
+    return [[sum((c * M[i][j] for c, M in zip(coeffs, mats)), F(0))
+             for j in range(len(mats[0]))] for i in range(len(mats[0]))]
+
+
+def no_stored_zero(M):
+    return all(x for row in M for x in row.values())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(model_operands())
+@example(([[F(1), F(1)], [F(1), F(1)]], [[F(1), F(-1)], [F(-1), F(1)]],
+          [[F(1), F(0)], [F(0), F(1)]], (F(1), F(-1))))
+def test_sparse_helpers_match_dense_reference(ops):
+    A, B, C, (a, b) = ops
+    n = len(A)
+    sA, sB, sC = sp(A), sp(B), sp(C)
+    one = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    AB, BA = dense_mul(A, B), dense_mul(B, A)
+    checks = [
+        (mm.mat_mul(sA, sB), AB),
+        (mm.commutator(sA, sB), dense_lin_comb((1, -1), (AB, BA))),
+        (mm.transpose(sA), [list(col) for col in zip(*A)]),
+        (mm.lin_comb((a, b), (sA, sB)), dense_lin_comb((a, b), (A, B))),
+        # the third term cancels the first
+        (mm.lin_comb((a, b, -a), (sA, sB, sA)), dense_lin_comb((b,), (B,))),
+        (mm.mat_sub(sA, sA), dense_lin_comb((0,), (A,))),
+        (mm.mat_add(sA, mm.mat_scale(sB, b)), dense_lin_comb((1, b), (A, B))),
+    ]
+    inverse = mm.mat_inverse(sC)
+    checks.append((mm.mat_mul(sC, inverse), one))
+    for got, want in checks:
+        assert dense(got) == want
+        assert no_stored_zero(got)
+        assert mm.mat_is_zero(got) == (not any(x for row in want for x in row))
+        assert mm.mat_eq(got, sp(want))
+    assert no_stored_zero(inverse)
+    want = {(i, j): x for i, row in enumerate(A) for j, x in enumerate(row)
+            if x}
+    assert mm.entries(sA) == want
+    assert sorted(want) == sorted(want, key=lambda k: k[0] * n + k[1])
+    assert mm.rank(sA) == linalg.rank(A)
+    if linalg.det(A):
+        assert dense(mm.mat_mul(sA, mm.mat_inverse(sA))) == one
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            mm.mat_inverse(sA)
 
 
 def test_pair_dimensions():
     for p in (2, 3, 5):
         pair = mm.build_pair(p)
         n = p + 2
-        assert len(pair.g_basis()) == n * (n - 1) // 2
+        assert len(g_basis(pair)) == n * (n - 1) // 2
         assert len(pair.p_basis()) == 2 * p
         assert len(pair.k_basis()) == p * (p - 1) // 2 + 1
 
@@ -32,14 +179,14 @@ def test_theta_is_involution_splitting():
         assert mm.mat_is_zero(mm.mat_add(pair.theta(b), b))
     # theta is conjugation by J = diag(I_3, -I_2)
     J = mm.eye(5)
-    J[3][3] = J[4][4] = -mm.Q1
-    X = [[QI(i - j, i * j) for j in range(5)] for i in range(5)]
+    J[3][3] = J[4][4] = -F(1)
+    X = sp([[QI(i - j, i * j) for j in range(5)] for i in range(5)])
     assert pair.theta(X) == mm.mat_mul(J, mm.mat_mul(X, J))
 
 
 def test_phi_equivariance():
     for p in (2, 4):
-        assert mm.phi_equivariance_check(mm.build_pair(p))
+        assert phi_equivariance_check(mm.build_pair(p))
 
 
 def test_phi_lands_in_skew_matrices():
@@ -56,24 +203,24 @@ def test_phi_of_K_is_iH():
 
 
 def test_jordan_decompose_trivial_cases():
-    N = [[F(0), F(1)], [F(0), F(0)]]
+    N = sp([[F(0), F(1)], [F(0), F(0)]])
     S, Nn = mm.jordan_decompose(N)
-    assert mm.mat_is_zero(S) and mm.mat_eq(Nn, mm.qi_entries(N))
-    D = [[F(2), F(0)], [F(0), F(5)]]
+    assert mm.mat_is_zero(S) and mm.mat_eq(Nn, N)
+    D = sp([[F(2), F(0)], [F(0), F(5)]])
     S, Nn = mm.jordan_decompose(D)
-    assert mm.mat_eq(S, mm.qi_entries(D)) and mm.mat_is_zero(Nn)
-    R = [[F(0), F(1)], [F(1), F(0)]]      # minimal polynomial x^2 - 1
+    assert mm.mat_eq(S, D) and mm.mat_is_zero(Nn)
+    R = sp([[F(0), F(1)], [F(1), F(0)]])      # minimal polynomial x^2 - 1
     assert mm.is_nilpotent(N)
     assert not mm.is_nilpotent(D) and not mm.is_nilpotent(R)
 
 
 def test_jordan_decompose_block_plus_scalar():
     # 2x2 Jordan block at 1, plus scalar 3
-    M = [[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(3)]]
+    M = sp([[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(3)]])
     S, N = mm.jordan_decompose(M)
-    assert S == mm.qi_entries([[F(1), F(0), F(0)],
-                               [F(0), F(1), F(0)],
-                               [F(0), F(0), F(3)]])
+    assert S == sp([[F(1), F(0), F(0)],
+                    [F(0), F(1), F(0)],
+                    [F(0), F(0), F(3)]])
     assert N[0][1] == QI(1)
     assert mm.mat_eq(mm.mat_mul(S, N), mm.mat_mul(N, S))
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
@@ -111,20 +258,20 @@ def test_jordan_decompose_property(drawn):
 
 def test_jordan_type():
     M = mm.zeros(5)
-    M[1][0] = mm.Q1
-    M[2][1] = mm.Q1
-    M[4][3] = mm.Q1
+    M[1][0] = F(1)
+    M[2][1] = F(1)
+    M[4][3] = F(1)
     assert mm.jordan_type(M) == (3, 2)
 
 
 def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(ValueError,
                        match=r"2x2 matrix is not nilpotent.*\[2, 1, 1\]"):
-        mm.jordan_type(mm.qi_entries([[1, 0], [0, 0]]))
+        mm.jordan_type(sp([[F(1), F(0)], [F(0), F(0)]]))
 
 
 def test_characteristic_names_non_integer_eigenvalues():
-    H = mm.qi_entries([[F(1, 2), 0], [0, -2]])
+    H = sp([[F(1, 2), F(0)], [F(0), F(-2)]])
     with pytest.raises(ValueError, match=r"2x2 H .* up to 16 .* \[-2\]"):
         mm.characteristic_from_triple(SimpleNamespace(H=H))
 
@@ -134,7 +281,7 @@ def test_jordan_decompose_newton_is_bounded(monkeypatch):
     # which cycles between the Jordan block and its reflection
     monkeypatch.setattr(mm, "mat_inverse", lambda a: mm.eye(len(a), 2))
     with pytest.raises(ValueError, match=r"2x2 matrix .* after 1 steps"):
-        mm.jordan_decompose([[F(1), F(1)], [F(0), F(1)]])
+        mm.jordan_decompose(sp([[F(1), F(1)], [F(0), F(1)]]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -143,7 +290,7 @@ def test_diagram_representatives(p):
     for d in orbits.enumerate_dyo(p):
         X = mm.nilpotent_from_diagram(pair, d)
         assert mm.is_skew(X)
-        assert mm.jordan_type(mm.qi_entries(X)) == tuple(
+        assert mm.jordan_type(X) == tuple(
             sorted(d.shape, reverse=True))
         if not mm.mat_is_zero(X):
             assert pair.parity_tag(X) == "in-p"
@@ -169,12 +316,12 @@ def test_normal_triple_rejects_bad_input():
         mm.normal_triple_for(pair, mm.zeros(5))
     with pytest.raises(ValueError):
         # semisimple element of p
-        mm.normal_triple_for(pair, mm.cartan_point(pair, 1, 0))
+        mm.normal_triple_for(pair, cartan_point(pair, 1, 0))
     with pytest.raises(ValueError):
         # nilpotent but not in p
         M = mm.zeros(5)
-        M[0][1] = mm.Q1
-        M[1][0] = -mm.Q1
+        M[0][1] = F(1)
+        M[1][0] = F(-1)
         mm.normal_triple_for(pair, M)
 
 
@@ -185,10 +332,10 @@ def test_minimal_orbit_cayley_triple():
     nt = mm.cayley_transform(pair, t)
     assert nt.validate() == []
     # round trip back to the embedded real-form triple
-    H0, X0, Y0 = mm.inverse_cayley_transform(pair, nt)
-    assert mm.mat_eq(H0, pair.phi(mm.qi_entries(t.H0)))
-    assert mm.mat_eq(X0, pair.phi(mm.qi_entries(t.X0)))
-    assert mm.mat_eq(Y0, pair.phi(mm.qi_entries(t.Y0)))
+    H0, X0, Y0 = inverse_cayley_transform(nt)
+    assert mm.mat_eq(H0, pair.phi(t.H0))
+    assert mm.mat_eq(X0, pair.phi(t.X0))
+    assert mm.mat_eq(Y0, pair.phi(t.Y0))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -215,7 +362,7 @@ def test_lemma51_sampling():
 def test_lemma51_rejects_pure_inputs():
     pair = mm.build_pair(3)
     with pytest.raises(ValueError):
-        mm.lemma51_check(pair, mm.cartan_point(pair, 1, 2))
+        mm.lemma51_check(pair, cartan_point(pair, 1, 2))
 
 
 def test_even_sheet_on_even_orbit():
@@ -245,7 +392,7 @@ def test_dim_identity():
 def test_locus_matrix_model():
     # p >= 3: four special lines, matching the root-space computation
     pair = mm.build_pair(3)
-    lines, residual = mm.nonregular_locus_matrix(pair)
+    lines, residual = nonregular_locus_matrix(pair)
     assert [(str(a), str(b)) for a, b in lines] == [
         ("0", "1"), ("1", "-1"), ("1", "0"), ("1", "1")]
     assert residual == ()
@@ -255,13 +402,13 @@ def test_locus_so4_case():
     # p = 2 (the (so_4, so_2 x so_2) pair, not covered by the parabolic
     # catalog): only the two lines mu = -+ lambda are non-regular
     pair = mm.build_pair(2)
-    lines, residual = mm.nonregular_locus_matrix(pair)
+    lines, residual = nonregular_locus_matrix(pair)
     assert [(str(a), str(b)) for a, b in lines] == [("1", "-1"), ("1", "1")]
     assert residual == ()
     # dims-level subpair data at the special and generic points
-    assert mm.centralizer_dims(pair, mm.cartan_point(pair, 1, 1)) == (4, 1, 3)
-    assert mm.centralizer_dims(pair, mm.cartan_point(pair, 1, -1)) == (4, 1, 3)
-    assert mm.centralizer_dims(pair, mm.cartan_point(pair, 2, 3)) == (2, 0, 2)
+    assert centralizer_dims(pair, cartan_point(pair, 1, 1)) == (4, 1, 3)
+    assert centralizer_dims(pair, cartan_point(pair, 1, -1)) == (4, 1, 3)
+    assert centralizer_dims(pair, cartan_point(pair, 2, 3)) == (2, 0, 2)
 
 
 def test_restricted_root_multiplicities():
