@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 
 from . import linalg
 from .chevalley import (
-    F0,
     LieElement,
     bracket,
     bracket_span,
@@ -353,9 +352,7 @@ def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     if P.rank != 2:
         raise ValueError("non-regular locus requires a rank-2 pair")
     pb = P.p_basis()
-    A, B = ([[col.get(i, F0) for col in cols] for i in range(P.alg.dimension)]
-            for cols in ([bracket(x, b).coeffs for b in pb]
-                         for x in P.cartan_subspace()))
+    A, B = ([bracket(x, b).coeffs for b in pb] for x in P.cartan_subspace())
     lines, residual = linalg.projective_locus(A, B, P.rank)
     return RegularityLocus(len(pb) - P.rank, lines, residual)
 

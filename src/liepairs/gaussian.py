@@ -5,7 +5,8 @@ form embedding, the Cayley transform and the orbit representatives), and
 even there an entry stays a plain Fraction until i multiplies it;
 everything root-theoretic stays over Fractions.  The two mix in one
 matrix: Fraction's operators return NotImplemented for a QI, so Python
-falls back to the reflected QI operator, and `__eq__` coerces.
+falls back to the reflected QI operator, and `__eq__` coerces an
+`int` or `Fraction`; a real `QI` hashes like its real part.
 
 Invariant: `re` and `im` are always exactly of type `Fraction`, and a
 `QI` is never mutated after `__init__`.  That is why an operation may
@@ -68,11 +69,15 @@ class QI:
         return bool(self.re._numerator or self.im._numerator)
 
     def __eq__(self, other):
-        other = QI.coerce(other)
+        if type(other) is not QI:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QI(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real QI equals its real part, so it hashes like it
+        return hash((self.re, self.im) if self.im._numerator else self.re)
 
     def __add__(self, other):
         if type(other) is not QI:

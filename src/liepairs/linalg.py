@@ -1,16 +1,17 @@
 """Exact linear algebra over a field (Fraction or QI) plus univariate
 polynomial helpers.
 
-Two vector formats, one elimination core.  The incremental API (`Span`,
-`nullspace`, `kernel`) takes sparse vectors: {column: value} dicts of
-the nonzero entries, such as the coefficients of a Lie element or the
-entries of a model matrix keyed by (row, column); `Span` and the
-columns of `kernel` take any keys that sort.  A linear map, for both
-`kernel` and `min_poly`, is the list of the sparse images of the basis
-vectors, its columns.  The dense routines (`rref`, `solve`, `det`,
-`rank`, the pencil) take lists of rows; `sparse` turns a dense vector
-into the sparse format.  Every elimination keeps each reduced row as a
-sparse dict, so no field arithmetic is spent on zeros.
+One vector format and one elimination core.  A vector is sparse: a
+{column: value} dict of its nonzero entries, such as the coefficients of
+a Lie element or the entries of a model matrix keyed by (row, column);
+any keys that sort will do.  A linear map is the list of the sparse
+images of the basis vectors, its columns: `kernel`, `min_poly`, `rank`
+and the pencil all take that.  Every elimination runs on `_reduce` and
+`_insert`, which keep each reduced row sparse, so no field arithmetic is
+spent on zeros.  Dense rows remain only at `rref` and `solve`, whose one
+caller here is the Krylov step of `min_poly`, and at `det`, whose inputs
+are the small square minors of the pencil; `sparse` turns a dense vector
+into the sparse format.
 Everything is duck-typed over the field operations +, -, *, /, and
 truthiness as the zero test, so the same routines serve the rational
 and Gaussian-rational cases.
@@ -19,7 +20,7 @@ and Gaussian-rational cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
 
 F0 = Fraction(0)
@@ -99,8 +100,9 @@ def rref(mat):
     return out, sorted(echelon)
 
 
-def rank(mat):
-    return len(rref(mat)[0])
+def rank(vectors):
+    """Dimension of the span of sparse vectors (not consumed)."""
+    return len(_echelon(dict(v) for v in vectors))
 
 
 def nullspace(rows, ncols):
@@ -148,30 +150,22 @@ def solve(mat, rhs):
 
 
 def det(mat):
-    """Determinant by fraction-friendly Gaussian elimination."""
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    one = rows[0][0] * 0 + 1 if rows else F1
-    d = F1 if isinstance(one, Fraction) else one
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return d * 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        d = d * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d * sign
+    """Determinant of a dense square matrix.
+
+    Each row's remainder modulo the earlier rows is zero at every earlier
+    pivot column, so det = sign(row k -> pivot column of row k) times the
+    product of the pivots.
+    """
+    echelon, pivots, d = {}, [], F1
+    for vec in mat:
+        red = _reduce(echelon, sparse(vec))
+        if not red:
+            return F0
+        pivots.append(min(red))
+        d = d * red[pivots[-1]]
+        _insert(echelon, red)
+    inversions = sum(a > b for a, b in combinations(pivots, 2))
+    return -d if inversions % 2 else d
 
 
 class Span:
@@ -227,19 +221,7 @@ def poly_deg(p):
 
 
 def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else F0
-        b = q[i] if i < len(q) else F0
-        out.append(a + b)
-    return poly_trim(out)
-
-
-def poly_scale(p, c):
-    if not c:
-        return []
-    return [a * c for a in p]
+    return poly_trim([a + b for a, b in zip_longest(p, q, fillvalue=F0)])
 
 
 def poly_mul(p, q):
@@ -410,8 +392,8 @@ def _krylov_annihilator(columns, v):
 
 
 def pencil_locus(A, B):
-    """Rank-drop locus of the pencil M(s) = A + s*B over Q, both matrices
-    rational with the same shape.
+    """Rank-drop locus of the pencil M(s) = A + s*B over Q, A and B being
+    equally long lists of rational sparse columns.
 
     Returns (generic_rank, drop_points, residual_factors):
       drop_points   -- Fractions s0 with rank(A + s0*B) < generic_rank
@@ -420,43 +402,25 @@ def pencil_locus(A, B):
     Rank at the point at infinity (the pure-B matrix) is NOT covered here;
     test B separately.
     """
-    nrows = len(A)
-    ncols = len(A[0]) if A else 0
-
-    # split into independent blocks via the bipartite support graph
-    parent = list(range(nrows + ncols))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in range(nrows):
-        for j in range(ncols):
-            if A[i][j] or B[i][j]:
-                union(i, nrows + j)
-
-    blocks = {}
-    for i in range(nrows):
-        blocks.setdefault(find(i), [set(), set()])[0].add(i)
-    for j in range(ncols):
-        blocks.setdefault(find(nrows + j), [set(), set()])[1].add(j)
+    # a block is the set of columns that share a row, transitively; each
+    # column merges the blocks holding its rows
+    owner = {}                          # row -> its block (columns, rows)
+    for j, (a, b) in enumerate(zip(A, B)):
+        cols, rows = block = [j], a.keys() | b.keys()
+        for old in {id(owner[i]): owner[i] for i in rows
+                    if i in owner}.values():
+            cols += old[0]
+            rows |= old[1]
+        for i in rows:
+            owner[i] = block
+    blocks = {id(block): block for block in owner.values()}.values()
 
     generic_rank = 0
     drop_points = set()
     residual = []
-    for rows_set, cols_set in blocks.values():
-        rows_b = sorted(rows_set)
-        cols_b = sorted(cols_set)
-        if not rows_b or not cols_b:
-            continue
-        Ab = [[A[i][j] for j in cols_b] for i in rows_b]
-        Bb = [[B[i][j] for j in cols_b] for i in rows_b]
-        r, pts, res = _block_locus(Ab, Bb)
+    for cols, rows in sorted(blocks, key=lambda block: min(block[1])):
+        cols.sort()
+        r, pts, res = _block_locus([A[j] for j in cols], [B[j] for j in cols])
         generic_rank += r
         drop_points |= set(pts)
         residual.extend(res)
@@ -464,14 +428,14 @@ def pencil_locus(A, B):
 
 
 def projective_locus(A, B, nullity):
-    """(lines, residual_factors) of the pencil mu*A + lambda*B, whose
-    generic kernel must have dimension `nullity`: sorted pairs [1:s] for
-    the drop points s of `pencil_locus`, and [0:1] if B drops rank."""
-    ncols = len(A[0]) if A else 0
+    """(lines, residual_factors) of the pencil mu*A + lambda*B on sparse
+    columns, whose generic kernel must have dimension `nullity`: sorted
+    pairs [1:s] for the drop points s of `pencil_locus`, and [0:1] if B
+    drops rank."""
     generic, drops, residual = pencil_locus(A, B)
-    if generic != ncols - nullity:
+    if generic != len(A) - nullity:
         raise ValueError("pencil is degenerate: generic centralizer "
-                         f"dimension is {ncols - generic}, not {nullity}")
+                         f"dimension is {len(A) - generic}, not {nullity}")
     lines = [(F1, s) for s in drops]
     if rank(B) < generic:
         lines.append((F0, F1))
@@ -479,54 +443,55 @@ def projective_locus(A, B, nullity):
 
 
 def _eval_pencil(A, B, s):
-    return [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    """The sparse columns of A + s*B; an entry that cancels is dropped."""
+    cols = [{i: a.get(i, F0) + s * b.get(i, F0) for i in a.keys() | b.keys()}
+            for a, b in zip(A, B)]
+    return [{i: x for i, x in col.items() if x} for col in cols]
 
 
 def _block_locus(A, B):
-    nrows, ncols = len(A), len(A[0])
-    bound = min(nrows, ncols)
+    """`pencil_locus` of one block of columns."""
+    rows = sorted(set().union(*A, *B))
+    ncols = len(A)
+    bound = min(len(rows), ncols)
     # generic rank: the drop locus has at most `bound` points, so among
     # bound+1 sample points at least one realizes the generic rank
     r = 0
     for k in range(bound + 2):
-        s = Fraction(k)
-        r = max(r, rank(_eval_pencil(A, B, s)))
+        r = max(r, rank(_eval_pencil(A, B, Fraction(k))))
         if r == bound:
             break
     if r == 0:
         return 0, [], []
     # gcd of all r x r minors; a point is in the locus iff it kills them all
     g = None
-    npts = r + 1
-    xs = [Fraction(k) for k in range(npts)]
-    for rows_c in combinations(range(nrows), r):
+    xs = [Fraction(k) for k in range(r + 1)]
+    for rows_c in combinations(rows, r):
         for cols_c in combinations(range(ncols), r):
             # det of the poly submatrix via interpolation at r+1 points
-            vals = []
-            for s in xs:
-                M = [[A[i][j] + s * B[i][j] for j in cols_c] for i in rows_c]
-                vals.append(det(M))
+            vals = [det([[A[j].get(i, F0) + s * B[j].get(i, F0)
+                          for j in cols_c] for i in rows_c]) for s in xs]
             minor = _lagrange(xs, vals)
             g = minor if g is None else poly_gcd(g, minor)
-            if g is not None and poly_deg(poly_trim(list(g))) <= 0 and any(g):
+            if len(g) == 1:         # trimmed, so a nonzero constant
                 return r, [], []
-    if g is None or not any(g):
+    if not g:
         # every r x r minor vanishes identically: cannot happen, r is generic
         raise AssertionError("generic rank inconsistent with minors")
     roots, res = rational_roots(g)
-    residual = [res] if poly_deg(res) >= 1 else []
-    return r, roots, residual
+    return r, roots, [res] if poly_deg(res) >= 1 else []
 
 
 def _lagrange(xs, ys):
     p = []
     for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = [F1]
-        denom = F1
+        if not yi:
+            continue
+        term, denom = [F1], F1
         for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            term = poly_mul(term, [-xj, F1])
-            denom *= xi - xj
-        p = poly_add(p, poly_scale(term, yi / denom))
+            if i != j:
+                term = poly_mul(term, [-xj, F1])
+                denom *= xi - xj
+        c = yi / denom
+        p = poly_add(p, [a * c for a in term])
     return poly_trim(p)

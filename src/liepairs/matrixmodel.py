@@ -11,7 +11,8 @@ and the even-sheet / minimal-orbit witnesses.
 One matrix format: an n x n matrix is a list of n sparse rows
 {column: value} that hold the nonzero entries only, so `not any(M)` is
 the zero test and `==` is equality.  `entries(M)` keys the entries by
-(row, column), the vector format that `linalg.kernel` and `Span` take.
+(row, column), the vector format that `linalg.kernel`, `rank` and `Span`
+take.
 Entries are `Fraction`s until i multiplies them: the real-form basis,
 k, p, H_k, K_k, the real restricted root spaces and the Cayley triples
 stay rational.  `QI` enters only through `phi`, the Cayley transform,
@@ -125,13 +126,6 @@ def mat_eq(a, b):
     return a == b
 
 
-def rank(a):
-    sp = linalg.Span()
-    for row in a:
-        sp.add(row)
-    return sp.dim
-
-
 def mat_inverse(a):
     n = len(a)
     sp = linalg.Span()
@@ -235,10 +229,7 @@ class MatrixPair:
         return len(self.centralizer_in(X, self.p_basis()))
 
     def dim_bracket_k(self, X):
-        sp = linalg.Span()
-        for b in self.k_basis():
-            sp.add(entries(commutator(b, X)))
-        return sp.dim
+        return linalg.rank(entries(commutator(b, X)) for b in self.k_basis())
 
 
 def build_pair(p) -> MatrixPair:
@@ -313,7 +304,7 @@ def jordan_type(M):
                 f"jordan_type: the {n}x{n} matrix is not nilpotent; "
                 f"ranks of its powers 0..{n}: {ranks}")
         P = mat_mul(P, M)
-        ranks.append(rank(P))
+        ranks.append(linalg.rank(P))
     # ge[k - 1], the number of blocks of size >= k, is ranks[k-1] - ranks[k]
     ge = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
     return tuple(k for k in range(len(ge) - 1, 0, -1)
@@ -525,7 +516,7 @@ def characteristic_from_triple(t: NormalTriple):
                 f"{n}x{n} H has non-integer eigenvalues: the integers up "
                 f"to {8 * n} in size give only {eigs}")
         for val in ({0} if m == 0 else {m, -m}):
-            k = n - rank(lin_comb((F1, -val), (H, eye(n))))
+            k = n - linalg.rank(lin_comb((F1, -val), (H, eye(n))))
             eigs.extend([val] * k)
         m += 1
     return orbits.characteristic_of_weights(eigs, None)

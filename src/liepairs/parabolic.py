@@ -21,7 +21,7 @@ from . import chevalley
 from .cascade import full_cascade
 from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
 from .errors import UsageError
-from .rootsystem import RootSystem, build_root_system
+from .rootsystem import RootSystem
 
 
 def abelian_set(rs: RootSystem, S) -> tuple:
@@ -144,9 +144,7 @@ def expected_rows(type_label, n):
     if type_label == "C":
         if n < 2:
             return {}
-        rs = build_root_system("C", n)
-        sets = [e.subset_K for e in full_cascade(rs)]
-        return {n - 1: (sets, n)}
+        return {n - 1: ([frozenset(range(j, n)) for j in range(n)], n)}
     if type_label == "D":
         if n < 4:
             return {}

@@ -57,9 +57,8 @@ def cartan_matrix(type_label, rank):
         C[n - 1][n - 1] = 2
         C[n - 1][n - 3] = -1
         C[n - 3][n - 1] = -1
-        # detach the chain edge between n-2 and n-1 created by chain(n-1)?
-        # chain(n-1) only links 0..n-2; node n-1 attaches to n-3 only.  For
-        # n = 3 this gives the A3 diagram with alpha_1 in the middle.
+        # node n-1 attaches to n-3 only; for n = 3 this gives the A3
+        # diagram with alpha_1 in the middle
         return C
     if type_label in ("E6", "E7", "E8"):
         n = int(type_label[1])
@@ -89,19 +88,21 @@ def cartan_matrix(type_label, rank):
     raise UsageError(f"unknown type label {type_label!r}")
 
 
-def _root_lengths(type_label, rank, C):
+def _root_lengths(C):
     """Squared lengths (a_i,a_i), long roots normalized to 2."""
-    # d_i proportional to (a_i,a_i); fix by symmetrizing the Cartan matrix
+    # d_i proportional to (a_i,a_i) symmetrizes C: d_i C_ij = d_j C_ji.
+    # A Dynkin diagram is a forest, so one pass from node 0 sets each node
+    # of its component from its parent; the other component of D2 keeps 1
+    rank = len(C)
     d = [Fraction(1)] * rank
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank):
-            for j in range(rank):
-                if C[i][j] and d[i] * C[i][j] != d[j] * C[j][i]:
-                    # want d_i C_ij = d_j C_ji
-                    d[j] = d[i] * Fraction(C[i][j], C[j][i])
-                    changed = True
+    stack, seen = [0], {0}
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if C[i][j] and j not in seen:
+                d[j] = d[i] * Fraction(C[i][j], C[j][i])
+                seen.add(j)
+                stack.append(j)
     top = max(d)
     return [Fraction(2) * x / top for x in d]
 
@@ -154,11 +155,7 @@ class RootSystem:
 
         Only meaningful for irreducible systems; raises otherwise.
         """
-        best = max(self.positive_roots, key=lambda r: (sum(r), r))
-        for r in self.positive_roots:
-            if any(rc > bc for rc, bc in zip(r, best)):
-                raise ValueError("no highest root: system is reducible")
-        return best
+        return highest_root_of_subset(self, range(self.rank))
 
     def support(self, a):
         return frozenset(i for i, c in enumerate(a) if c)
@@ -171,7 +168,7 @@ def build_root_system(type_label, rank):
     lexicographically by coordinates.
     """
     C = cartan_matrix(type_label, rank)
-    lengths = _root_lengths(type_label, rank, C)
+    lengths = _root_lengths(C)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simple)
     frontier = list(simple)

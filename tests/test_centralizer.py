@@ -28,7 +28,7 @@ from liepairs.chevalley import (
     derived_subalgebra,
     span_of,
 )
-from liepairs.parabolic import build_parabolic, scan_type
+from liepairs.parabolic import build_parabolic, enumerate_catalog, scan_type
 
 
 def _pair(label, rank, root):
@@ -193,8 +193,8 @@ def test_regularity_generic_vs_special():
 
 
 def test_d5_gl5_side_locus():
-    # the rank-2 pair (so_10, gl_5): special lines differ from the
-    # so x so case (no coordinate lines in the pencil normalization)
+    # the rank-2 pair (so_10, gl_5): the four special lines are the two
+    # coordinate lines [0:1], [1:0] and the two diagonals [1:-1], [1:1]
     P = _pair("D", 5, 5)
     locus = nonregular_locus(P)
     lines = sorted((str(a), str(b)) for a, b in locus.special_lines)
@@ -203,6 +203,18 @@ def test_d5_gl5_side_locus():
     rep = subpair(P, xs[0] + xs[1])
     assert rep.dim_g_X == 17
     assert rep.r_pair_label == "(so_6, so_5)"
+
+
+def test_every_rank2_catalog_row_has_the_four_lines():
+    rows = [P for P in enumerate_catalog()[0] if P.rank == 2]
+    assert len(rows) == 30
+    four = tuple((Fraction(mu), Fraction(lam))
+                 for mu, lam in ((0, 1), (1, -1), (1, 0), (1, 1)))
+    for P in rows:
+        locus = nonregular_locus(P)
+        assert locus.special_lines == four, P.pair_label
+        assert locus.residual_factors == (), P.pair_label
+        assert locus.generic_rank == len(P.p_basis()) - 2, P.pair_label
 
 
 def test_subpair_of_regular_element():

@@ -1,6 +1,7 @@
 """Exact linear algebra and polynomial kernels over Q and Q(i)."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ def test_rref_rank_nullspace():
     M = [[F(1), F(2), F(3)],
          [F(2), F(4), F(6)],
          [F(1), F(0), F(1)]]
-    assert linalg.rank(M) == 2
+    assert linalg.rank(linalg.sparse(row) for row in M) == 2
     ns = linalg.nullspace([linalg.sparse(row) for row in M], 3)
     assert len(ns) == 1
     v = ns[0]
@@ -42,7 +43,7 @@ def test_det():
 def test_rank_over_gaussian_rationals():
     i = QI(0, 1)
     M = [[QI(1), i], [i, QI(-1)]]      # second row = i * first
-    assert linalg.rank(M) == 1
+    assert linalg.rank(linalg.sparse(row) for row in M) == 1
     ns = linalg.nullspace([linalg.sparse(row) for row in M], 2)
     assert len(ns) == 1
 
@@ -86,11 +87,17 @@ def test_min_poly_certified():
     assert p == expect
 
 
+def sparse_columns(mat):
+    """The sparse columns of a dense matrix."""
+    return [linalg.sparse(col) for col in zip(*mat)]
+
+
 def test_pencil_locus_diagonal():
     # A + sB diagonal (1+s, 1-s, s): rank drops at s = -1, 0, 1
     A = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(0)]]
     B = [[F(1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(1)]]
-    generic, drops, residual = linalg.pencil_locus(A, B)
+    generic, drops, residual = linalg.pencil_locus(sparse_columns(A),
+                                                   sparse_columns(B))
     assert generic == 3
     assert sorted(drops) == [F(-1), F(0), F(1)]
     assert residual == [] or residual == ()
@@ -99,9 +106,47 @@ def test_pencil_locus_diagonal():
 def test_pencil_locus_rank_deficient_everywhere():
     A = [[F(1), F(0)], [F(0), F(0)]]
     B = [[F(2), F(0)], [F(0), F(0)]]
-    generic, drops, residual = linalg.pencil_locus(A, B)
+    generic, drops, residual = linalg.pencil_locus(sparse_columns(A),
+                                                   sparse_columns(B))
     assert generic == 1
     assert drops == [F(-1, 2)]
+
+
+def test_pencil_locus_irrational_drop_points():
+    # M(s) = [[s, 2], [1, s]] has det s^2 - 2: no rational drop point, and
+    # the residual factor carries the two irrational ones
+    A = sparse_columns([[F(0), F(2)], [F(1), F(0)]])
+    B = sparse_columns([[F(1), F(0)], [F(0), F(1)]])
+    assert linalg.pencil_locus(A, B) == (2, [], [[F(-2), F(0), F(1)]])
+    assert linalg.projective_locus(A, B, 0) == ((), ((F(-2), F(0), F(1)),))
+
+
+def test_pencil_locus_column_joining_two_blocks():
+    # the columns (s, 0) and (0, s - 1) are two blocks, dropping rank at
+    # s = 0 and s = 1; the column (1, 1) joins them, and no point drops
+    A = [{}, {1: F(-1)}, {0: F(1), 1: F(1)}]
+    B = [{0: F(1)}, {1: F(1)}, {}]
+    assert linalg.pencil_locus(A[:2], B[:2]) == (2, [F(0), F(1)], [])
+    assert linalg.pencil_locus(A, B) == (2, [], [])
+    assert linalg.projective_locus(A, B, 1) == ((), ())
+
+
+def test_pencil_locus_all_zero_column():
+    # M(s) = [[1 + s, 0]]: the zero column joins no block
+    A = [{0: F(1)}, {}]
+    B = [{0: F(1)}, {}]
+    assert linalg.pencil_locus(A, B) == (1, [F(-1)], [])
+    assert linalg.projective_locus(A, B, 1) == (((F(1), F(-1)),), ())
+
+
+def test_pencil_locus_entry_cancelling_at_a_sample_point():
+    # M(s) = [[1 - s, 1], [0, s]] has rank 1 at the samples s = 0 and 1, so
+    # the generic-rank search evaluates s = 1, where 1 - s cancels: it is
+    # dropped, not kept as a zero pivot
+    A = [{0: F(1)}, {0: F(1)}]
+    B = [{0: F(-1)}, {1: F(1)}]
+    assert linalg._eval_pencil(A, B, F(1)) == [{}, {0: F(1), 1: F(1)}]
+    assert linalg.pencil_locus(A, B) == (2, [F(0), F(1)], [])
 
 
 def test_rational_roots():
@@ -217,7 +262,9 @@ def test_rref_rank_nullspace_match_dense_reference(mat):
     want_rows, want_pivots = dense_rref(mat)
     assert pivots == want_pivots
     assert_same(rows, want_rows)
-    assert linalg.rank(mat) == len(want_pivots)
+    vectors = [linalg.sparse(r) for r in mat]
+    assert linalg.rank(vectors) == len(want_pivots)
+    assert vectors == [linalg.sparse(r) for r in mat]     # not consumed
     assert_same(linalg.nullspace([linalg.sparse(r) for r in mat], ncols),
                 dense_nullspace(mat, ncols))
 
@@ -322,6 +369,36 @@ def square_matrices(draw, entry):
 def test_min_poly_matches_dense_reference(mat):
     columns = [linalg.sparse(c) for c in zip(*mat)]
     assert linalg.min_poly(columns) == dense_min_poly(mat)
+
+
+def leibniz_det(mat):
+    """The sum over permutations, the reference for `det`."""
+    total = F(0)
+    for perm in permutations(range(len(mat))):
+        term = F(-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for row, j in zip(mat, perm):
+            term = term * row[j]
+        total = total + term
+    return total
+
+
+@st.composite
+def det_inputs(draw, entry):
+    """Square matrices, half of them made singular: the last row becomes
+    a combination of the others (the zero row when it is the only one)."""
+    mat = draw(square_matrices(entry))
+    if draw(st.booleans()):
+        cs = [draw(entry) for _ in mat[:-1]]
+        mat[-1] = [sum((c * row[j] for c, row in zip(cs, mat)), F(0))
+                   for j in range(len(mat))]
+    return mat
+
+
+@PROPERTY
+@given(_fields(det_inputs))
+@example([])
+def test_det_matches_leibniz_reference(mat):
+    assert linalg.det(mat) == leibniz_det(mat)
 
 
 def dense_ad(x):
