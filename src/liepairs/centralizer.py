@@ -64,10 +64,16 @@ def span_intersection(basis_a, basis_b, alg):
     if not basis_a or not basis_b:
         return []
     cols = [e.coeffs for e in basis_a + basis_b]
-    # a solution (x, y) has x . basis_a = -y . basis_b; lin_comb zips, so
-    # it reads only the x part
-    meet = [lin_comb(sol, basis_a) for sol in linalg.kernel(cols)]
-    return _span_elems(span_of(meet), alg)
+    # a solution (x, y) has x . basis_a = -y . basis_b; only its x part,
+    # the columns below n, is read
+    n = len(basis_a)
+    meet = linalg.Span()
+    for sol in linalg.kernel(cols):
+        xs = [j for j in sol if j < n]
+        if xs:
+            meet.add(lin_comb([sol[j] for j in xs],
+                              [basis_a[j] for j in xs]).coeffs)
+    return _span_elems(meet, alg)
 
 
 # ---------------------------------------------------------------------------

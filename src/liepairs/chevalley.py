@@ -32,9 +32,11 @@ class ChevalleyAlgebra:
         self.dimension = len(self.roots) + rs.rank
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.pos_index = {r: i for i, r in enumerate(pos)}
+        # filled on first use: most algebras built are never bracketed
         self._N_memo = {}
-        self._extraspecial = {}
+        self._extraspecial = None
         self._bracket_memo = {}
+        self._length6 = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -62,14 +64,15 @@ class ChevalleyAlgebra:
 
     def coroot(self, root):
         """Coordinates of the coroot of `root` over H_1..H_rank (integers)."""
+        # coordinate i is root[i] (a_i, a_i) / (root, root)
         rs = self.rs
-        la = rs.form(root, root)
+        la6 = self._sq_length6(tuple(root))
         out = []
         for i in range(rs.rank):
-            c = Fraction(root[i]) * rs.lengths[i] / la
+            c, r = divmod(root[i] * rs._gram6[i][i], la6)
+            assert not r
             out.append(c)
-        assert all(c.denominator == 1 for c in out)
-        return tuple(int(c) for c in out)
+        return tuple(out)
 
     def chain_p(self, a, b):
         """Largest p with b - p*a a root."""
@@ -82,36 +85,40 @@ class ChevalleyAlgebra:
 
     def extraspecial_pair(self, gamma):
         """The special pair (a, b), a + b = gamma, with minimal a."""
-        gamma = tuple(gamma)
-        if gamma in self._extraspecial:
-            return self._extraspecial[gamma]
-        best = None
-        for a, ia in self.pos_index.items():
-            b = tuple(g - x for g, x in zip(gamma, a))
-            ib = self.pos_index.get(b)
-            if ib is not None and ia < ib:
-                if best is None or ia < self.pos_index[best[0]]:
-                    best = (a, b)
+        if self._extraspecial is None:
+            # the simple roots come first in the positive order, and a
+            # non-simple positive root less some simple root is a positive
+            # root, so the minimal a is the first simple root that leaves
+            # one; that b comes after a, or b would have been met first
+            pos = list(self.pos_index)
+            table = {}
+            for g in pos[self.rank:]:
+                for a in pos[:self.rank]:
+                    b = tuple(x - y for x, y in zip(g, a))
+                    if b in self.pos_index:
+                        table[g] = (a, b)
+                        break
+            self._extraspecial = table
+        best = self._extraspecial.get(tuple(gamma))
         if best is None:
             raise ValueError("no special pair: input is not a non-simple "
                              "positive root")
-        self._extraspecial[gamma] = best
         return best
 
     def N(self, a, b):
         """Structure constant with [x_a, x_b] = N(a,b) x_{a+b}; 0 when a+b
         is not a root.  Raises when b = -a (that bracket is a coroot)."""
-        a, b = tuple(a), tuple(b)
-        if all(x + y == 0 for x, y in zip(a, b)):
-            raise ValueError("N is undefined for opposite roots")
+        key = a, b = tuple(a), tuple(b)
+        val = self._N_memo.get(key)
+        if val is not None:
+            return val
         s = tuple(x + y for x, y in zip(a, b))
-        if not self.rs.is_root(s):
-            return 0
-        key = (a, b)
-        if key in self._N_memo:
-            return self._N_memo[key]
-        val = self._compute_N(a, b, s)
-        assert val != 0
+        if not any(s):
+            raise ValueError("N is undefined for opposite roots")
+        val = 0
+        if self.rs.is_root(s):
+            val = self._compute_N(a, b, s)
+            assert val != 0
         self._N_memo[key] = val
         return val
 
@@ -126,24 +133,32 @@ class ChevalleyAlgebra:
             if (a, b) == (a1, b1):
                 return self.chain_p(a, b) + 1
             na1 = tuple(-c for c in a1)
-            term = Fraction(0)
+            term = 0
             d1 = tuple(x - y for x, y in zip(a, a1))
             if rs.is_root(d1):
-                term += Fraction(self.N(na1, a)) * self.N(d1, b)
+                term += self.N(na1, a) * self.N(d1, b)
             d2 = tuple(x - y for x, y in zip(b, a1))
             if rs.is_root(d2):
-                term += Fraction(self.N(na1, b)) * self.N(a, d2)
-            denom = self.N(na1, s)
-            val = term / denom
-            assert val.denominator == 1
-            return int(val)
+                term += self.N(na1, b) * self.N(a, d2)
+            val, r = divmod(term, self.N(na1, s))
+            assert not r
+            return val
         if not pos_a and not pos_b:
             return -self.N(tuple(-c for c in a), tuple(-c for c in b))
-        # mixed signs: rotate through the cyclic identity on a + b + c = 0
+        # mixed signs: rotate through the cyclic identity on a + b + c = 0,
+        # N(a, b) = N(b, c) (c, c) / (a, a)
         c = tuple(-x - y for x, y in zip(a, b))
-        val = Fraction(rs.form(c, c)) / rs.form(a, a) * self.N(b, c)
-        assert val.denominator == 1
-        return int(val)
+        val, r = divmod(self._sq_length6(c) * self.N(b, c),
+                        self._sq_length6(a))
+        assert not r
+        return val
+
+    def _sq_length6(self, root):
+        """6 (root, root), an integer."""
+        out = self._length6.get(root)
+        if out is None:
+            out = self._length6[root] = self.rs.form6(root, root)
+        return out
 
     # -- brackets -------------------------------------------------------------
 
@@ -205,6 +220,8 @@ class LieElement:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if not isinstance(other, LieElement):
+            return NotImplemented
         return self.alg is other.alg and self.coeffs == other.coeffs
 
     def __add__(self, other):
@@ -250,15 +267,19 @@ def lin_comb(coeffs, elems):
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     if x.alg is not y.alg:
         raise ValueError("elements of different algebras")
-    alg = x.alg
+    basis = x.alg.bracket_basis
     out = {}
     for i, ci in x.coeffs.items():
         for j, cj in y.coeffs.items():
+            b = basis(i, j)
+            if not b:           # most pairs of basis vectors commute
+                continue
             c = ci * cj
-            for k, n in alg.bracket_basis(i, j).items():
-                prev = out.get(k, F0)
-                out[k] = prev + c * n
-    return LieElement(alg, out)
+            for k, n in b.items():
+                t = c if n == 1 else -c if n == -1 else c * n
+                prev = out.get(k)
+                out[k] = t if prev is None else prev + t
+    return LieElement(x.alg, out)
 
 
 def centralizer_in(x: LieElement, subspace_basis):
@@ -266,7 +287,8 @@ def centralizer_in(x: LieElement, subspace_basis):
     if not subspace_basis:
         return []
     cols = [bracket(x, b).coeffs for b in subspace_basis]
-    return [lin_comb(c, subspace_basis) for c in linalg.kernel(cols)]
+    return [lin_comb(sol.values(), [subspace_basis[j] for j in sol])
+            for sol in linalg.kernel(cols)]
 
 
 def is_ad_semisimple(x: LieElement) -> bool:

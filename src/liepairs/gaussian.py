@@ -5,8 +5,9 @@ form embedding, the Cayley transform and the orbit representatives), and
 even there an entry stays a plain Fraction until i multiplies it;
 everything root-theoretic stays over Fractions.  The two mix in one
 matrix: Fraction's operators return NotImplemented for a QI, so Python
-falls back to the reflected QI operator, and `__eq__` coerces an
-`int` or `Fraction`; a real `QI` hashes like its real part.
+falls back to the reflected QI operator, which, like `__eq__`, takes an
+`int` or `Fraction` operand as it is, without building a `QI` for it; a
+real `QI` hashes like its real part.
 
 Invariant: `re` and `im` are always exactly of type `Fraction`, and a
 `QI` is never mutated after `__init__`.  That is why an operation may
@@ -20,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _F0 = Fraction(0)
+_RATIONAL = (int, Fraction)
 
 
 # The zero tests below read `_numerator`: `Fraction.__bool__` and the
@@ -70,9 +72,9 @@ class QI:
 
     def __eq__(self, other):
         if type(other) is not QI:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _RATIONAL):
                 return NotImplemented
-            other = QI(other)
+            return not self.im._numerator and self.re == other
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -81,7 +83,9 @@ class QI:
 
     def __add__(self, other):
         if type(other) is not QI:
-            other = QI(other)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            return QI(self.re + other, self.im) if other else self
         if not (other.re._numerator or other.im._numerator):
             return self
         if not (self.re._numerator or self.im._numerator):
@@ -98,7 +102,9 @@ class QI:
 
     def __sub__(self, other):
         if type(other) is not QI:
-            other = QI(other)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            return QI(self.re - other, self.im) if other else self
         if not (other.re._numerator or other.im._numerator):
             return self
         if not (self.re._numerator or self.im._numerator):
@@ -106,11 +112,17 @@ class QI:
         return QI(_minus(self.re, other.re), _minus(self.im, other.im))
 
     def __rsub__(self, other):
-        return QI(other) - self
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        return QI(other - self.re, -self.im)
 
     def __mul__(self, other):
         if type(other) is not QI:
-            other = QI(other)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            re, im = self.re, self.im
+            return QI(re * other if re._numerator else re,
+                      im * other if im._numerator else im)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not (c._numerator or d._numerator):
             return other

@@ -6,7 +6,9 @@ One vector format and one elimination core.  A vector is sparse: a
 a Lie element or the entries of a model matrix keyed by (row, column);
 any keys that sort will do.  A linear map is the list of the sparse
 images of the basis vectors, its columns: `kernel`, `min_poly`, `rank`
-and the pencil all take that.  Every elimination runs on `_reduce` and
+and the pencil all take that, and `nullspace` and `kernel` return their
+basis as sparse vectors, so a caller combines only the nonzero
+coefficients.  Every elimination runs on `_reduce` and
 `_insert`, which keep each reduced row sparse, so no field arithmetic is
 spent on zeros.  Dense rows remain only at `rref` and `solve`, whose one
 caller here is the Krylov step of `min_poly`, and at `det`, whose inputs
@@ -106,27 +108,22 @@ def rank(vectors):
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : row . x = 0 for every sparse row}, as dense vectors of
-    length ncols."""
+    """Basis of {x : row . x = 0 for every sparse row}, as sparse vectors:
+    one per free column of 0..ncols-1, in column order, with 1 there."""
     echelon = _echelon(dict(row) for row in rows)
-    # a pivot row lacking the free column gives a zero of its field
-    pivots = [(pc, row, row[pc] * 0) for pc, row in echelon.items()]
-    basis = []
-    for fc in range(ncols):
-        if fc in echelon:
-            continue
-        vec = [F0] * ncols
-        vec[fc] = F1
-        for pc, row, zero in pivots:
-            x = row.get(fc)
-            vec[pc] = zero if x is None else -x
-        basis.append(vec)
-    return basis
+    basis = {fc: {fc: F1} for fc in range(ncols) if fc not in echelon}
+    # a reduced row is zero at every other pivot column, so each of its
+    # other entries sits in a free column
+    for pc, row in echelon.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def kernel(columns):
     """Basis of the coefficient vectors c with sum_j c[j] * columns[j] = 0,
-    the columns being sparse vectors."""
+    the columns and the c being sparse vectors."""
     rows = {}
     for j, col in enumerate(columns):
         for i, x in col.items():
@@ -466,12 +463,16 @@ def _block_locus(A, B):
     # gcd of all r x r minors; a point is in the locus iff it kills them all
     g = None
     xs = [Fraction(k) for k in range(r + 1)]
+    lagrange = _lagrange_basis(xs)
     for rows_c in combinations(rows, r):
         for cols_c in combinations(range(ncols), r):
             # det of the poly submatrix via interpolation at r+1 points
-            vals = [det([[A[j].get(i, F0) + s * B[j].get(i, F0)
-                          for j in cols_c] for i in rows_c]) for s in xs]
-            minor = _lagrange(xs, vals)
+            minor = []
+            for s, term in zip(xs, lagrange):
+                y = det([[A[j].get(i, F0) + s * B[j].get(i, F0)
+                          for j in cols_c] for i in rows_c])
+                if y:
+                    minor = poly_add(minor, [a * y for a in term])
             g = minor if g is None else poly_gcd(g, minor)
             if len(g) == 1:         # trimmed, so a nonzero constant
                 return r, [], []
@@ -482,16 +483,15 @@ def _block_locus(A, B):
     return r, roots, [res] if poly_deg(res) >= 1 else []
 
 
-def _lagrange(xs, ys):
-    p = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
-            continue
+def _lagrange_basis(xs):
+    """The polynomials that are 1 at one of the points xs and 0 at the
+    others."""
+    out = []
+    for i, xi in enumerate(xs):
         term, denom = [F1], F1
         for j, xj in enumerate(xs):
             if i != j:
                 term = poly_mul(term, [-xj, F1])
                 denom *= xi - xj
-        c = yi / denom
-        p = poly_add(p, [a * c for a in term])
-    return poly_trim(p)
+        out.append([a / denom for a in term])
+    return out

@@ -139,17 +139,20 @@ def mat_inverse(a):
 def _kernel(basis, image):
     """The elements of span(basis) that the linear map `image` (matrix to
     its `entries`) sends to zero."""
-    return [lin_comb(sol, basis)
+    return [lin_comb(sol.values(), [basis[j] for j in sol])
             for sol in linalg.kernel([image(b) for b in basis])]
 
 
 def _solve(columns, rhs):
     """rref's particular solution x of sum_j x[j] columns[j] = rhs, free
-    unknowns 0: the kernel vector of (columns | -rhs) ending in 1; or None
-    if there is no solution."""
+    unknowns 0, as a sparse vector: the kernel vector of (columns | -rhs)
+    that is 1 at the last column, less that entry; or None if there is no
+    solution."""
+    n = len(columns)
     sol = linalg.kernel(columns + [{k: -x for k, x in rhs.items()}])
-    if sol and sol[-1][-1]:
-        return sol[-1][:-1]
+    if sol and n in sol[-1]:
+        del sol[-1][n]
+        return sol[-1]
     return None
 
 
@@ -403,13 +406,13 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
                  entries(mat_scale(X, 2)))
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
-    H = lin_comb(sol, cands)
+    H = lin_comb(sol.values(), [cands[j] for j in sol])
     # Y in p with [X, Y] = H and [H, Y] = -2 Y, the two stacked
     sol = _solve([entries(c + lin_comb((F1, 2), (commutator(H, b), b)))
                   for c, b in zip(cands, pb)], entries(H))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
-    Y = lin_comb(sol, pb)
+    Y = lin_comb(sol.values(), [pb[j] for j in sol])
     out = NormalTriple(pair, H, X, Y)
     errs = out.validate()
     if errs:

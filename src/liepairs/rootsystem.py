@@ -132,13 +132,17 @@ class RootSystem:
 
     # -- pairing helpers ----------------------------------------------------
 
-    def form(self, a, b):
-        """Invariant bilinear form (a, b) for integer coordinate vectors."""
+    def form6(self, a, b):
+        """6 (a, b), an integer, for integer coordinate vectors."""
         total = 0
         for ai, row in zip(a, self._gram6):
             if ai:
                 total += ai * sum(g * bj for g, bj in zip(row, b))
-        return Fraction(total, 6)
+        return total
+
+    def form(self, a, b):
+        """Invariant bilinear form (a, b) for integer coordinate vectors."""
+        return Fraction(self.form6(a, b), 6)
 
     def is_root(self, a):
         return tuple(a) in self._root_set

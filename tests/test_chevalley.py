@@ -60,6 +60,50 @@ def test_g2_chain_constants():
     assert 3 in vals
 
 
+ALL_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+             + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+             + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_structure_constants_against_chevalleys_theorem(label, rank):
+    # |N(a, b)| = p + 1 with b - p a the start of the a-string through b,
+    # computed by walking the string, apart from the recursion for N
+    alg = build_algebra(label, rank)
+    is_root = alg.rs.is_root
+    for a in alg.roots:
+        for b in alg.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if not is_root(s):
+                continue
+            p = 0
+            while is_root(tuple(y - (p + 1) * x for x, y in zip(a, b))):
+                p += 1
+            n = alg.N(a, b)
+            assert type(n) is int and abs(n) == p + 1
+            assert alg.N(b, a) == -n
+    for gamma in alg.rs.positive_roots:
+        if sum(gamma) > 1:
+            assert alg.N(*alg.extraspecial_pair(gamma)) > 0
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_extraspecial_pair_is_the_minimal_special_pair(label, rank):
+    alg = build_algebra(label, rank)
+    pos = alg.rs.positive_roots
+    index = {r: i for i, r in enumerate(pos)}
+    for gamma in pos:
+        # the first a, in the positive order, with gamma - a a later root
+        special = [(a, b) for ia, a in enumerate(pos)
+                   if index.get(b := tuple(g - x for g, x in zip(gamma, a)),
+                                -1) > ia]
+        if special:
+            assert alg.extraspecial_pair(gamma) == special[0]
+        else:
+            with pytest.raises(ValueError, match="no special pair"):
+                alg.extraspecial_pair(gamma)
+
+
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G2", 2),
                                         ("A", 3), ("B", 3), ("C", 3)])
 def test_jacobi_exhaustive_small(label, rank):
@@ -101,6 +145,15 @@ def test_lin_comb_matches_repeated_add_and_scale():
     assert all(got.coeffs.values())     # no stored zeros
     assert lin_comb([1, -1], [elems[0], elems[0]]) == alg.zero()
     assert lin_comb([0, 0], elems[:2]) == alg.zero()
+
+
+def test_element_equality_with_other_types():
+    alg = build_algebra("A", 1)
+    x = alg.x((1,))
+    assert x.__eq__(None) is NotImplemented
+    assert not alg.zero() == 0 and alg.zero() != 0
+    assert x in [None, x] and None not in [x]
+    assert x == alg.x((1,)) and x != alg.x((-1,))
 
 
 def test_cartan_coroot_brackets():

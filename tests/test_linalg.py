@@ -20,10 +20,10 @@ def test_rref_rank_nullspace():
          [F(1), F(0), F(1)]]
     assert linalg.rank(linalg.sparse(row) for row in M) == 2
     ns = linalg.nullspace([linalg.sparse(row) for row in M], 3)
-    assert len(ns) == 1
+    assert ns == [{0: F(-1), 1: F(-1), 2: F(1)}]
     v = ns[0]
     for row in M:
-        assert sum(r * x for r, x in zip(row, v)) == 0
+        assert sum(row[c] * x for c, x in v.items()) == 0
 
 
 def test_solve_consistent_and_inconsistent():
@@ -219,6 +219,15 @@ def assert_same(got, want):
     assert [type(x) for x in flat_got] == [type(x) for x in flat_want]
 
 
+def assert_same_sparse(got, want):
+    """The sparse vectors got store no zero and hold the nonzero entries
+    of the dense vectors want, equal and of the same types."""
+    assert all(x for vec in got for x in vec.values())
+    assert got == [linalg.sparse(vec) for vec in want]
+    assert_same([[vec[c] for c in sorted(vec)] for vec in got],
+                [[x for x in vec if x] for vec in want])
+
+
 SCALARS = [0, 0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)]
 fractions_ = st.sampled_from(SCALARS).map(F)
 gaussians = st.builds(QI, st.sampled_from(SCALARS), st.sampled_from(SCALARS))
@@ -265,8 +274,8 @@ def test_rref_rank_nullspace_match_dense_reference(mat):
     vectors = [linalg.sparse(r) for r in mat]
     assert linalg.rank(vectors) == len(want_pivots)
     assert vectors == [linalg.sparse(r) for r in mat]     # not consumed
-    assert_same(linalg.nullspace([linalg.sparse(r) for r in mat], ncols),
-                dense_nullspace(mat, ncols))
+    basis = linalg.nullspace([linalg.sparse(r) for r in mat], ncols)
+    assert_same_sparse(basis, dense_nullspace(mat, ncols))
 
 
 @PROPERTY
@@ -278,11 +287,12 @@ def test_kernel_matches_dense_reference(columns):
     k = len(columns)
     basis = linalg.kernel([linalg.sparse(col) for col in columns])
     assert len(basis) == k - len(dense_rref(columns)[1])
-    assert_same(basis, dense_nullspace([list(r) for r in zip(*columns)], k))
+    assert_same_sparse(basis,
+                       dense_nullspace([list(r) for r in zip(*columns)], k))
     for c in basis:
         total = [x * 0 for x in columns[0]]
-        for cj, col in zip(c, columns):
-            total = [t + cj * x for t, x in zip(total, col)]
+        for j, cj in c.items():
+            total = [t + cj * x for t, x in zip(total, columns[j])]
         assert not any(total)
 
 
