@@ -1,4 +1,4 @@
-"""Gaussian rationals: the field Q(i), kept exact via a pair of Fractions.
+"""Gaussian rationals: the field Q(i), kept exact in plain ints.
 
 Only the matrix realization of so(p+2) needs the imaginary unit (the real
 form embedding, the Cayley transform and the orbit representatives), and
@@ -9,57 +9,75 @@ falls back to the reflected QI operator, which, like `__eq__`, takes an
 `int` or `Fraction` operand as it is, without building a `QI` for it; a
 real `QI` hashes like its real part.
 
-Invariant: `re` and `im` are always exactly of type `Fraction`, and a
-`QI` is never mutated after `__init__`.  That is why an operation may
-return one of its operands (x + 0 is x itself), and why the arithmetic
-may test a part for zero through its numerator.  Every `QI` is built by
-`__init__`.
+Invariant: a `QI` is three ints (a + b*i)/d in canonical form, d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1) and equal values have equal
+parts.  `re` and `im` are derived from them as exact `Fraction`s.  Each
+operation is a few int products and one three-way gcd, with no
+`Fraction` built on the way.  A `QI` is never mutated after `__init__`,
+which is why an operation may return one of its operands (x + 0 is x
+itself).  Every `QI` is built by `__init__`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_F0 = Fraction(0)
 _RATIONAL = (int, Fraction)
 
 
-# The zero tests below read `_numerator`: `Fraction.__bool__` and the
-# `numerator` property each cost a Python-level call, and the matrix
-# model makes millions of these tests.
-
-def _plus(x, y):
-    if not x._numerator:
-        return y
-    if not y._numerator:
-        return x
-    return x + y
+def _canonical(a, b, d):
+    """The QI (a + b*i)/d, for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return QI(a, b, d)
 
 
-def _minus(x, y):
-    if not y._numerator:
-        return x
-    if not x._numerator:
-        return -y
-    return x - y
+def _sum(a, b, d, c, e, f):
+    """(a + b*i)/d + (c + e*i)/f."""
+    if d == f:
+        return _canonical(a + c, b + e, d)
+    return _canonical(a * f + c * d, b * f + e * d, d * f)
 
 
-def _times(x, y):
-    if not x._numerator:
-        return x
-    if not y._numerator:
-        return y
-    return x * y
+def _rational_parts(x):
+    """(a, 0, d) with x = a/d for an int or Fraction x, else None."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x, 0, 1
+        if not isinstance(x, _RATIONAL):
+            return None
+        x = Fraction(x)
+    return x._numerator, 0, x._denominator
 
 
 class QI:
     """An element a + b*i with a, b rational."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=_F0, im=_F0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re=0, im=0, _d=1):
+        # two ints are taken as the canonical parts over the denominator
+        # _d; the operations pass them reduced
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, _d
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the two reduced denominators no prime divides
+        # all three parts
+        d = lcm(re._denominator, im._denominator)
+        self._a = re._numerator * (d // re._denominator)
+        self._b = im._numerator * (d // im._denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "QI":
@@ -68,78 +86,90 @@ class QI:
         return QI(x)
 
     def __bool__(self):
-        return bool(self.re._numerator or self.im._numerator)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if type(other) is not QI:
-            if not isinstance(other, _RATIONAL):
-                return NotImplemented
-            return not self.im._numerator and self.re == other
-        return self.re == other.re and self.im == other.im
+        if type(other) is QI:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        parts = _rational_parts(other)
+        if parts is None:
+            return NotImplemented
+        return (self._a, self._b, self._d) == parts
 
     def __hash__(self):
         # a real QI equals its real part, so it hashes like it
-        return hash((self.re, self.im) if self.im._numerator else self.re)
+        return hash((self.re, self.im) if self._b else self.re)
 
     def __add__(self, other):
-        if type(other) is not QI:
-            if not isinstance(other, _RATIONAL):
+        if type(other) is QI:
+            c, e, f = other._a, other._b, other._d
+            if not (c or e):
+                return self
+            if not (self._a or self._b):
+                return other
+        else:
+            parts = _rational_parts(other)
+            if parts is None:
                 return NotImplemented
-            return QI(self.re + other, self.im) if other else self
-        if not (other.re._numerator or other.im._numerator):
-            return self
-        if not (self.re._numerator or self.im._numerator):
-            return other
-        return QI(_plus(self.re, other.re), _plus(self.im, other.im))
+            c, e, f = parts
+            if not c:
+                return self
+        return _sum(self._a, self._b, self._d, c, e, f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        re, im = self.re, self.im
-        if not (re._numerator or im._numerator):
+        if not (self._a or self._b):
             return self
-        return QI(-re if re._numerator else re, -im if im._numerator else im)
+        return QI(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        if type(other) is not QI:
-            if not isinstance(other, _RATIONAL):
+        if type(other) is QI:
+            c, e, f = other._a, other._b, other._d
+            if not (c or e):
+                return self
+            if not (self._a or self._b):
+                return -other
+        else:
+            parts = _rational_parts(other)
+            if parts is None:
                 return NotImplemented
-            return QI(self.re - other, self.im) if other else self
-        if not (other.re._numerator or other.im._numerator):
-            return self
-        if not (self.re._numerator or self.im._numerator):
-            return -other
-        return QI(_minus(self.re, other.re), _minus(self.im, other.im))
+            c, e, f = parts
+            if not c:
+                return self
+        return _sum(self._a, self._b, self._d, -c, -e, f)
 
     def __rsub__(self, other):
-        if not isinstance(other, _RATIONAL):
+        parts = _rational_parts(other)
+        if parts is None:
             return NotImplemented
-        return QI(other - self.re, -self.im)
+        return _sum(*parts, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if type(other) is not QI:
-            if not isinstance(other, _RATIONAL):
+        if type(other) is QI:
+            c, e, f = other._a, other._b, other._d
+            if not (c or e):
+                return other
+            if not (self._a or self._b):
+                return self
+        else:
+            parts = _rational_parts(other)
+            if parts is None:
                 return NotImplemented
-            re, im = self.re, self.im
-            return QI(re * other if re._numerator else re,
-                      im * other if im._numerator else im)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not (c._numerator or d._numerator):
-            return other
-        if not (a._numerator or b._numerator):
-            return self
-        if not (b._numerator or d._numerator):
-            return QI(a * c, b)
-        return QI(_minus(_times(a, c), _times(b, d)),
-                  _plus(_times(a, d), _times(b, c)))
+            c, e, f = parts
+        a, b, d = self._a, self._b, self._d
+        return _canonical(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QI":
-        n = self.re * self.re + self.im * self.im
+        # ((a + b i)/d)^-1 = d (a - b i)/(a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return QI(self.re / n, -self.im / n)
+        return _canonical(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * QI.coerce(other).inverse()
@@ -148,9 +178,10 @@ class QI:
         return QI.coerce(other) * self.inverse()
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"

@@ -229,7 +229,10 @@ class MatrixPair:
         return _kernel(basis, lambda b: entries(commutator(X, b)))
 
     def dim_p_centralizer(self, X):
-        return len(self.centralizer_in(X, self.p_basis()))
+        """dim p^X, counted on the coefficient kernel: no element of p^X
+        is built."""
+        return len(linalg.kernel([entries(commutator(X, b))
+                                  for b in self.p_basis()]))
 
     def dim_bracket_k(self, X):
         return linalg.rank(entries(commutator(b, X)) for b in self.k_basis())

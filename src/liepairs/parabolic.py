@@ -27,18 +27,19 @@ from .rootsystem import RootSystem
 def abelian_set(rs: RootSystem, S) -> tuple:
     """R_S^1 = positive roots not supported on S."""
     S = frozenset(S)
-    return tuple(r for r in rs.positive_roots if not (rs.support(r) <= S))
+    omitted = [i for i in range(rs.rank) if i not in S]
+    return tuple(r for r in rs.positive_roots if any(r[i] for i in omitted))
 
 
 def is_abelian_radical(rs: RootSystem, S) -> bool:
-    """True iff no two roots of R_S^1 sum to a root (u_S abelian)."""
-    r1 = abelian_set(rs, S)
-    for i in range(len(r1)):
-        for j in range(i, len(r1)):
-            s = tuple(x + y for x, y in zip(r1[i], r1[j]))
-            if rs.is_root(s):
-                return False
-    return True
+    """True iff u_S is abelian: S grades g by the sum of a root's
+    coefficients outside S, u_S is the part of positive degree, and it is
+    abelian iff no degree exceeds 1, the highest root's degree being the
+    largest.  (When S is everything, u_S = 0.)"""
+    S = frozenset(S)
+    # positive roots are sorted by height: the last is the highest root
+    highest = rs.positive_roots[-1]
+    return sum(c for i, c in enumerate(highest) if i not in S) <= 1
 
 
 @dataclass(frozen=True)

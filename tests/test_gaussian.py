@@ -1,6 +1,7 @@
 """Field axioms and coercion for the Gaussian rationals."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -130,3 +131,66 @@ def test_arithmetic_matches_reference(x, y):
         assert hash(a) == (hash(ra) if ra[1] else hash(ra[0]))
         if type(b) is QI and ra == rb:
             assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# the representation: three ints (a + b*i)/d in canonical form
+
+
+def parts_of(z):
+    return z._a, z._b, z._d
+
+
+def assert_canonical(z):
+    a, b, d = parts_of(z)
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (F(a, d), F(b, d))
+    # equal values have equal parts, however the value was reached
+    w = QI(z.re, z.im)
+    assert parts_of(w) == parts_of(z) and w == z and hash(w) == hash(z)
+    if not b:
+        assert z == z.re and z.re == z and hash(z) == hash(z.re)
+
+
+@PROPERTY
+@given(operands(), operands())
+def test_parts_stay_canonical(x, y):
+    (a, _), (b, _) = x, y
+    if type(a) is not QI and type(b) is not QI:
+        b = QI(b)
+    results = []
+    # either side may be the int or Fraction operand
+    for u, v in ((a, b), (b, a)):
+        results += [u + v, u - v, u * v]
+        if v:
+            results.append(u / v)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                u / v
+    for u in (a, b):
+        if type(u) is QI:
+            results += [-u, (u + b) - b, u * 1, 0 - u]
+            if u:
+                results.append(u.inverse())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    u.inverse()
+    for z in results:
+        assert_canonical(z)
+    if type(a) is QI:
+        assert parts_of((a + b) - b) == parts_of(a)
+
+
+def test_construction_is_canonical():
+    assert parts_of(QI()) == (0, 0, 1)
+    assert parts_of(QI(F(2, 6), F(-1, 4))) == (4, -3, 12)
+    assert parts_of(QI(F(3, 2), F(5, 2))) == (3, 5, 2)
+    assert parts_of(QI(True, 0)) == (1, 0, 1)
+    assert parts_of(QI("1/3")) == (1, 0, 3)
+    # a product whose parts share a factor with the denominator
+    assert parts_of(QI(F(1, 2), F(1, 2)) * QI(1, 1)) == (0, 1, 1)
+    assert parts_of(QI(F(1, 2), F(1, 2)).inverse()) == (1, -1, 1)
+    for z in (QI(F(2, 6), F(-1, 4)), QI(1, 1) / 3):
+        assert_canonical(z)

@@ -1,6 +1,7 @@
 """Maximal parabolics with abelian radical and their Cartan subspaces."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from liepairs.parabolic import (
     proposition_checks,
     scan_type,
 )
+from liepairs.rootsystem import build_root_system
 
 
 def test_abelian_set_b3():
@@ -31,6 +33,32 @@ def test_abelianness_scan_b3():
     assert is_abelian_radical(alg.rs, frozenset({1, 2}))
     assert not is_abelian_radical(alg.rs, frozenset({0, 2}))
     assert not is_abelian_radical(alg.rs, frozenset({0, 1}))
+
+
+def pairwise_abelian(rs, S):
+    """The oracle: no two roots of R_S^1 sum to a root."""
+    r1 = abelian_set(rs, S)
+    return not any(rs.is_root(tuple(x + y for x, y in zip(a, b)))
+                   for i, a in enumerate(r1) for b in r1[i:])
+
+
+ALL_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+             + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+             + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+def test_abelian_radical_matches_pairwise_scan():
+    # every subset S of the simple roots, of every type to rank 8;
+    # S = everything has R_S^1 empty, an abelian radical
+    checked = 0
+    for label, n in ALL_TYPES:
+        rs = build_root_system(label, n)
+        for k in range(n + 1):
+            for S in map(frozenset, combinations(range(n), k)):
+                assert is_abelian_radical(rs, S) == pairwise_abelian(rs, S), \
+                    (label, n, sorted(S))
+                checked += 1
+    assert len(ALL_TYPES) == 32 and checked == 2490
 
 
 def test_scan_counts():
