@@ -24,7 +24,6 @@ from liepairs import (
 from liepairs.matrixmodel import (
     jordan_type,
     lemma_witness_element,
-    mat_eq,
     minimal_orbit_cayley_triple,
 )
 
@@ -79,7 +78,7 @@ print("=" * 72)
 X, Xs, Xn = lemma_witness_element(pair)
 S, N = jordan_decompose(X)
 print("X = Xs + Xn with [Xs, Xn] = 0 recovered exactly:",
-      mat_eq(S, Xs) and mat_eq(N, Xn))
+      S == Xs and N == Xn)
 rep = lemma51_check(pair, X, trials=20, seed=0)
 print(f"sampled Y in p^X with Y_s proportional to X_s:"
       f" {rep['trials'] - rep['failures']}/{rep['trials']}")

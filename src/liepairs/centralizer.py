@@ -179,18 +179,19 @@ def split_ideals(basis, alg):
 
 
 def _simple_type_table():
+    """Dimension -> its simple types' labels; a label's number is its rank."""
     out = {}
     for n in range(1, 9):
-        out.setdefault((n * (n + 2), n), []).append(f"A{n}")
+        out.setdefault(n * (n + 2), []).append(f"A{n}")
     for n in range(2, 9):
-        out.setdefault((n * (2 * n + 1), n), []).append(f"B{n}")
+        out.setdefault(n * (2 * n + 1), []).append(f"B{n}")
     for n in range(3, 9):
-        out.setdefault((n * (2 * n + 1), n), []).append(f"C{n}")
+        out.setdefault(n * (2 * n + 1), []).append(f"C{n}")
     for n in range(4, 9):
-        out.setdefault((n * (2 * n - 1), n), []).append(f"D{n}")
-    for lab, (d, n) in (("E6", (78, 6)), ("E7", (133, 7)), ("E8", (248, 8)),
-                        ("F4", (52, 4)), ("G2", (14, 2))):
-        out.setdefault((d, n), []).append(lab)
+        out.setdefault(n * (2 * n - 1), []).append(f"D{n}")
+    for lab, d in (("E6", 78), ("E7", 133), ("E8", 248), ("F4", 52),
+                   ("G2", 14)):
+        out.setdefault(d, []).append(lab)
     return out
 
 
@@ -223,19 +224,20 @@ def identify_semisimple_type(ideals):
     """Multiset of simple component labels, or "not-identified".
 
     Takes the simple ideals that `split_ideals` returns and looks up each
-    one's (dimension, rank) in a table; a factor whose invariants are
-    shared by two non-isomorphic types is never guessed.
+    one's dimension in a table; a factor whose dimension is shared by two
+    non-isomorphic types is never guessed.  Types sharing a dimension
+    share their rank too (B_n and C_n; B6, C6 and E6), so the rank, a
+    label's number, is computed only to confirm a unique label.
     """
     if not ideals:
         return "0"
     labels = []
     for comp in ideals:
+        cands = _TYPE_TABLE.get(len(comp), [])
         try:
-            key = (len(comp), toral_rank(comp))
+            if len(cands) != 1 or toral_rank(comp) != int(cands[0][1:]):
+                return "not-identified"
         except ValueError:
-            return "not-identified"
-        cands = _TYPE_TABLE.get(key, [])
-        if len(cands) != 1:
             return "not-identified"
         labels.append(cands[0])
     return "x".join(sorted(labels))

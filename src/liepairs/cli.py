@@ -11,6 +11,7 @@ values only: ints and "a/b" strings, never floats).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +48,7 @@ def _finish(rep, rows, args, columns=None):
     return 0 if rep["ok"] else 1
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="liepairs",

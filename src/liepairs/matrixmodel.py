@@ -122,10 +122,6 @@ def mat_is_zero(a):
     return not any(a)
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def mat_inverse(a):
     n = len(a)
     sp = linalg.Span()
@@ -196,7 +192,7 @@ class MatrixPair:
 
     def parity_tag(self, X):
         tX = self.theta(X)
-        in_k = mat_eq(tX, X)
+        in_k = tX == X
         in_p = mat_is_zero(mat_add(tX, X))
         if in_k:
             return "in-k"
@@ -325,11 +321,11 @@ def _sl2_errors(H, X, Y, sub=""):
     """The sl2 relations that (H, X, Y) breaks, named with suffix `sub`."""
     h, x, y = (s + sub for s in "HXY")
     errs = []
-    if not mat_eq(commutator(H, X), mat_scale(X, 2)):
+    if commutator(H, X) != mat_scale(X, 2):
         errs.append(f"[{h},{x}] != 2 {x}")
-    if not mat_eq(commutator(H, Y), mat_scale(Y, -2)):
+    if commutator(H, Y) != mat_scale(Y, -2):
         errs.append(f"[{h},{y}] != -2 {y}")
-    if not mat_eq(commutator(X, Y), H):
+    if commutator(X, Y) != H:
         errs.append(f"[{x},{y}] != {h}")
     return errs
 
@@ -345,9 +341,9 @@ class CayleyTriple:
 
     def validate(self):
         errs = _sl2_errors(self.H0, self.X0, self.Y0, "0")
-        if not mat_eq(transpose(self.H0), self.H0):
+        if transpose(self.H0) != self.H0:
             errs.append("theta_0(H0) != -H0")
-        if not mat_eq(transpose(self.X0), self.Y0):
+        if transpose(self.X0) != self.Y0:
             errs.append("theta_0(X0) != -Y0")
         return errs
 
@@ -620,7 +616,7 @@ def minimal_orbit_cayley_triple(pair: MatrixPair, sign=1) -> CayleyTriple:
     B = commutator(H0, X0)
     i, j = min(entries(X0))
     lam = B[i].get(j, F0) / X0[i][j]
-    if not mat_eq(B, mat_scale(X0, lam)):
+    if B != mat_scale(X0, lam):
         raise ValueError("root vector is not an eigenvector of its coroot")
     s = _fraction_sqrt(Fraction(2) / lam)
     if s is None:
@@ -685,7 +681,7 @@ def proportional(A, B):
     for ra, rb in zip(A, B):
         for j, x in ra.items():
             y = rb.get(j)
-            return y is not None and mat_eq(A, mat_scale(B, x / y))
+            return y is not None and A == mat_scale(B, x / y)
     return True
 
 

@@ -1,12 +1,12 @@
 """Centralizers of Cartan-subspace elements, subpair structure, and the
 non-regular locus."""
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from liepairs import centralizer
 from liepairs.centralizer import (
     RANK1_PAIRS,
     RANK2_PAIRS,
@@ -29,6 +29,7 @@ from liepairs.chevalley import (
     span_of,
 )
 from liepairs.parabolic import build_parabolic, enumerate_catalog, scan_type
+from liepairs.rootsystem import build_root_system
 
 
 def _pair(label, rank, root):
@@ -182,6 +183,38 @@ def test_identify_type_never_guesses_on_collision():
         "not-identified"
 
 
+def test_type_table_labels_sharing_a_dimension_share_a_rank():
+    # the rank of each label is its number and its dimension is the
+    # table's; so the rank never separates labels of one dimension, and
+    # identify_semisimple_type may skip it when a dimension is shared
+    for dim, labels in centralizer._TYPE_TABLE.items():
+        assert len({int(lab[1:]) for lab in labels}) == 1, labels
+        for lab in labels:
+            n = int(lab[1:])
+            rs = build_root_system(lab if lab[0] in "EFG" else lab[0], n)
+            assert n + 2 * len(rs.positive_roots) == dim, lab
+
+
+def test_identify_type_skips_the_rank_on_a_shared_dimension(monkeypatch):
+    def no_rank(basis):
+        raise AssertionError("rank computed for a shared dimension")
+
+    alg = build_algebra("B", 3)
+    full = [alg.basis_element(i) for i in range(alg.dimension)]
+    ideals = split_ideals(full, alg)
+    monkeypatch.setattr(centralizer, "toral_rank", no_rank)
+    assert identify_semisimple_type(ideals) == "not-identified"
+
+
+def test_identify_type_confirms_a_unique_label_by_rank(monkeypatch):
+    # A2 is the only 8-dimensional type; a rank other than 2 refutes it
+    alg = build_algebra("A", 2)
+    full = [alg.basis_element(i) for i in range(alg.dimension)]
+    ideals = split_ideals(full, alg)
+    monkeypatch.setattr(centralizer, "toral_rank", lambda basis: 3)
+    assert identify_semisimple_type(ideals) == "not-identified"
+
+
 def test_regularity_generic_vs_special():
     P = _pair("B", 3, 1)
     xs = P.cartan_subspace()
@@ -270,28 +303,15 @@ def e7_pair():
     return scan_type("E7", 7)[0]
 
 
-def _check_e7_point(P, c):
-    X = P.alg.zero()
-    for ci, x in zip(c, P.cartan_subspace()):
+@pytest.mark.parametrize("c", list(E7_POINTS))
+def test_e7_special_point_subpairs(e7_pair, c):
+    X = e7_pair.alg.zero()
+    for ci, x in zip(c, e7_pair.cartan_subspace()):
         if ci:
             X = X + Fraction(ci) * x
     dg, dp, ltype, label = E7_POINTS[c]
-    rep = subpair(P, X)
+    rep = subpair(e7_pair, X)
     assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
     if ltype is not None:
         assert rep.l_type == ltype, c
         assert rep.r_pair_label == label, c
-
-
-@pytest.mark.parametrize("c", [(-1, 0, 0), (-1, -1, 0)])
-def test_e7_subpair_one_point_per_l_type(e7_pair, c):
-    # the D6 and the A1xD5 special points; the scan below runs all ten
-    _check_e7_point(e7_pair, c)
-
-
-@pytest.mark.skipif(not os.environ.get("LIEPAIRS_SLOW"),
-                    reason="E7 subpair scan takes ~25 s; "
-                           "set LIEPAIRS_SLOW=1 to run")
-def test_e7_special_point_subpairs(e7_pair):
-    for c in E7_POINTS:
-        _check_e7_point(e7_pair, c)

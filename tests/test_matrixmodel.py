@@ -45,8 +45,8 @@ def centralizer_dims(pair, X):
 def phi_equivariance_check(pair):
     """phi . theta_0 = theta . phi on a basis of the real form."""
     return all(
-        mm.mat_eq(pair.phi(mm.mat_scale(mm.transpose(M), -1)),
-                  pair.theta(pair.phi(M)))
+        pair.phi(mm.mat_scale(mm.transpose(M), -1))
+        == pair.theta(pair.phi(M))
         for M in mm.real_form_basis(pair))
 
 
@@ -143,7 +143,7 @@ def test_sparse_helpers_match_dense_reference(ops):
         assert dense(got) == want
         assert no_stored_zero(got)
         assert mm.mat_is_zero(got) == (not any(x for row in want for x in row))
-        assert mm.mat_eq(got, sp(want))
+        assert got == sp(want)
     assert no_stored_zero(inverse)
     want = {(i, j): x for i, row in enumerate(A) for j, x in enumerate(row)
             if x}
@@ -169,7 +169,7 @@ def test_pair_dimensions():
 def test_theta_is_involution_splitting():
     pair = mm.build_pair(3)
     for b in pair.k_basis():
-        assert mm.mat_eq(pair.theta(b), b)
+        assert pair.theta(b) == b
     for b in pair.p_basis():
         assert mm.mat_is_zero(mm.mat_add(pair.theta(b), b))
     # theta is conjugation by J = diag(I_3, -I_2)
@@ -194,16 +194,16 @@ def test_phi_of_K_is_iH():
     pair = mm.build_pair(4)
     for i in (1, 2):
         expect = mm.mat_scale(pair.H(i), QI(0, 1))
-        assert mm.mat_eq(pair.phi(mm.K(pair, i)), expect)
+        assert pair.phi(mm.K(pair, i)) == expect
 
 
 def test_jordan_decompose_trivial_cases():
     N = sp([[F(0), F(1)], [F(0), F(0)]])
     S, Nn = mm.jordan_decompose(N)
-    assert mm.mat_is_zero(S) and mm.mat_eq(Nn, N)
+    assert mm.mat_is_zero(S) and Nn == N
     D = sp([[F(2), F(0)], [F(0), F(5)]])
     S, Nn = mm.jordan_decompose(D)
-    assert mm.mat_eq(S, D) and mm.mat_is_zero(Nn)
+    assert S == D and mm.mat_is_zero(Nn)
     R = sp([[F(0), F(1)], [F(1), F(0)]])      # minimal polynomial x^2 - 1
     assert mm.is_nilpotent(N)
     assert not mm.is_nilpotent(D) and not mm.is_nilpotent(R)
@@ -217,7 +217,7 @@ def test_jordan_decompose_block_plus_scalar():
                     [F(0), F(1), F(0)],
                     [F(0), F(0), F(3)]])
     assert N[0][1] == QI(1)
-    assert mm.mat_eq(mm.mat_mul(S, N), mm.mat_mul(N, S))
+    assert mm.mat_mul(S, N) == mm.mat_mul(N, S)
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
 
 
@@ -245,7 +245,7 @@ WITNESS_PAIR = mm.build_pair(4)
 def test_jordan_decompose_property(drawn):
     pair, M = drawn
     S, N = mm.jordan_decompose(M)
-    assert mm.mat_eq(mm.mat_add(S, N), M)
+    assert mm.mat_add(S, N) == M
     assert mm.mat_is_zero(mm.commutator(S, N))
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
     assert _in_p(pair, S) and _in_p(pair, N)
@@ -328,9 +328,9 @@ def test_minimal_orbit_cayley_triple():
     assert nt.validate() == []
     # round trip back to the embedded real-form triple
     H0, X0, Y0 = inverse_cayley_transform(nt)
-    assert mm.mat_eq(H0, pair.phi(t.H0))
-    assert mm.mat_eq(X0, pair.phi(t.X0))
-    assert mm.mat_eq(Y0, pair.phi(t.Y0))
+    assert H0 == pair.phi(t.H0)
+    assert X0 == pair.phi(t.X0)
+    assert Y0 == pair.phi(t.Y0)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -420,5 +420,5 @@ def test_restricted_root_multiplicities():
         assert len(space) == len(mm.real_restricted_root_space(pair, *c))
         for Z in space:
             for k, ck in zip((1, 2), c):
-                assert mm.mat_eq(mm.commutator(pair.H(k), Z),
-                                 mm.mat_scale(Z, mm.I_UNIT * ck))
+                assert mm.commutator(pair.H(k), Z) == \
+                    mm.mat_scale(Z, mm.I_UNIT * ck)
