@@ -8,8 +8,6 @@ Cayley transform needs i); there are no floating-point numbers anywhere.
 
 from .cascade import CascadeEntry, cascade, full_cascade
 from .centralizer import (
-    RANK1_PAIRS,
-    RANK2_PAIRS,
     RegularityLocus,
     SubpairReport,
     nonregular_locus,
@@ -59,8 +57,6 @@ __all__ = [
     "MatrixPair",
     "NormalTriple",
     "QI",
-    "RANK1_PAIRS",
-    "RANK2_PAIRS",
     "RegularityLocus",
     "RootSystem",
     "SignedYoungDiagram",

@@ -8,9 +8,6 @@ splits as l_plus + l_minus against k_S/p_S, and r = [l_minus, l_minus]
 (r, r_plus) with r_plus = [l_minus, l_minus] measures how far X is
 from p_S-regular; for the so-type pairs in scope it is always a
 product of pairs (so_{m+1}, so_m) and (so_{m+2}, so_m x so_2).
-
-The rank <= 2 classification lists of simple symmetric pairs are kept
-as static data; they are cited facts, not computed here.
 """
 
 from __future__ import annotations
@@ -29,26 +26,6 @@ from .chevalley import (
     span_of,
 )
 from .parabolic import AbelianParabolic
-
-RANK1_PAIRS = (
-    "(sl_{n+1}, sl_n x C)",
-    "(so_{n+1}, so_n)",
-    "(sp_{2n}, sp_{2n-1} x sp_2)",
-    "(F4, B4)",
-)
-
-RANK2_PAIRS = (
-    "(sl_{n+2}, sl_n x sl_2 x C)",
-    "(sl_3, so_3)",
-    "(sl_6, sp_6)",
-    "(so_{n+2}, so_n x so_2)",
-    "(sp_{2n+4}, sp_{2n} x sp_4)",
-    "(sp_4, sl_2 x C)",
-    "(so_10, sl_5 x C)",
-    "(E6, F4)",
-    "(E6, D5 x C)",
-    "(G2, A1 x A1)",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +125,10 @@ def split_ideals(basis, alg):
     ideal in a semisimple algebra is its centralizer.  Raises if the
     input is not a subalgebra, or if the candidate complement does not
     give a direct sum (e.g. the input has a center).
+
+    It calls an ideal simple when no input basis vector generates a proper
+    one, so in D4 the basis [e1 ± e3, f1 ± f3, h1 ± h3], alpha_1 ⊥ alpha_3,
+    comes back whole as [6]; `subpair` passes it reduced echelon rows.
     """
     ideals = []
     remaining = basis
@@ -290,7 +271,6 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
         raise ValueError("X must be ad-semisimple")
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     gX = centralizer_in(X, full)
-    kX = centralizer_in(X, P.k_basis())
     pX = centralizer_in(X, P.p_basis())
     l = derived_subalgebra(gX)
     l_minus = span_intersection(l, pX, alg)
@@ -315,7 +295,8 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
 
     return SubpairReport(
         dim_g_X=len(gX),
-        dim_k_X=len(kX),
+        # X in p makes g^X theta-stable: g^X = k^X + p^X
+        dim_k_X=len(gX) - len(pX),
         dim_p_X=len(pX),
         l_dim=len(l),
         l_center_dim=len(gX) - len(l),
@@ -341,14 +322,6 @@ class RegularityLocus:
     special_lines: tuple        # projective pairs (mu, lambda), mu X1 + lambda X2
     residual_factors: tuple     # root-free factors, if any (none in scope)
 
-    def to_json_dict(self):
-        return {
-            "generic_rank": self.generic_rank,
-            "special_lines": [[str(a), str(b)] for a, b in self.special_lines],
-            "residual_factors": [[str(c) for c in f]
-                                 for f in self.residual_factors],
-        }
-
 
 def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     """All lines C(mu X_{K1} + lambda X_{K2}) of non p_S-regular elements.
@@ -364,33 +337,3 @@ def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     lines, residual = linalg.projective_locus(A, B, P.rank)
     return RegularityLocus(len(pb) - P.rank, lines, residual)
 
-
-# ---------------------------------------------------------------------------
-# explicit commuting-nilpotent witnesses
-
-
-def commuting_nilpotent_witnesses(P: AbelianParabolic, entry_index, beta):
-    """Check that X_K centralizes two non-proportional commuting nilpotent
-    root vectors: the highest root vector and X_beta.
-
-    Returns a report dict; used for the pairs whose subpair is NOT of
-    pure so type (the witnesses rule that shape out).
-    """
-    alg = P.alg
-    entry = P.E_entries[entry_index]
-    X = P.cartan_subspace()[entry_index]
-    top = alg.rs.highest_root()
-    a = alg.x(top)
-    b = alg.x(tuple(beta))
-    report = {
-        "entry": sorted(entry.subset_K),
-        "roots": [list(top), list(beta)],
-        "centralizes_top": not bracket(X, a),
-        "centralizes_beta": not bracket(X, b),
-        "commute": not bracket(a, b),
-        "non_proportional": tuple(beta) != top,
-        "in_radical": (tuple(beta) in set(P.R_S1)) and (top in set(P.R_S1)),
-    }
-    report["ok"] = all(v for k, v in report.items()
-                       if k not in ("entry", "roots"))
-    return report

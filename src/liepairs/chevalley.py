@@ -11,7 +11,6 @@ forced from there by the Jacobi identity.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import linalg
@@ -197,14 +196,6 @@ class ChevalleyAlgebra:
                     out = {}
         self._bracket_memo[key] = out
         return out
-
-    def random_element(self, rng: random.Random, bound=9):
-        coeffs = {}
-        for i in range(self.dimension):
-            c = Fraction(rng.randint(-bound, bound))
-            if c:
-                coeffs[i] = c
-        return LieElement(self, coeffs)
 
 
 class LieElement:

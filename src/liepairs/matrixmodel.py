@@ -245,7 +245,8 @@ def build_pair(p) -> MatrixPair:
 
 
 def matrix_min_poly(M):
-    return linalg.min_poly(transpose(M))
+    # the rows of M are the columns of M^T, which has M's minimal polynomial
+    return linalg.min_poly(M)
 
 
 def poly_of_matrix(p, M):

@@ -48,12 +48,6 @@ class SignedYoungDiagram:
                                for i in range(length)))
         return "/".join(out)
 
-    def plus_count(self):
-        return sum(_count_signs(l, s)[0] for l, s in self.rows)
-
-    def minus_count(self):
-        return sum(_count_signs(l, s)[1] for l, s in self.rows)
-
     def __repr__(self):
         tag = "".join("," + n for n in self.numerals)
         return f"SYD({self.sign_string()}{tag})"

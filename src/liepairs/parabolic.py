@@ -21,7 +21,7 @@ from . import chevalley
 from .cascade import full_cascade
 from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
 from .errors import UsageError
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, type_name
 
 
 def abelian_set(rs: RootSystem, S) -> tuple:
@@ -194,7 +194,7 @@ def enumerate_catalog(max_rank=8):
         got = {p.omitted_index for p in found}
         if got != set(oracle):
             mismatches.append(
-                f"catalog scan mismatch for {t}{k}: found roots "
+                f"catalog scan mismatch for {type_name(t, k)}: found roots "
                 f"{sorted(i + 1 for i in got)}, expected "
                 f"{sorted(i + 1 for i in oracle)}")
         for p in found:
@@ -205,7 +205,8 @@ def enumerate_catalog(max_rank=8):
             theirs = sorted(sorted(s) for s in sets)
             if mine != theirs or p.rank != rank:
                 mismatches.append(
-                    f"E-set mismatch for {t}{k}, alpha_{p.omitted_index + 1}:"
+                    f"E-set mismatch for {type_name(t, k)}, "
+                    f"alpha_{p.omitted_index + 1}:"
                     f" computed {mine} rank {p.rank},"
                     f" oracle {theirs} rank {rank}")
         catalog.extend(found)

@@ -29,7 +29,7 @@ from .parabolic import (
     generic_p_centralizer_dim,
     proposition_checks,
 )
-from .rootsystem import build_root_system
+from .rootsystem import build_root_system, type_name
 
 
 def frac_str(x):
@@ -124,7 +124,8 @@ def centralizer_report(type_label, rank, omitted=None):
         command += f" --root {omitted}"
     else:
         if not table:
-            raise UsageError(f"{type_label}{rank} has no catalog rows")
+            raise UsageError(
+                f"{type_name(type_label, rank)} has no catalog rows")
         omitted = min(table) + 1
     S = frozenset(range(rank)) - {omitted - 1}
     P = build_parabolic(alg, S)
@@ -134,8 +135,10 @@ def centralizer_report(type_label, rank, omitted=None):
         locus = nonregular_locus(P)
         rows["special_lines"] = [[frac_str(a), frac_str(b)]
                                  for a, b in locus.special_lines]
-        items.append(item("pencil-not-degenerate", True,
-                          {"generic_rank": locus.generic_rank}))
+        residual = [[frac_str(c) for c in f] for f in locus.residual_factors]
+        extra = {"residual_factors": residual} if residual else {}
+        items.append(item("pencil-not-degenerate", not residual,
+                          {"generic_rank": locus.generic_rank, **extra}))
         xs = P.cartan_subspace()
         line_rows = []
         for mu, lam in locus.special_lines:
@@ -191,9 +194,14 @@ def model_report(p, orbit_spec, verify, seed=0):
     d = parse_orbit(p, orbit_spec)
     command = f"model --p {p} --orbit {orbit_spec} --verify {verify}"
     X = mm.nilpotent_from_diagram(pair, d)
-    items = [item("representative-in-model", mm.is_skew(X),
-                  {"diagram": repr(d),
-                   "jordan_type": list(mm.jordan_type(X))})]
+    jt = mm.jordan_type(X)
+    # X is in p (theta(X) = -X) with the diagram's Jordan type
+    in_model = (mm.is_skew(X) and jt == _shape(d)
+                and mm.mat_is_zero(mm.mat_add(pair.theta(X), X)))
+    items = [item("representative-in-model", in_model,
+                  {"diagram": repr(d), "jordan_type": list(jt)})]
+    if not in_model:
+        return assemble(command, items, seed)
     if mm.mat_is_zero(X):
         items.append(item(verify, True, {"note": "zero orbit"}, skipped=True))
         return assemble(command, items, seed)
@@ -307,7 +315,7 @@ def cascade_item(types):
         if (rep["failures"]
                 or sum(rep["gamma_sizes"]) != len(rs.positive_roots)
                 or not epsilons_strongly_orthogonal(rs, full)):
-            bad.append(f"{t}{n}")
+            bad.append(type_name(t, n))
     return not bad, {"failing": bad}
 
 
@@ -346,7 +354,7 @@ def jacobi_item(types):
              for k in d[j + 1:] if jacobi_defect(alg, i, j, k)))
         w = next(witnesses, None)
         if w:
-            bad.append({"type": f"{t}{n}", **w})
+            bad.append({"type": type_name(t, n), **w})
     return not bad, {"failing": bad}
 
 

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 from .errors import UsageError
 
-TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
+def type_name(type_label, rank):
+    """The type's name: B3 for ("B", 3), but F4 for ("F4", 4)."""
+    return type_label if type_label[0] in "EFG" else f"{type_label}{rank}"
 
 
 def cartan_matrix(type_label, rank):
@@ -114,10 +116,6 @@ class RootSystem:
     cartan_matrix: tuple
     positive_roots: tuple          # tuples of ints, simple-root coordinates
     lengths: tuple                 # (a_i, a_i), long roots squared length 2
-
-    @property
-    def root_set(self):
-        return self._root_set
 
     def __post_init__(self):
         pos = set(self.positive_roots)

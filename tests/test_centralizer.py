@@ -8,9 +8,6 @@ import pytest
 
 from liepairs import centralizer
 from liepairs.centralizer import (
-    RANK1_PAIRS,
-    RANK2_PAIRS,
-    commuting_nilpotent_witnesses,
     generators,
     ideal_closure,
     identify_semisimple_type,
@@ -35,12 +32,6 @@ from liepairs.rootsystem import build_root_system
 def _pair(label, rank, root):
     alg = build_algebra(label, rank)
     return build_parabolic(alg, frozenset(range(rank)) - {root - 1})
-
-
-def test_classification_lists_present():
-    assert "(so_{n+1}, so_n)" in RANK1_PAIRS
-    assert "(so_{n+2}, so_n x so_2)" in RANK2_PAIRS
-    assert len(RANK1_PAIRS) == 4 and len(RANK2_PAIRS) == 10
 
 
 def reference_ideal_closure(seed, ambient):
@@ -250,6 +241,17 @@ def test_every_rank2_catalog_row_has_the_four_lines():
         assert locus.generic_rank == len(P.p_basis()) - 2, P.pair_label
 
 
+@pytest.mark.parametrize("label, rank", [("B", 3), ("D", 5)])
+def test_dim_k_X_matches_the_k_kernel(label, rank):
+    # subpair reads dim k^X off g^X = k^X + p^X; the kernel of ad X on k
+    # is the independent count
+    P = _pair(label, rank, 1)
+    xs = P.cartan_subspace()
+    for mu, lam in nonregular_locus(P).special_lines:
+        X = mu * xs[0] + lam * xs[1]
+        assert subpair(P, X).dim_k_X == len(centralizer_in(X, P.k_basis()))
+
+
 def test_subpair_of_regular_element():
     P = _pair("B", 3, 1)
     xs = P.cartan_subspace()
@@ -257,6 +259,25 @@ def test_subpair_of_regular_element():
     assert rep.dim_p_X == P.rank
     assert rep.r_pair_label == "(so_1, so_0)"
     assert rep.dim_l_minus == 0
+
+
+def commuting_nilpotent_witnesses(P, entry_index, beta):
+    """Check that X_K centralizes two non-proportional commuting nilpotent
+    root vectors, the highest root vector and x_beta, both in the
+    radical; a report dict with "ok"."""
+    alg = P.alg
+    X = P.cartan_subspace()[entry_index]
+    top = alg.rs.highest_root()
+    a, b = alg.x(top), alg.x(tuple(beta))
+    report = {
+        "centralizes_top": not bracket(X, a),
+        "centralizes_beta": not bracket(X, b),
+        "commute": not bracket(a, b),
+        "non_proportional": tuple(beta) != top,
+        "in_radical": {tuple(beta), top} <= set(P.R_S1),
+    }
+    report["ok"] = all(report.values())
+    return report
 
 
 def test_sl6_commuting_nilpotent_witnesses():
@@ -298,6 +319,10 @@ E7_POINTS = {
 }
 
 
+# one point per type of l: D6, A1xD5 and the 78-dimensional l
+E7_K_KERNEL_POINTS = {(-1, 0, 0), (-1, -1, 0), (-1, -1, -1)}
+
+
 @pytest.fixture(scope="module")
 def e7_pair():
     return scan_type("E7", 7)[0]
@@ -312,6 +337,8 @@ def test_e7_special_point_subpairs(e7_pair, c):
     dg, dp, ltype, label = E7_POINTS[c]
     rep = subpair(e7_pair, X)
     assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
+    if c in E7_K_KERNEL_POINTS:
+        assert rep.dim_k_X == len(centralizer_in(X, e7_pair.k_basis())), c
     if ltype is not None:
         assert rep.l_type == ltype, c
         assert rep.r_pair_label == label, c

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepairs import centralizer, parabolic, report
+from liepairs import matrixmodel as mm
 from liepairs.cli import run
 from liepairs.orbits import enumerate_dyo
 from liepairs.report import frac_str, model_report, parse_orbit
@@ -28,7 +30,6 @@ def _no_floats(obj):
 
 
 def test_frac_str():
-    from fractions import Fraction
     assert frac_str(Fraction(3)) == 3
     assert frac_str(Fraction(-1, 2)) == "-1/2"
 
@@ -153,6 +154,53 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     assert err == "error: ValueError: X must be ad-semisimple\n"
 
 
+def test_type_names_carry_the_rank_once(monkeypatch, capsys):
+    assert run(["centralizer", "F4", "4"]) == 2
+    assert capsys.readouterr().err == "error: F4 has no catalog rows\n"
+    monkeypatch.setattr(report, "verify_gamma_partition",
+                        lambda rs, full: {"failures": ["forced"]})
+    failing = report.cascade_item([("E6", 6), ("B", 3)])["details"]
+    assert failing == {"failing": ["E6", "B3"]}
+
+
+def test_residual_factor_fails_the_pencil(monkeypatch, capsys):
+    # a root-free factor x^2 + 1 left by the pencil is a failure that
+    # names the factor, not a locus of rational lines alone
+    locus = centralizer.nonregular_locus
+
+    def with_residual(P):
+        got = locus(P)
+        return centralizer.RegularityLocus(
+            got.generic_rank, got.special_lines,
+            ((Fraction(1), Fraction(0), Fraction(1)),))
+
+    monkeypatch.setattr(report, "nonregular_locus", with_residual)
+    assert run(["centralizer", "B", "3", "--json"]) == 1
+    pencil = json.loads(capsys.readouterr().out)["items"][0]
+    assert pencil == {"name": "pencil-not-degenerate", "status": "fail",
+                      "details": {"generic_rank": 8,
+                                  "residual_factors": [[1, 0, 1]]}}
+
+
+def test_model_rejects_a_wrong_representative(monkeypatch, capsys):
+    # every other p = 3 orbit's representative has the wrong Jordan type
+    # for (3,1,1); X = e1 v^T - v e1^T with v = (0, 1, i) isotropic is
+    # skew and nilpotent of type (3,1,1), but it lies in k: theta(X) = X
+    pair = mm.build_pair(3)
+    wrong = [mm.nilpotent_from_diagram(pair, d) for d in enumerate_dyo(3)
+             if sorted(d.shape, reverse=True) != [3, 1, 1]]
+    i = mm.I_UNIT
+    wrong.append([{1: Fraction(1), 2: i}, {0: Fraction(-1)}, {0: -i}, {}, {}])
+    for X in wrong:
+        monkeypatch.setattr(mm, "nilpotent_from_diagram",
+                            lambda pair, d, X=X: X)
+        assert run(["model", "--p", "3", "--orbit", "3,1,1:++-",
+                    "--verify", "triple", "--json"]) == 1, X
+        item = json.loads(capsys.readouterr().out)["items"][0]
+        assert item["name"] == "representative-in-model", X
+        assert item["status"] == "fail", X
+
+
 def test_centralizer_json(capsys):
     assert run(["centralizer", "B", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -215,16 +263,18 @@ def test_model_report_zero_orbit_skips():
 
 
 def test_verify_all_small(capsys):
-    assert run(["verify-all", "--max-rank", "4", "--json"]) == 0
-    out = capsys.readouterr().out
-    # every certificate is exact, so the report must not move by a byte
-    assert out.encode() == (GOLDEN / "verify_all_max_rank_4.json").read_bytes()
-    doc = json.loads(out)
-    assert doc["ok"]
-    assert _no_floats(doc)
-    names = {i["name"] for i in doc["items"]}
-    assert "catalog-table" in names
-    assert "centralizer-dims-D5" in names
+    # every certificate is exact, so neither report may move by a byte
+    for argv, golden in ((["--max-rank", "4"], "verify_all_max_rank_4.json"),
+                         ([], "verify_all_default.json")):
+        assert run(["verify-all", *argv, "--json"]) == 0, argv
+        out = capsys.readouterr().out
+        assert out.encode() == (GOLDEN / golden).read_bytes(), argv
+        doc = json.loads(out)
+        assert doc["ok"]
+        assert _no_floats(doc)
+        names = {i["name"] for i in doc["items"]}
+        assert "catalog-table" in names
+        assert "centralizer-dims-D5" in names
 
 
 # every so(p,2) orbit of p = 3 and p = 4, by shape[:signs][:numeral]

@@ -71,8 +71,9 @@ def test_enumerate_dyo_matches_exhaustive_scan():
 def test_signature_always_p_2():
     for p in (2, 3, 5, 8, 64):
         for d in enumerate_dyo(p):
-            assert d.plus_count() == p
-            assert d.minus_count() == 2
+            signs = d.sign_string()
+            assert signs.count("+") == p
+            assert signs.count("-") == 2
 
 
 def test_forget_signs():

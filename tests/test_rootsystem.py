@@ -53,10 +53,11 @@ def test_highest_roots():
 
 def test_root_negatives_and_no_doubles():
     rs = build_root_system("F4", 4)
-    roots = rs.root_set
-    for r in roots:
-        assert tuple(-c for c in r) in roots
-        assert tuple(2 * c for c in r) not in roots
+    assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+    for r in rs.positive_roots:
+        assert rs.is_root(tuple(-c for c in r))
+        assert not rs.is_root(tuple(2 * c for c in r))
+        assert not rs.is_root(tuple(-2 * c for c in r))
 
 
 def test_form_long_roots_normalized():
@@ -92,7 +93,8 @@ def test_form_matches_fraction_formula(label, rank):
 
 def test_pairing_integrality():
     rs = build_root_system("B", 3)
-    for a in rs.root_set:
+    for a in rs.positive_roots + tuple(tuple(-c for c in r)
+                                        for r in rs.positive_roots):
         for i in range(rs.rank):
             v = rs.pairing(a, i)   # <a, alpha_i^vee>
             assert v == int(v)
