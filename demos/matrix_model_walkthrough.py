@@ -50,8 +50,7 @@ print()
 print("=" * 72)
 print("even-sheet check on the (3,1,1,1) orbit")
 print("=" * 72)
-d = [x for x in enumerate_dyo(p)
-     if tuple(sorted(x.shape, reverse=True)) == (3, 1, 1, 1)][0]
+d = [x for x in enumerate_dyo(p) if x.shape == (3, 1, 1, 1)][0]
 t = normal_triple_for(pair, nilpotent_from_diagram(pair, d))
 rep = even_sheet_witness(pair, t)
 print(f"dim p^X = {rep['dim_p_X']}")

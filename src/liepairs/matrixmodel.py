@@ -19,6 +19,11 @@ stay rational.  `QI` enters only through `phi`, the Cayley transform,
 the diagram representatives and the sampled elements of
 `dim_identity_check`; the two scalar types mix freely.
 
+The minimal-orbit witnesses need no search: `minimal_orbit_cayley_triple`
+writes the Cayley triple of the restricted root e1 - e2 down on the
+coordinates 1, 2, n-1, n, and exact checks certify it (the sl2 and
+theta_0 relations and [K_1, X0] = X0, [K_2, X0] = -X0).
+
 Orbit representatives are built directly on the complex side: each
 diagram row gives a Jordan string with an invariant symmetric form and
 an involution acting by alternating signs down the string (even-length
@@ -39,7 +44,6 @@ from . import linalg, orbits
 from .errors import UsageError
 from .gaussian import QI
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 I_UNIT = QI(0, 1)
 
@@ -190,15 +194,13 @@ class MatrixPair:
                  else x for j, x in row.items()}
                 for i, row in enumerate(X0)]
 
-    def parity_tag(self, X):
-        tX = self.theta(X)
-        in_k = tX == X
-        in_p = mat_is_zero(mat_add(tX, X))
-        if in_k:
-            return "in-k"
-        if in_p:
-            return "in-p"
-        return "mixed"
+    def in_k(self, X):
+        """theta(X) = X; 0 lies in both k and p."""
+        return self.theta(X) == X
+
+    def in_p(self, X):
+        """theta(X) = -X."""
+        return mat_is_zero(mat_add(self.theta(X), X))
 
     def k_basis(self):
         n, p = self.n, self.p
@@ -244,11 +246,6 @@ def build_pair(p) -> MatrixPair:
 # Jordan decomposition
 
 
-def matrix_min_poly(M):
-    # the rows of M are the columns of M^T, which has M's minimal polynomial
-    return linalg.min_poly(M)
-
-
 def poly_of_matrix(p, M):
     n = len(M)
     acc = zeros(n)
@@ -269,7 +266,8 @@ def jordan_decompose(M):
     reach f(S) = 0.
     """
     n = len(M)
-    f = linalg.squarefree_part(matrix_min_poly(M))
+    # the rows of M are the columns of M^T, which has M's minimal polynomial
+    f = linalg.squarefree_part(linalg.min_poly(M))
     fd = linalg.poly_deriv(f)
     S = M
     checks = (n - 1).bit_length() + 1
@@ -289,11 +287,11 @@ def jordan_decompose(M):
 
 def is_nilpotent(M):
     """True iff the minimal polynomial of M is a power of x."""
-    return not any(matrix_min_poly(M)[:-1])
+    return not any(linalg.min_poly(M)[:-1])
 
 
 def is_semisimple(M):
-    return linalg.is_squarefree(matrix_min_poly(M))
+    return linalg.is_squarefree(linalg.min_poly(M))
 
 
 def jordan_type(M):
@@ -360,10 +358,10 @@ class NormalTriple:
 
     def validate(self):
         errs = _sl2_errors(self.H, self.X, self.Y)
-        if self.pair.parity_tag(self.H) != "in-k":
+        if not self.pair.in_k(self.H):
             errs.append("H not in k")
         for nm, Z in (("X", self.X), ("Y", self.Y)):
-            if self.pair.parity_tag(Z) != "in-p":
+            if not self.pair.in_p(Z):
                 errs.append(f"{nm} not in p")
         return errs
 
@@ -395,7 +393,7 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     """
     if mat_is_zero(X):
         raise ValueError("X must be nonzero")
-    if pair.parity_tag(X) != "in-p":
+    if not pair.in_p(X):
         raise ValueError("X must lie in p")
     if not is_nilpotent(X):
         raise ValueError("X must be nilpotent")
@@ -533,7 +531,7 @@ def even_sheet_witness(pair: MatrixPair, t: NormalTriple):
     """For an even X, check dim p^{X + s Y} = dim p^X and semisimplicity
     of X + s Y for s = 1, 2, 3."""
     cands = characteristic_from_triple(t)
-    if not any(all(x in (0, 2) for x in cc) for cc in cands):
+    if not any(orbits.is_even(c) for c in cands):
         raise ValueError("X is not even: characteristic "
                          + "/".join(map(str, cands)))
     d0 = pair.dim_p_centralizer(t.X)
@@ -591,45 +589,42 @@ def real_restricted_root_space(pair: MatrixPair, c1, c2):
         for row in lin_comb((F1, -c), (commutator(A, b), b))]))
 
 
-def _fraction_sqrt(q: Fraction):
-    if q <= 0:
-        return None
-    import math
+def minimal_orbit_cayley_triple(pair: MatrixPair) -> CayleyTriple:
+    """The Cayley triple of the restricted root e1 - e2, in 1-based
+    indices with n = p + 2:
 
-    a = math.isqrt(q.numerator)
-    b = math.isqrt(q.denominator)
-    if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b)
-    return None
+        H0 = K_1 - K_2,
+        X0 = (E_{1,2} - E_{2,1} + E_{1,n-1} + E_{n-1,1} + E_{2,n} + E_{n,2}
+              - E_{n-1,n} + E_{n,n-1}) / 2,
+        Y0 = X0^t.
 
-
-def minimal_orbit_cayley_triple(pair: MatrixPair, sign=1) -> CayleyTriple:
-    """Cayley triple through the restricted root vector of e1 - e2,
-    the minimal nilpotent orbit of the real form; sign = -1 gives the
-    other real orbit of the same shape."""
-    space = real_restricted_root_space(pair, 1, -1)
-    if len(space) != 1:
-        raise ValueError("restricted root e1 - e2 should have multiplicity 1")
-    X0 = mat_scale(space[0], sign)
-    Y0 = transpose(X0)  # -theta_0(X0)
-    H0 = commutator(X0, Y0)
-    # rescale so that [H0, X0] = 2 X0
-    B = commutator(H0, X0)
-    i, j = min(entries(X0))
-    lam = B[i].get(j, F0) / X0[i][j]
-    if B != mat_scale(X0, lam):
-        raise ValueError("root vector is not an eigenvector of its coroot")
-    s = _fraction_sqrt(Fraction(2) / lam)
-    if s is None:
-        raise ValueError("triple normalization needs an irrational scale")
-    X0 = mat_scale(X0, s)
-    Y0 = mat_scale(Y0, s)
-    t = CayleyTriple(commutator(X0, Y0), X0, Y0)
+    X0 spans the root space {Z : [K_1, Z] = Z, [K_2, Z] = -Z}; the Cayley
+    transform takes the triple to the minimal orbit (2,2,1^(p-2)), and
+    (H0, -X0, -Y0) to its other real orbit.  The sl2 and theta_0
+    relations (`CayleyTriple.validate`) and the two K_k eigen-relations
+    are checked exactly; a broken one raises with its name.
+    """
+    n = pair.n
+    half = Fraction(1, 2)
+    u, v, w, z = 0, 1, n - 2, n - 1    # the coordinates 1, 2, n-1, n
+    X0 = zeros(n)
+    for i, j, x in ((u, v, half), (v, u, -half), (u, w, half), (w, u, half),
+                    (v, z, half), (z, v, half), (w, z, -half), (z, w, half)):
+        X0[i][j] = x
+    t = CayleyTriple(mat_sub(K(pair, 1), K(pair, 2)), X0, transpose(X0))
     errs = t.validate()
+    for k, want, nm in ((1, X0, "X0"), (2, mat_scale(X0, -1), "-X0")):
+        if commutator(K(pair, k), X0) != want:
+            errs.append(f"[K_{k},X0] != {nm}")
     if errs:
-        raise ValueError("Cayley triple construction failed: "
+        raise ValueError("not the Cayley triple of e1 - e2: "
                          + "; ".join(errs))
     return t
+
+
+def _cartan_witness(pair: MatrixPair):
+    """i(H_1 + H_2) = phi(K_1 + K_2); K_1 + K_2 kills the root e1 - e2."""
+    return lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
 
 
 def minimal_orbit_not_distinguished(pair: MatrixPair):
@@ -637,30 +632,34 @@ def minimal_orbit_not_distinguished(pair: MatrixPair):
     p-distinguished: a nonzero semisimple element of p commuting with
     them.
 
-    The minimal orbit comes from the restricted root e1 - e2; the
-    Cartan-subspace element K_1 + K_2 kills that root, so it
-    centralizes the whole Cayley triple and its image i(H_1 + H_2)
-    under phi commutes with the Cayley-transformed nilpotent in p.
-    Returns the witness report for both real orbits (X0 and -X0).
+    The minimal orbit comes from the restricted root e1 - e2 through
+    `minimal_orbit_cayley_triple`; the Cartan-subspace element K_1 + K_2
+    kills that root, so it centralizes the whole Cayley triple and its
+    image i(H_1 + H_2) under phi commutes with the Cayley-transformed
+    nilpotent in p.  Returns the exact checks for both real orbits (X0
+    and -X0).
     """
     if pair.p < 3:
         raise ValueError("the minimal-orbit witness argument needs p >= 3; "
                          "for p = 2 the (2,2) shape is a different case")
-    Hw = lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
-    expected = (2, 2) + (1,) * (pair.p - 2)
+    t0 = minimal_orbit_cayley_triple(pair)
+    Hw = _cartan_witness(pair)
+    hw_checks = {"witness_semisimple": is_semisimple(Hw),
+                 "witness_in_p": pair.in_p(Hw),
+                 "witness_nonzero": not mat_is_zero(Hw)}
     reports = []
     for sign in (1, -1):
-        t = cayley_transform(pair, minimal_orbit_cayley_triple(pair, sign))
+        t = cayley_transform(pair, CayleyTriple(
+            t0.H0, mat_scale(t0.X0, sign), mat_scale(t0.Y0, sign)))
         reports.append({
             "sign": sign,
             "jordan_type": jordan_type(t.X),
             "triple_valid": not t.validate(),
             "witness_commutes": mat_is_zero(commutator(Hw, t.X)),
-            "witness_semisimple": is_semisimple(Hw),
-            "witness_in_p": pair.parity_tag(Hw) == "in-p",
-            "witness_nonzero": not mat_is_zero(Hw),
+            **hw_checks,
         })
-    ok = all(r["triple_valid"] and r["jordan_type"] == expected
+    shape = orbits.minimal_shape(pair.p)
+    ok = all(r["triple_valid"] and r["jordan_type"] == shape
              and all(v for k, v in r.items() if k.startswith("witness"))
              for r in reports)
     return {"witness": Hw, "reports": reports, "ok": ok}
@@ -670,10 +669,10 @@ def lemma_witness_element(pair: MatrixPair):
     """A non-semisimple, non-nilpotent X in p with both Jordan
     components nonzero in p: the Cartan element i(H_1 + H_2), which
     kills the restricted root e1 - e2, plus the commuting minimal
-    nilpotent in p obtained from that root by Cayley transform."""
-    t = cayley_transform(pair, minimal_orbit_cayley_triple(pair))
-    Xs = lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
-    Xn = t.X
+    nilpotent in p, the Cayley transform of
+    `minimal_orbit_cayley_triple`."""
+    Xs = _cartan_witness(pair)
+    Xn = cayley_transform(pair, minimal_orbit_cayley_triple(pair)).X
     return mat_add(Xs, Xn), Xs, Xn
 
 
@@ -693,7 +692,7 @@ def lemma51_check(pair: MatrixPair, X, trials=20, seed=0):
     if mat_is_zero(Xs) or mat_is_zero(Xn):
         raise ValueError("X must be neither semisimple nor nilpotent")
     for nm, Z in (("semisimple", Xs), ("nilpotent", Xn)):
-        if pair.parity_tag(Z) != "in-p":
+        if not pair.in_p(Z):
             raise ValueError(f"{nm} component of X must lie in p")
     kernel = pair.centralizer_in(X, pair.p_basis())
     rng = random.Random(seed)

@@ -38,6 +38,8 @@ class SignedYoungDiagram:
 
     @property
     def shape(self):
+        """The row lengths, weakly decreasing: canonical rows sort by
+        length first."""
         return tuple(l for l, _ in self.rows)
 
     def sign_string(self):
@@ -138,6 +140,11 @@ def _numeral_variants(rows):
     return [SignedYoungDiagram(rows)]
 
 
+def minimal_shape(p):
+    """(2,2,1^(p-2)), the shape of the minimal nilpotent orbit of so_{p+2}."""
+    return (2, 2) + (1,) * (p - 2)
+
+
 def forget_signs(d: SignedYoungDiagram) -> YoungDiagram:
     """Underlying complex orbit diagram.
 
@@ -145,7 +152,7 @@ def forget_signs(d: SignedYoungDiagram) -> YoungDiagram:
     to which complex numeral I/II is a convention the combinatorics
     alone does not determine, so no numeral is guessed here.
     """
-    return YoungDiagram(tuple(sorted(d.shape, reverse=True)))
+    return YoungDiagram(d.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ def is_abelian_radical(rs: RootSystem, S) -> bool:
 @dataclass(frozen=True)
 class AbelianParabolic:
     alg: ChevalleyAlgebra
-    S: frozenset                 # simple-root indices kept in the Levi
-    omitted_index: int           # the unique index outside S (0-based)
+    omitted_index: int           # the simple root outside the Levi (0-based)
     R_S1: tuple                  # roots of the radical
     E_entries: tuple             # cascade entries K with eps_K in R_S1
     pair_label: str
@@ -100,8 +99,7 @@ def build_parabolic(alg: ChevalleyAlgebra, S) -> AbelianParabolic:
     r1set = set(r1)
     entries = tuple(e for e in full_cascade(rs) if e.epsilon_K in r1set)
     label = pair_label(rs.type_label, rs.rank, omitted[0])
-    return AbelianParabolic(alg, S, omitted[0], r1, entries, label,
-                            len(entries))
+    return AbelianParabolic(alg, omitted[0], r1, entries, label, len(entries))
 
 
 def pair_label(type_label, n, omitted_index):

@@ -158,10 +158,6 @@ def centralizer_report(type_label, rank, omitted=None):
 # model subcommand
 
 
-def _shape(d):
-    return tuple(sorted(d.shape, reverse=True))
-
-
 def parse_orbit(p, spec):
     """shape[:signs][:numerals], e.g. "3,1,1:+++", "2,2,1:++-:I",
     "2,2:++:II:I".  Numerals, when given, must be the diagram's numerals
@@ -182,36 +178,32 @@ def parse_orbit(p, spec):
         else:
             raise UsageError(f"bad orbit component {extra!r}")
     for d in orbits.enumerate_dyo(p):
-        if (_shape(d) == shape
+        if (d.shape == shape
                 and signs in (None, "".join(s for _, s in d.rows))
                 and numerals in ((), d.numerals)):
             return d
     raise UsageError(f"no so(p,2) orbit matches {spec!r} for p = {p}")
 
 
-def model_report(p, orbit_spec, verify, seed=0):
-    pair = mm.build_pair(p)
-    d = parse_orbit(p, orbit_spec)
-    command = f"model --p {p} --orbit {orbit_spec} --verify {verify}"
+def orbit_items(pair, d, verify):
+    """The `model` items of the orbit of the signed diagram d under the
+    check `verify`; a failing representative ends the list."""
     X = mm.nilpotent_from_diagram(pair, d)
     jt = mm.jordan_type(X)
-    # X is in p (theta(X) = -X) with the diagram's Jordan type
-    in_model = (mm.is_skew(X) and jt == _shape(d)
-                and mm.mat_is_zero(mm.mat_add(pair.theta(X), X)))
+    in_model = mm.is_skew(X) and jt == d.shape and pair.in_p(X)
     items = [item("representative-in-model", in_model,
                   {"diagram": repr(d), "jordan_type": list(jt)})]
     if not in_model:
-        return assemble(command, items, seed)
+        return items
     if mm.mat_is_zero(X):
         items.append(item(verify, True, {"note": "zero orbit"}, skipped=True))
-        return assemble(command, items, seed)
+        return items
 
-    t = mm.normal_triple_for(pair, X)
     if verify == "triple":
-        errs = t.validate()
+        errs = mm.normal_triple_for(pair, X).validate()
         items.append(item("normal-triple", not errs, {"errors": errs}))
     elif verify == "characteristic":
-        cands = mm.characteristic_from_triple(t)
+        cands = mm.characteristic_from_triple(mm.normal_triple_for(pair, X))
         cd_cands = orbits.characteristic(orbits.forget_signs(d))
         ok = bool(set(cands) & set(cd_cands))
         items.append(item("characteristic-matches-recipe", ok,
@@ -224,13 +216,12 @@ def model_report(p, orbit_spec, verify, seed=0):
                               {"note": "orbit is not even; rejected"},
                               skipped=True))
         else:
-            rep = mm.even_sheet_witness(pair, t)
+            rep = mm.even_sheet_witness(pair, mm.normal_triple_for(pair, X))
             items.append(item("even-sheet", rep["ok"],
                               {"dim_p_X": rep["dim_p_X"],
                                "samples": rep["samples"]}))
     elif verify == "distinguished":
-        expected = (2, 2) + (1,) * (p - 2)
-        if _shape(d) != expected or p < 3:
+        if d.shape != orbits.minimal_shape(pair.p) or pair.p < 3:
             items.append(item("not-distinguished-witness", True,
                               {"note": "witness argument applies to shape "
                                "(2,2,1^(p-2)) with p >= 3"}, skipped=True))
@@ -243,7 +234,14 @@ def model_report(p, orbit_spec, verify, seed=0):
                                   for r in rep["reports"]]}))
     else:
         raise UsageError(f"unknown verification {verify!r}")
-    return assemble(command, items, seed)
+    return items
+
+
+def model_report(p, orbit_spec, verify, seed=0):
+    pair = mm.build_pair(p)
+    d = parse_orbit(p, orbit_spec)
+    command = f"model --p {p} --orbit {orbit_spec} --verify {verify}"
+    return assemble(command, orbit_items(pair, d, verify), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +362,7 @@ def orbit_counts_item(ps):
     bad = {}
     for p in ps:
         ds = orbits.enumerate_dyo(p)
-        if Counter(map(_shape, ds)) != orbit_shapes(p):
+        if Counter(d.shape for d in ds) != orbit_shapes(p):
             bad[p] = len(ds)
     return not bad, {"mismatched": bad}
 
@@ -376,10 +374,9 @@ def parity_item(ps):
     candidates all have an odd entry."""
     bad = []
     for p in ps:
-        special = (2, 2) + (1,) * (p - 2)
         for d in orbits.enumerate_dyo(p):
             cands = orbits.characteristic(orbits.forget_signs(d))
-            if _shape(d) == special and p >= 3:
+            if d.shape == orbits.minimal_shape(p) and p >= 3:
                 ok = all(any(x % 2 for x in c) for c in cands)
             else:
                 ok = any(orbits.is_even(c) for c in cands)
@@ -388,22 +385,19 @@ def parity_item(ps):
     return not bad, {"failing": bad}
 
 
+def _model_failures(ps, verify):
+    """The diagrams of p in ps on which a `model --verify` item fails."""
+    return [repr(d) for p in ps for d in orbits.enumerate_dyo(p)
+            if any(i["status"] == "fail"
+                   for i in orbit_items(mm.build_pair(p), d, verify))]
+
+
 @check("characteristic-oracle")
 def characteristic_item(ps):
-    """Criterion 8: each orbit representative has the diagram's Jordan
-    type, and its normal triple gives a characteristic the recipe allows."""
-    bad = []
-    for p in ps:
-        pair = mm.build_pair(p)
-        for d in orbits.enumerate_dyo(p):
-            X = mm.nilpotent_from_diagram(pair, d)
-            ok = mm.jordan_type(X) == _shape(d)
-            if ok and not mm.mat_is_zero(X):
-                c = mm.characteristic_from_triple(mm.normal_triple_for(pair, X))
-                cd = orbits.characteristic(orbits.forget_signs(d))
-                ok = bool(set(c) & set(cd))
-            if not ok:
-                bad.append(repr(d))
+    """Criterion 8: no `model --verify characteristic` item fails: each
+    orbit representative is skew, in p and of the diagram's Jordan type,
+    and its normal triple gives a characteristic the recipe allows."""
+    bad = _model_failures(ps, "characteristic")
     return not bad, {"failing": bad}
 
 
@@ -418,21 +412,10 @@ def minimal_orbit_item(ps):
 
 @check("even-sheet-property")
 def even_sheet_item(ps):
-    """Criterion 9: for every nonzero even orbit, X + lambda Y keeps
-    dim p^X and is semisimple at lambda = 1, 2, 3."""
-    bad = []
-    for p in ps:
-        pair = mm.build_pair(p)
-        for d in orbits.enumerate_dyo(p):
-            cands = orbits.characteristic(orbits.forget_signs(d))
-            if not any(orbits.is_even(c) for c in cands):
-                continue
-            X = mm.nilpotent_from_diagram(pair, d)
-            if mm.mat_is_zero(X):
-                continue
-            rep = mm.even_sheet_witness(pair, mm.normal_triple_for(pair, X))
-            if not rep["ok"]:
-                bad.append(repr(d))
+    """Criterion 9: no `model --verify sheet` item fails: for every
+    nonzero even orbit, X + lambda Y keeps dim p^X and is semisimple at
+    lambda = 1, 2, 3."""
+    bad = _model_failures(ps, "sheet")
     return not bad, {"failing": bad}
 
 

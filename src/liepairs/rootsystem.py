@@ -152,13 +152,6 @@ class RootSystem:
     def orthogonal(self, a, b):
         return self.form(a, b) == 0
 
-    def highest_root(self):
-        """Unique positive root dominating all others coordinatewise.
-
-        Only meaningful for irreducible systems; raises otherwise.
-        """
-        return highest_root_of_subset(self, range(self.rank))
-
     def support(self, a):
         return frozenset(i for i, c in enumerate(a) if c)
 

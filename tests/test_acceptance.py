@@ -73,10 +73,11 @@ def test_criterion_06_orbit_lists():
 
 
 def test_criterion_07_distinguished_evenness_and_witness():
-    """Every shape other than (2,2,1^(p-2)) is even; that shape has an
-    odd characteristic entry and an explicit H in p^X witness."""
+    """Every shape other than (2,2,1^(p-2)) is even, p <= 64; that shape
+    has an odd characteristic entry and an explicit H in p^X witness,
+    checked for p = 3..64."""
     _check(rp.parity_item(range(2, 65)))
-    _check(rp.minimal_orbit_item(range(3, 25)))
+    _check(rp.minimal_orbit_item(range(3, 65)))
     _report(7, "evenness of p-distinguished orbits plus witnesses")
 
 

@@ -267,7 +267,7 @@ def commuting_nilpotent_witnesses(P, entry_index, beta):
     radical; a report dict with "ok"."""
     alg = P.alg
     X = P.cartan_subspace()[entry_index]
-    top = alg.rs.highest_root()
+    top = alg.rs.positive_roots[-1]
     a, b = alg.x(top), alg.x(tuple(beta))
     report = {
         "centralizes_top": not bracket(X, a),

@@ -188,7 +188,7 @@ def test_model_rejects_a_wrong_representative(monkeypatch, capsys):
     # skew and nilpotent of type (3,1,1), but it lies in k: theta(X) = X
     pair = mm.build_pair(3)
     wrong = [mm.nilpotent_from_diagram(pair, d) for d in enumerate_dyo(3)
-             if sorted(d.shape, reverse=True) != [3, 1, 1]]
+             if d.shape != (3, 1, 1)]
     i = mm.I_UNIT
     wrong.append([{1: Fraction(1), 2: i}, {0: Fraction(-1)}, {0: -i}, {}, {}])
     for X in wrong:
@@ -199,6 +199,38 @@ def test_model_rejects_a_wrong_representative(monkeypatch, capsys):
         item = json.loads(capsys.readouterr().out)["items"][0]
         assert item["name"] == "representative-in-model", X
         assert item["status"] == "fail", X
+
+
+def test_criteria_8_and_9_fail_exactly_where_model_does(monkeypatch):
+    # break each check on the shape (3,1,1) alone: the verify-all item
+    # names exactly its diagrams, and `model` fails on exactly those
+    real_char = mm.characteristic_from_triple
+    real_sheet = mm.even_sheet_witness
+
+    def char(t):
+        return ((9, 9),) if mm.jordan_type(t.X) == (3, 1, 1) else real_char(t)
+
+    def sheet(pair, t):
+        rep = real_sheet(pair, t)
+        return {**rep, "ok": mm.jordan_type(t.X) != (3, 1, 1)}
+
+    want = [repr(d) for d in enumerate_dyo(3) if d.shape == (3, 1, 1)]
+    for verify, item_fn, name, fake in (
+            ("characteristic", report.characteristic_item,
+             "characteristic_from_triple", char),
+            ("sheet", report.even_sheet_item, "even_sheet_witness", sheet)):
+        with monkeypatch.context() as m:
+            m.setattr(mm, name, fake)
+            it = item_fn((3, 4))
+            assert it["status"] == "fail", verify
+            assert it["details"] == {"failing": want}, verify
+            for p in (3, 4):
+                for d in enumerate_dyo(p):
+                    spec = ",".join(map(str, d.shape)) + ":" + "".join(
+                        s for _, s in d.rows) + "".join(
+                        ":" + n for n in d.numerals)
+                    ok = model_report(p, spec, verify)["ok"]
+                    assert ok == (repr(d) not in want), (verify, d)
 
 
 def test_centralizer_json(capsys):
@@ -242,7 +274,7 @@ def test_model_sheet_rejects_non_even(capsys):
 
 def test_parse_orbit():
     d = parse_orbit(3, "3,1,1:-++:I")
-    assert tuple(sorted(d.shape, reverse=True)) == (3, 1, 1)
+    assert d.shape == (3, 1, 1)
     assert d.rows[0][1] == "-"
     assert "I" in d.numerals
     with pytest.raises(ValueError):

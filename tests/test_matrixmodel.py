@@ -179,6 +179,17 @@ def test_theta_is_involution_splitting():
     assert pair.theta(X) == mm.mat_mul(J, mm.mat_mul(X, J))
 
 
+def test_in_k_and_in_p():
+    pair = mm.build_pair(3)
+    k, p = pair.k_basis(), pair.p_basis()
+    assert all(pair.in_k(b) and not pair.in_p(b) for b in k)
+    assert all(pair.in_p(b) and not pair.in_k(b) for b in p)
+    # 0 lies in both; a sum across the grading in neither
+    assert pair.in_k(mm.zeros(5)) and pair.in_p(mm.zeros(5))
+    mixed = mm.mat_add(k[0], p[0])
+    assert not pair.in_k(mixed) and not pair.in_p(mixed)
+
+
 def test_phi_equivariance():
     for p in (2, 4):
         assert phi_equivariance_check(mm.build_pair(p))
@@ -221,11 +232,6 @@ def test_jordan_decompose_block_plus_scalar():
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
 
 
-def _in_p(pair, Z):
-    """theta(Z) = -Z; the zero matrix counts."""
-    return mm.mat_is_zero(mm.mat_add(pair.theta(Z), Z))
-
-
 @st.composite
 def p_elements(draw):
     """(pair, M): M in p of the pair for p = 2..4, small QI coefficients."""
@@ -248,7 +254,7 @@ def test_jordan_decompose_property(drawn):
     assert mm.mat_add(S, N) == M
     assert mm.mat_is_zero(mm.commutator(S, N))
     assert mm.is_semisimple(S) and mm.is_nilpotent(N)
-    assert _in_p(pair, S) and _in_p(pair, N)
+    assert pair.in_p(S) and pair.in_p(N)
 
 
 def test_jordan_type():
@@ -285,10 +291,8 @@ def test_diagram_representatives(p):
     for d in orbits.enumerate_dyo(p):
         X = mm.nilpotent_from_diagram(pair, d)
         assert mm.is_skew(X)
-        assert mm.jordan_type(X) == tuple(
-            sorted(d.shape, reverse=True))
-        if not mm.mat_is_zero(X):
-            assert pair.parity_tag(X) == "in-p"
+        assert mm.jordan_type(X) == d.shape
+        assert pair.in_p(X)
 
 
 @pytest.mark.parametrize("p", [3, 4])
@@ -339,6 +343,54 @@ def test_minimal_orbit_not_distinguished(p):
     assert rep["ok"], rep
 
 
+def test_minimal_orbit_triple_spans_the_root_space():
+    # the kernel search the explicit triple replaced is the oracle: the
+    # root space of e1 - e2 is a line, and X0 is a rational multiple of
+    # its one vector
+    for p in range(3, 11):
+        pair = mm.build_pair(p)
+        space = mm.real_restricted_root_space(pair, 1, -1)
+        assert len(space) == 1, p
+        X0 = mm.minimal_orbit_cayley_triple(pair).X0
+        (i, j), x = next(iter(mm.entries(space[0]).items()))
+        c = X0[i].get(j, F(0)) / x
+        assert type(c) is Fraction and c, p
+        assert X0 == mm.mat_scale(space[0], c), p
+
+
+def test_minimal_orbit_triple_names_a_broken_relation(monkeypatch):
+    # K_1 and K_2 swapped: the triple still validates, but X0 is then a
+    # root vector of e2 - e1
+    K = mm.K
+    monkeypatch.setattr(mm, "K", lambda pair, i: K(pair, 3 - i))
+    with pytest.raises(ValueError,
+                       match=r"\[H0,X0\] != 2 X0.*\[K_1,X0\] != X0; "
+                             r"\[K_2,X0\] != -X0"):
+        mm.minimal_orbit_cayley_triple(mm.build_pair(3))
+
+
+def test_minimal_orbit_witnesses_run_no_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("real_restricted_root_space was called")
+    monkeypatch.setattr(mm, "real_restricted_root_space", no_search)
+    for p in (3, 4, 7):
+        pair = mm.build_pair(p)
+        assert mm.minimal_orbit_not_distinguished(pair)["ok"], p
+        X, _, _ = mm.lemma_witness_element(pair)
+        assert mm.lemma51_check(pair, X, trials=3)["ok"], p
+
+
+def test_minimal_orbit_witness_rejects_zero(monkeypatch):
+    # 0 commutes with X, lies in p and is semisimple: only
+    # "witness_nonzero" tells it from a witness
+    monkeypatch.setattr(mm, "_cartan_witness", lambda pair: mm.zeros(pair.n))
+    rep = mm.minimal_orbit_not_distinguished(mm.build_pair(3))
+    assert not rep["ok"]
+    assert [r["witness_nonzero"] for r in rep["reports"]] == [False, False]
+    assert all(r["witness_commutes"] and r["witness_in_p"]
+               for r in rep["reports"])
+
+
 def test_minimal_orbit_witness_needs_p_at_least_3():
     with pytest.raises(ValueError):
         mm.minimal_orbit_not_distinguished(mm.build_pair(2))
@@ -347,8 +399,8 @@ def test_minimal_orbit_witness_needs_p_at_least_3():
 def test_lemma51_sampling():
     pair = mm.build_pair(4)
     X, Xs, Xn = mm.lemma_witness_element(pair)
-    assert pair.parity_tag(Xs) == "in-p"
-    assert pair.parity_tag(Xn) == "in-p"
+    assert pair.in_p(Xs) and not mm.mat_is_zero(Xs)
+    assert pair.in_p(Xn) and not mm.mat_is_zero(Xn)
     assert mm.mat_is_zero(mm.commutator(Xs, Xn))
     rep = mm.lemma51_check(pair, X, trials=20, seed=3)
     assert rep["ok"], rep
@@ -362,8 +414,7 @@ def test_lemma51_rejects_pure_inputs():
 
 def test_even_sheet_on_even_orbit():
     pair = mm.build_pair(4)
-    d = [x for x in orbits.enumerate_dyo(4)
-         if tuple(sorted(x.shape, reverse=True)) == (3, 1, 1, 1)][0]
+    d = [x for x in orbits.enumerate_dyo(4) if x.shape == (3, 1, 1, 1)][0]
     t = mm.normal_triple_for(pair, mm.nilpotent_from_diagram(pair, d))
     rep = mm.even_sheet_witness(pair, t)
     assert rep["ok"], rep
@@ -372,8 +423,7 @@ def test_even_sheet_on_even_orbit():
 
 def test_even_sheet_rejects_non_even_orbit():
     pair = mm.build_pair(4)
-    d = [x for x in orbits.enumerate_dyo(4)
-         if tuple(sorted(x.shape, reverse=True)) == (2, 2, 1, 1)][0]
+    d = [x for x in orbits.enumerate_dyo(4) if x.shape == (2, 2, 1, 1)][0]
     t = mm.normal_triple_for(pair, mm.nilpotent_from_diagram(pair, d))
     with pytest.raises(ValueError):
         mm.even_sheet_witness(pair, t)

@@ -76,6 +76,12 @@ def test_signature_always_p_2():
             assert signs.count("-") == 2
 
 
+def test_shape_is_weakly_decreasing():
+    for p in range(2, 65):
+        for d in enumerate_dyo(p):
+            assert list(d.shape) == sorted(d.shape, reverse=True), d
+
+
 def test_forget_signs():
     d = SignedYoungDiagram(((3, "+"), (1, "-")), ("I",))
     assert forget_signs(d) == YoungDiagram((3, 1))

@@ -41,14 +41,15 @@ def test_cartan_matrix_symmetrizable():
 
 
 def test_highest_roots():
-    # coordinates of the highest root in the simple-root basis
-    assert build_root_system("A", 3).highest_root() == (1, 1, 1)
-    assert build_root_system("B", 3).highest_root() == (1, 2, 2)
-    assert build_root_system("C", 3).highest_root() == (2, 2, 1)
-    assert build_root_system("D", 4).highest_root() == (1, 2, 1, 1)
-    assert build_root_system("G2", 2).highest_root() == (3, 2)
-    assert build_root_system("F4", 4).highest_root() == (2, 3, 4, 2)
-    assert build_root_system("E6", 6).highest_root() == (1, 2, 2, 3, 2, 1)
+    # coordinates of the highest root in the simple-root basis; it is the
+    # last positive root, which `is_abelian_radical` relies on
+    for (label, rank), top in {
+            ("A", 3): (1, 1, 1), ("B", 3): (1, 2, 2), ("C", 3): (2, 2, 1),
+            ("D", 4): (1, 2, 1, 1), ("G2", 2): (3, 2),
+            ("F4", 4): (2, 3, 4, 2), ("E6", 6): (1, 2, 2, 3, 2, 1)}.items():
+        rs = build_root_system(label, rank)
+        assert rs.positive_roots[-1] == top
+        assert highest_root_of_subset(rs, range(rank)) == top
 
 
 def test_root_negatives_and_no_doubles():
@@ -63,7 +64,7 @@ def test_root_negatives_and_no_doubles():
 def test_form_long_roots_normalized():
     for label, rank in (("B", 3), ("C", 3), ("F4", 4), ("G2", 2)):
         rs = build_root_system(label, rank)
-        top = rs.highest_root()
+        top = rs.positive_roots[-1]
         assert rs.form(top, top) == Fraction(2)
 
 
@@ -102,7 +103,7 @@ def test_pairing_integrality():
 
 def test_strongly_orthogonal():
     rs = build_root_system("B", 2)
-    long_root = rs.highest_root()            # e1 + e2
+    long_root = rs.positive_roots[-1]        # e1 + e2
     short = (0, 1)                           # e2 (short simple)
     assert not strongly_orthogonal(rs, long_root, short)
     e1_minus_e2 = (1, 0)
