@@ -13,6 +13,10 @@ One matrix format: an n x n matrix is a list of n sparse rows
 the zero test and `==` is equality.  `entries(M)` keys the entries by
 (row, column), the vector format that `linalg.kernel`, `rank` and `Span`
 take.
+The k and p bases are the E_ij - E_ji at the index pairs `k_pairs` and
+`p_pairs`; `bracket_skew` reads [X, E_ij - E_ji] off two rows and two
+columns of X with no product, and `commutator` serves every other
+bracket.
 Entries are `Fraction`s until i multiplies them: the real-form basis,
 k, p, H_k, K_k, the real restricted root spaces and the Cayley triples
 stay rational.  `QI` enters only through `phi`, the Cayley transform,
@@ -106,7 +110,45 @@ def mat_mul(a, b):
 
 
 def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba, both products accumulated into one dict per row."""
+    out = []
+    for ra, rb in zip(a, b):
+        acc = {}
+        for t, x in ra.items():
+            for j, y in b[t].items():
+                z = acc.get(j)
+                acc[j] = x * y if z is None else z + x * y
+        for t, x in rb.items():
+            for j, y in a[t].items():
+                z = acc.get(j)
+                acc[j] = -(x * y) if z is None else z - x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return out
+
+
+def bracket_skew(X, i, j):
+    """[X, E_ij - E_ji] with no product: columns j and i are X's columns
+    i and -j, less X's rows j and -i placed at rows i and j."""
+    out = []
+    for row in X:
+        col = {}
+        if i in row:
+            col[j] = row[i]
+        if j in row:
+            col[i] = -row[j]
+        out.append(col)
+    for orow, src, sign in ((out[i], X[j], -1), (out[j], X[i], 1)):
+        for k, x in src.items():
+            if sign < 0:
+                x = -x
+            y = orow.get(k)
+            if y is None:
+                orow[k] = x
+            elif y := y + x:
+                orow[k] = y
+            else:
+                del orow[k]
+    return out
 
 
 def transpose(a):
@@ -202,15 +244,22 @@ class MatrixPair:
         """theta(X) = -X."""
         return mat_is_zero(mat_add(self.theta(X), X))
 
-    def k_basis(self):
+    def k_pairs(self):
+        """(i, j) with E_ij - E_ji the k basis, in `k_basis` order."""
         n, p = self.n, self.p
-        out = [skew_elementary(n, i, j) for i in range(p) for j in range(i + 1, p)]
-        out.append(skew_elementary(n, n - 2, n - 1))
-        return out
+        return ([(i, j) for i in range(p) for j in range(i + 1, p)]
+                + [(n - 2, n - 1)])
+
+    def p_pairs(self):
+        """(i, j) with E_ij - E_ji the p basis, in `p_basis` order."""
+        n, p = self.n, self.p
+        return [(i, j) for i in range(p) for j in (n - 2, n - 1)]
+
+    def k_basis(self):
+        return [skew_elementary(self.n, i, j) for i, j in self.k_pairs()]
 
     def p_basis(self):
-        n, p = self.n, self.p
-        return [skew_elementary(n, i, j) for i in range(p) for j in (n - 2, n - 1)]
+        return [skew_elementary(self.n, i, j) for i, j in self.p_pairs()]
 
     def H(self, i):
         """The Cartan-subspace basis H_i = E_{i,n-i+1} - E_{n-i+1,i}."""
@@ -229,11 +278,13 @@ class MatrixPair:
     def dim_p_centralizer(self, X):
         """dim p^X, counted on the coefficient kernel: no element of p^X
         is built."""
-        return len(linalg.kernel([entries(commutator(X, b))
-                                  for b in self.p_basis()]))
+        return len(linalg.kernel([entries(bracket_skew(X, i, j))
+                                  for i, j in self.p_pairs()]))
 
     def dim_bracket_k(self, X):
-        return linalg.rank(entries(commutator(b, X)) for b in self.k_basis())
+        """dim [k, X], the rank of the columns [X, k_j] = -[k_j, X]."""
+        return linalg.rank(entries(bracket_skew(X, i, j))
+                           for i, j in self.k_pairs())
 
 
 def build_pair(p) -> MatrixPair:
@@ -398,16 +449,17 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     if not is_nilpotent(X):
         raise ValueError("X must be nilpotent")
     # H = sum a_j [X, p_j] with [H, X] = 2 X
-    pb = pair.p_basis()
-    cands = [commutator(X, b) for b in pb]
+    pp = pair.p_pairs()
+    cands = [bracket_skew(X, i, j) for i, j in pp]
     sol = _solve([entries(commutator(c, X)) for c in cands],
                  entries(mat_scale(X, 2)))
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
     H = lin_comb(sol.values(), [cands[j] for j in sol])
     # Y in p with [X, Y] = H and [H, Y] = -2 Y, the two stacked
-    sol = _solve([entries(c + lin_comb((F1, 2), (commutator(H, b), b)))
-                  for c, b in zip(cands, pb)], entries(H))
+    pb = pair.p_basis()
+    sol = _solve([entries(c + lin_comb((F1, 2), (bracket_skew(H, i, j), b)))
+                  for c, (i, j), b in zip(cands, pp, pb)], entries(H))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
     Y = lin_comb(sol.values(), [pb[j] for j in sol])

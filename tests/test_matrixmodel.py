@@ -78,12 +78,17 @@ SCALARS = (
 )
 
 
+def draw_scalars(draw):
+    """Mostly-zero scalars over Q, Q(i) or both mixed."""
+    pools = draw(st.sampled_from([SCALARS[:1], SCALARS[1:], SCALARS]))
+    return st.sampled_from([x for pool in pools for x in pool])
+
+
 @st.composite
 def model_operands(draw):
     """(A, B, C, (a, b)): dense n x n matrices over Q, Q(i) or both mixed,
     mostly zero, C invertible, and two scalars."""
-    pools = draw(st.sampled_from([SCALARS[:1], SCALARS[1:], SCALARS]))
-    scalar = st.sampled_from([x for pool in pools for x in pool])
+    scalar = draw_scalars(draw)
     n = draw(st.integers(1, 4))
 
     def matrix(keep=lambda i, j: True, diag=None):
@@ -155,6 +160,32 @@ def test_sparse_helpers_match_dense_reference(ops):
     else:
         with pytest.raises(ValueError, match="singular"):
             mm.mat_inverse(sA)
+
+
+@st.composite
+def square_matrix(draw, n):
+    """A dense n x n matrix over Q, Q(i) or both mixed, mostly zero."""
+    scalar = draw_scalars(draw)
+    return [[draw(scalar) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_bracket_skew_matches_two_products(n, data):
+    """The closed form [X, E_ij - E_ji] equals the two-product formula
+    for every ordered i != j, and stores no zero."""
+    X = sp(data.draw(square_matrix(n)))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            b = mm.skew_elementary(n, i, j)
+            got = mm.bracket_skew(X, i, j)
+            assert got == mm.mat_sub(mm.mat_mul(X, b), mm.mat_mul(b, X))
+            assert no_stored_zero(got)
+            # [b, b] = 0: every entry of rows i and j cancels
+            assert not any(mm.bracket_skew(b, i, j))
 
 
 def test_pair_dimensions():

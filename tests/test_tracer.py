@@ -28,6 +28,8 @@ def test_tracer_installs_and_uninstalls():
         assert linalg.nullspace is not nullspace
         # the kernel routine goes through the traced nullspace
         assert linalg.kernel([linalg.sparse([Fraction(1), Fraction(2)])]) == []
+        mm.mat_mul(mm.eye(2), mm.eye(2))
+        mm.mat_mul(mm.eye(2), mm.eye(2))
         mm.commutator(mm.eye(2), mm.eye(2))
     finally:
         tracer.uninstall()
@@ -35,6 +37,7 @@ def test_tracer_installs_and_uninstalls():
     calls = {name: n for name, (n, _) in tracer.self_times()[0].items()}
     assert calls["linalg.nullspace"] == 1
     assert calls["matrixmodel.mat_mul"] == 2
+    assert calls["matrixmodel.commutator"] == 1
 
 
 def test_tracer_counts_qi_made_by_arithmetic():
