@@ -16,7 +16,10 @@ are the small square minors of the pencil; `sparse` turns a dense vector
 into the sparse format.
 Everything is duck-typed over the field operations +, -, *, /, and
 truthiness as the zero test, so the same routines serve the rational
-and Gaussian-rational cases.
+and Gaussian-rational cases.  The one exception is `min_poly` over Q:
+it clears the denominators of the map once and runs its Krylov and
+Horner steps on int, which is exact because the minimal polynomial of
+an integral map is integral, and rescales the result back to Q.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
 
+from .gaussian import QI
+
 F0 = Fraction(0)
 F1 = Fraction(1)
+_RATIONAL = (int, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +333,40 @@ def rational_roots(p):
 
 
 def min_poly(columns):
-    """Minimal polynomial of the linear map whose j-th column, the image of
-    the j-th basis vector, is the sparse vector columns[j].
+    """Minimal polynomial of the linear map A whose j-th column, the image
+    of the j-th basis vector, is the sparse vector columns[j].
 
     Works by accumulating annihilators of Krylov chains until the candidate
     kills every basis vector, so the result is certified, not probabilistic.
+    Over Q (every entry an int or a Fraction) the loop runs on int: with d
+    the lcm of the entry denominators, dA is integral, so every Krylov
+    vector is integral and so, by Gauss's lemma, is the monic annihilator
+    of each (it divides the integral characteristic polynomial of dA);
+    m_A(x) = d^-deg * m_dA(d*x) then rescales the result exactly.  The
+    coefficients are Fractions over Q and QIs once an entry is a QI, in
+    which case the same loop runs on the columns as given.  A column entry
+    keyed outside 0..n-1 is a ValueError.
     """
-    p = [F1]
-    for i in range(len(columns)):
+    n = len(columns)
+    stray = set().union(*columns).difference(range(n))
+    if stray:
+        raise ValueError(f"min_poly: a map on {n} basis vectors has a column "
+                         f"entry keyed {stray.pop()!r}, outside 0..{n - 1}")
+    entries = [x for col in columns for x in col.values()]
+    rational = all(type(x) in _RATIONAL for x in entries)
+    if rational:
+        d = lcm(*(x.denominator for x in entries))
+        columns = [{i: x.numerator * (d // x.denominator)
+                    for i, x in col.items()} for col in columns]
+    p = [1]
+    for i in range(n):
         v = _apply_poly(columns, p, i)
         if v:
             p = poly_mul(p, _krylov_annihilator(columns, v))
-    return poly_monic(p)
+    if not rational:
+        return [QI.coerce(c) for c in p]
+    deg = len(p) - 1
+    return [Fraction(c, d ** (deg - k)) for k, c in enumerate(p)]
 
 
 def _apply(columns, v):
@@ -366,22 +394,41 @@ def _apply_poly(columns, p, i):
     return acc
 
 
+def _exact(v):
+    """v with its int entries made Fractions: `Span` and `solve` divide,
+    and int / int is a float."""
+    return {i: Fraction(x) if type(x) is int else x for i, x in v.items()}
+
+
 def _krylov_annihilator(columns, v):
-    """The monic q of least degree with q(A) v = 0."""
+    """The monic q of least degree with q(A) v = 0; a coefficient that is
+    an integer comes back as an int, so over an integral map and vector
+    (Gauss's lemma) q is all int."""
+    n = len(columns)
     span = Span()
-    chain = [v]
-    span.add(v)
-    while True:
-        nxt = _apply(columns, chain[-1])
-        if span.contains(nxt):
+    chain = [_exact(v)]
+    span.add(chain[0])
+    nxt = v
+    # the span grows on every step that does not close the chain, and it
+    # has dimension at most n
+    for _ in range(n + 1):
+        nxt = _apply(columns, nxt)
+        exact = _exact(nxt)
+        if span.contains(exact):
             break
-        span.add(nxt)
-        chain.append(nxt)
-    # nxt = sum c_k chain[k], solved on the rows where the chain has support
+        span.add(exact)
+        chain.append(exact)
+    else:
+        raise ValueError(f"min_poly: the Krylov chain of a map on {n} basis "
+                         f"vectors did not close in {n + 1} steps")
+    # exact = sum c_k chain[k], solved on the rows where the chain has
+    # support
     support = sorted(set().union(*chain))
     coeffs = solve([[u.get(r, F0) for u in chain] for r in support],
-                   [nxt.get(r, F0) for r in support])
-    return poly_trim([-c for c in coeffs] + [F1])
+                   [exact.get(r, F0) for r in support])
+    q = [-c for c in coeffs] + [F1]
+    return [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for c in q]
 
 
 # ---------------------------------------------------------------------------

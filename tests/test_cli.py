@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,3 +333,15 @@ def test_model_golden(p, verify, capsys):
         out.append(capsys.readouterr().out)
     golden = GOLDEN / f"model_p{p}_{verify}.txt"
     assert "".join(out).encode() == golden.read_bytes()
+
+
+def test_python_m_liepairs_from_checkout():
+    # the package runs as a module with only its source on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liepairs", "pairs", "--max-rank", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # --max-rank bounds the classical types only: the E rows always show
+    assert "(sp_4, gl_2)" in proc.stdout and "(E7, E6 x C)" in proc.stdout

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -352,9 +353,14 @@ def _dense(rows, ncols):
 
 
 def dense_min_poly(mat):
-    """Least k with M^k in span(I, ..., M^(k-1)), solved densely."""
+    """Least k with M^k in span(I, ..., M^(k-1)), solved densely; int
+    entries are read as Fractions, and the map on no basis vectors has
+    minimal polynomial 1."""
     n = len(mat)
-    one, zero = mat[0][0] * 0 + 1, mat[0][0] * 0
+    if not n:
+        return [F(1)]
+    zero = mat[0][0] * 0 + F(0)
+    one = zero + 1
     power = [[one if i == j else zero for j in range(n)] for i in range(n)]
     flats = []
     while True:
@@ -376,9 +382,61 @@ def square_matrices(draw, entry):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_fields(square_matrices))
+@example([[F(1, 2), F(1, 3), F(0)],      # denominators 2 and 3, so d = 6
+          [F(0), F(1, 2), F(-2, 3)],
+          [F(1, 3), F(0), F(1, 2)]])
+@example([[F(0), F(0)], [F(0), F(0)]])   # the zero map
+@example([])                             # no basis vectors
+@example([[1, 2, 0], [0, 1, -3], [2, 0, 1]])  # bare int entries
+@example([[QI(0), QI(0), F(1), QI(0)],   # nilpotent, Fraction and QI mixed
+          [QI(0), QI(0), QI(0, 1), QI(0)],
+          [QI(-1), QI(0, -1), QI(0), QI(0)],
+          [QI(0), QI(0), QI(0), QI(0)]])
 def test_min_poly_matches_dense_reference(mat):
     columns = [linalg.sparse(c) for c in zip(*mat)]
-    assert linalg.min_poly(columns) == dense_min_poly(mat)
+    got = linalg.min_poly(columns)
+    assert got == dense_min_poly(mat)
+    # the field's own type, never an int or a float: Fraction over Q, QI
+    # as soon as one entry is a QI
+    gaussian = any(type(x) is QI for col in columns for x in col.values())
+    assert all(type(c) is (QI if gaussian else F) for c in got)
+
+
+def test_min_poly_rejects_a_key_outside_the_basis():
+    with pytest.raises(ValueError, match=r"2 basis vectors .* keyed 5, "
+                                         r"outside 0\.\.1"):
+        linalg.min_poly([{0: F(1)}, {5: F(1)}])
+
+
+def test_krylov_chain_is_bounded(monkeypatch):
+    # a span that never contains the next vector makes the chain run on
+    monkeypatch.setattr(linalg.Span, "contains", lambda self, vec: False)
+    with pytest.raises(ValueError, match="3 basis vectors did not close "
+                                         "in 4 steps"):
+        linalg.min_poly([{1: F(1)}, {2: F(1)}, {0: F(1)}])
+
+
+@pytest.mark.parametrize("n, degree", [(3, 19), (4, 33), (5, 43), (6, 65)])
+def test_min_poly_ad_known_answer_sp_gl(n, degree):
+    """In (sp_2n, gl_n), ad of X = sum_K c_K X_K has the distinct values of
+    {0, +-2c_i, +-c_i +- c_j} as eigenvalues and is semisimple, so its
+    minimal polynomial is the product of the x - lambda; no Krylov chain
+    is needed to write it down."""
+    P = build_parabolic(build_algebra("C", n), set(range(n - 1)))
+    assert P.pair_label == f"(sp_{2 * n}, gl_{n})"
+    # c = (1..n) gives every integer in -2n..2n; c_K = K/(K+1) has
+    # denominators up to n + 1 (d = 420 at n = 6)
+    for c, deg in (([F(k) for k in range(1, n + 1)], 4 * n + 1),
+                   ([F(k, k + 1) for k in range(1, n + 1)], degree)):
+        eigenvalues = {s * a + t * b for a in c for b in c
+                       for s in (1, -1) for t in (1, -1)}
+        want = [F(1)]
+        for lam in sorted(eigenvalues):
+            want = linalg.poly_mul(want, [-lam, F(1)])
+        p = minimal_polynomial_ad(lin_comb(c, P.cartan_subspace()))
+        assert len(p) - 1 == deg
+        assert p == want
+        assert all(type(a) is F for a in p)
 
 
 def leibniz_det(mat):
