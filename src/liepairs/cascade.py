@@ -33,29 +33,33 @@ class CascadeEntry:
         return f"CascadeEntry({ks}, eps={list(self.epsilon_K)})"
 
 
-def _gamma_set(rs, subset, eps):
-    return tuple(r for r in subsystem_positive_roots(rs, subset)
-                 if not rs.orthogonal(r, eps))
-
-
 def cascade(rs: RootSystem, subset) -> list:
     """The cascade K(T) for T a set of simple-root indices."""
-    subset = frozenset(subset)
     out = []
     for comp in connected_components(rs, subset):
         eps = highest_root_of_subset(rs, comp)
-        out.append(CascadeEntry(comp, eps, _gamma_set(rs, comp, eps)))
-        rest = {i for i in comp if rs.orthogonal(_simple(rs, i), eps)}
-        out.extend(cascade(rs, rest))
+        w = [sum(g * e for g, e in zip(row, eps)) for row in rs._gram6]
+        # w = 6 (eps, alpha_j)_j: r is orthogonal to eps iff r . w == 0
+        gamma = tuple(r for r in subsystem_positive_roots(rs, comp)
+                      if sum(x * y for x, y in zip(r, w) if x))
+        out.append(CascadeEntry(comp, eps, gamma))
+        out.extend(cascade(rs, {i for i in comp if not w[i]}))
     return out
 
 
-def _simple(rs, i):
-    return tuple(1 if j == i else 0 for j in range(rs.rank))
+def full_cascade(rs: RootSystem) -> tuple:
+    """The cascade K(Pi) of all simple roots, computed once per
+    `RootSystem` and returned as a tuple."""
+    if rs._cascade is None:
+        object.__setattr__(rs, "_cascade", tuple(cascade(rs, range(rs.rank))))
+    return rs._cascade
 
 
-def full_cascade(rs: RootSystem) -> list:
-    return cascade(rs, range(rs.rank))
+def _cascade_of(rs, subset):
+    """K(T) for a frozenset T, read through `full_cascade` when T = Pi."""
+    if subset == frozenset(range(rs.rank)):
+        return full_cascade(rs)
+    return cascade(rs, subset)
 
 
 def verify_gamma_partition(rs: RootSystem, subset) -> dict:
@@ -69,7 +73,7 @@ def verify_gamma_partition(rs: RootSystem, subset) -> dict:
     witnesses (and stays empty for every root system in scope).
     """
     subset = frozenset(subset)
-    entries = cascade(rs, subset)
+    entries = _cascade_of(rs, subset)
     failures = []
 
     seen = {}
@@ -88,17 +92,19 @@ def verify_gamma_partition(rs: RootSystem, subset) -> dict:
         failures.append({"check": "cover", "root": list(r)})
 
     for e in entries:
+        gamma = set(e.gamma_K)
         for a in e.gamma_K:
             if a == e.epsilon_K:
                 continue
-            partners = [b for b in e.gamma_K
-                        if tuple(x + y for x, y in zip(a, b)) == e.epsilon_K]
-            if len(partners) != 1:
+            # the roots of Gamma^K are distinct, so the partner is unique
+            # if it is there at all
+            b = tuple(x - y for x, y in zip(e.epsilon_K, a))
+            if b not in gamma:
                 failures.append({
                     "check": "unique-complement",
                     "root": list(a),
                     "entry": sorted(e.subset_K),
-                    "partners": [list(b) for b in partners],
+                    "partners": [],
                 })
 
     for i in range(len(entries)):
@@ -125,7 +131,7 @@ def verify_gamma_partition(rs: RootSystem, subset) -> dict:
 def epsilons_strongly_orthogonal(rs: RootSystem, subset) -> bool:
     """True iff the highest roots of the cascade entries are pairwise
     strongly orthogonal."""
-    eps = [e.epsilon_K for e in cascade(rs, subset)]
+    eps = [e.epsilon_K for e in _cascade_of(rs, frozenset(subset))]
     for i in range(len(eps)):
         for j in range(i + 1, len(eps)):
             if not strongly_orthogonal(rs, eps[i], eps[j]):

@@ -1,9 +1,10 @@
 """Finite root systems of types A-G in simple-root coordinates.
 
-Roots are integer tuples over the simple-root basis, built by reflection
-closure from the Cartan matrix.  The invariant bilinear form is normalized
-so that long roots have squared length 2; with that normalization every
-pairing used here is rational and most are integral.
+Roots are integer tuples over the simple-root basis.  The positive roots
+are generated from the simple roots by raising reflections alone, with
+every coordinate bounded by 6 (the largest coefficient of any finite
+type's highest root).  The invariant bilinear form is normalized so that
+long roots have squared length 2; six times it is integral.
 """
 
 from __future__ import annotations
@@ -121,12 +122,17 @@ class RootSystem:
         pos = set(self.positive_roots)
         object.__setattr__(self, "_root_set",
                            pos | {tuple(-c for c in r) for r in pos})
+        # support bitmask of each positive root, bit i for alpha_i
+        object.__setattr__(self, "_masks", tuple(
+            sum(1 << i for i, c in enumerate(r) if c)
+            for r in self.positive_roots))
+        object.__setattr__(self, "_cascade", None)   # set by full_cascade
         # 6 (a_i, a_j) = 3 |a_i|^2 C_ij is integral: |a_i|^2 is 2, 1 or 2/3
-        gram = [[3 * li * cij for cij in row]
-                for li, row in zip(self.lengths, self.cartan_matrix)]
-        assert all(x.denominator == 1 for row in gram for x in row)
-        object.__setattr__(self, "_gram6",
-                           tuple(tuple(int(x) for x in row) for row in gram))
+        l3 = [3 * li for li in self.lengths]
+        assert all(x.denominator == 1 for x in l3)
+        object.__setattr__(self, "_gram6", tuple(
+            tuple(int(x) * cij for cij in row)
+            for x, row in zip(l3, self.cartan_matrix)))
 
     # -- pairing helpers ----------------------------------------------------
 
@@ -138,10 +144,6 @@ class RootSystem:
                 total += ai * sum(g * bj for g, bj in zip(row, b))
         return total
 
-    def form(self, a, b):
-        """Invariant bilinear form (a, b) for integer coordinate vectors."""
-        return Fraction(self.form6(a, b), 6)
-
     def is_root(self, a):
         return tuple(a) in self._root_set
 
@@ -149,41 +151,45 @@ class RootSystem:
         """<a, alpha_i^vee> = 2(a, alpha_i)/(alpha_i, alpha_i), an integer."""
         return sum(a[j] * self.cartan_matrix[i][j] for j in range(self.rank))
 
-    def orthogonal(self, a, b):
-        return self.form(a, b) == 0
-
-    def support(self, a):
-        return frozenset(i for i, c in enumerate(a) if c)
-
 
 def build_root_system(type_label, rank):
-    """Construct the root system by reflection closure from the Cartan matrix.
+    """Construct the positive roots from the Cartan matrix.
+
+    From a positive root a, every reflection s_i with
+    c = <a, alpha_i^vee> < 0 raises it to a - c alpha_i; each positive
+    root is reached from a simple root this way, by induction on height.
+    Each root carries its pairing vector, updated by one column of C per
+    step.  A coordinate above 6 means C is not of finite type, and is a
+    `ValueError`.
 
     Positive roots come out in a deterministic order: graded by height, then
     lexicographically by coordinates.
     """
     C = cartan_matrix(type_label, rank)
     lengths = _root_lengths(C)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    roots = set(simple)
-    frontier = list(simple)
+    frontier = [(tuple(int(j == i) for j in range(rank)),
+                 tuple(row[i] for row in C)) for i in range(rank)]
+    roots = {a for a, _ in frontier}
     while frontier:
         nxt = []
-        for a in frontier:
-            for i in range(rank):
-                c = sum(a[j] * C[i][j] for j in range(rank))
-                b = list(a)
-                b[i] -= c
-                b = tuple(b)
-                if b not in roots and not all(x == 0 for x in b):
-                    roots.add(b)
-                    nxt.append(b)
+        for a, pa in frontier:
+            for i, c in enumerate(pa):
+                if c >= 0:
+                    continue
+                b = a[:i] + (a[i] - c,) + a[i + 1:]
+                if b in roots:
+                    continue
+                if b[i] > 6:
+                    raise ValueError(f"type {type_label}, rank {rank}: root "
+                                     "coordinate exceeds 6, Cartan matrix "
+                                     "is not of finite type")
+                roots.add(b)
+                nxt.append((b, tuple(p - c * row[i]
+                                     for p, row in zip(pa, C))))
         frontier = nxt
-    positive = sorted((r for r in roots if all(c >= 0 for c in r)),
-                      key=lambda r: (sum(r), r))
-    rs = RootSystem(type_label, rank, tuple(tuple(r) for r in C),
-                    tuple(positive), tuple(lengths))
-    return rs
+    positive = sorted(roots, key=lambda r: (sum(r), r))
+    return RootSystem(type_label, rank, tuple(tuple(r) for r in C),
+                      tuple(positive), tuple(lengths))
 
 
 def strongly_orthogonal(rs, a, b):
@@ -223,8 +229,9 @@ def connected_components(rs, subset):
 
 def subsystem_positive_roots(rs, subset):
     """Positive roots supported on the given simple-root indices."""
-    subset = frozenset(subset)
-    return [r for r in rs.positive_roots if rs.support(r) <= subset]
+    outside = ~sum(1 << i for i in set(subset))
+    return [r for r, m in zip(rs.positive_roots, rs._masks)
+            if not m & outside]
 
 
 def highest_root_of_subset(rs, subset):

@@ -1,14 +1,23 @@
 """Kostant cascade of strongly orthogonal roots."""
 
+import importlib
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from liepairs.cascade import (
+    CascadeEntry,
     cascade,
     epsilons_strongly_orthogonal,
     full_cascade,
     verify_gamma_partition,
 )
-from liepairs.rootsystem import build_root_system, strongly_orthogonal
+from liepairs.rootsystem import (
+    build_root_system,
+    connected_components,
+    strongly_orthogonal,
+)
 
 # cascade sizes for the full system (number of entries = dim of the
 # Cartan subspace of the corresponding maximal-parabolic pairs)
@@ -81,3 +90,116 @@ def test_cascade_of_subset():
     entries = cascade(rs, frozenset({1, 2, 3, 4}))  # D4 subsystem
     assert len(entries) == 4
     assert all(0 not in e.subset_K for e in entries)
+
+
+ALL_TYPES = ([("A", n) for n in range(1, 9)]
+             + [(t, n) for t in "BCD" for n in range(2, 9)]
+             + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+def supported_on(rs, subset):
+    return [r for r in rs.positive_roots
+            if {i for i, c in enumerate(r) if c} <= subset]
+
+
+def fraction_cascade(rs, subset):
+    """Oracle: the cascade recursion with the form over Fraction and
+    supports as sets."""
+    def orthogonal(a, b):
+        return Fraction(rs.form6(a, b), 6) == 0
+
+    out = []
+    for comp in connected_components(rs, subset):
+        roots = supported_on(rs, comp)
+        eps = max(roots, key=lambda r: (sum(r), r))
+        gamma = tuple(r for r in roots if not orthogonal(r, eps))
+        out.append(CascadeEntry(comp, eps, gamma))
+        simple = [tuple(int(j == i) for j in range(rs.rank)) for i in comp]
+        out.extend(fraction_cascade(
+            rs, {i for i, a in zip(comp, simple) if orthogonal(a, eps)}))
+    return out
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_cascade_matches_fraction_oracle(label, rank):
+    rs = build_root_system(label, rank)
+    full = frozenset(range(rank))
+    assert full_cascade(rs) == tuple(fraction_cascade(rs, full))
+    for S in [full] + [full - {i} for i in range(rank)]:
+        entries = fraction_cascade(rs, S)
+        assert cascade(rs, S) == entries
+        assert verify_gamma_partition(rs, S) == {
+            "type": label, "rank": rank, "subset": sorted(S),
+            "entries": len(entries),
+            "gamma_sizes": [len(e.gamma_K) for e in entries],
+            "positive_roots": len(supported_on(rs, S)),
+            "failures": [], "ok": True,
+        }
+
+
+def test_full_cascade_is_computed_once_per_root_system():
+    rs = build_root_system("D", 5)
+    assert full_cascade(rs) is full_cascade(rs)
+    assert full_cascade(build_root_system("D", 5)) is not full_cascade(rs)
+
+
+# the package exports the function `cascade`, which hides the module
+cascade_module = importlib.import_module("liepairs.cascade")
+
+
+def failures_with(monkeypatch, rs, entries):
+    # verify_gamma_partition reads the full-subset cascade through
+    # full_cascade
+    monkeypatch.setattr(cascade_module, "full_cascade", lambda rs: entries)
+    return verify_gamma_partition(rs, range(rs.rank))["failures"]
+
+
+def test_partition_check_reports_a_root_in_two_gammas(monkeypatch):
+    # A3: Gamma^{a1,a2,a3} holds a1; Gamma^{a2} = {a2} gets it too
+    rs = build_root_system("A", 3)
+    top, mid = full_cascade(rs)
+    bad = replace(mid, gamma_K=mid.gamma_K + ((1, 0, 0),))
+    assert failures_with(monkeypatch, rs, (top, bad)) == [
+        {"check": "disjoint", "root": [1, 0, 0], "entries": [[0, 1, 2], [1]]},
+        {"check": "unique-complement", "root": [1, 0, 0], "entry": [1],
+         "partners": []},
+    ]
+
+
+def test_partition_check_reports_a_dropped_root(monkeypatch):
+    # eps_K is no one's partner, so dropping it breaks the cover only
+    rs = build_root_system("A", 3)
+    top, mid = full_cascade(rs)
+    bad = replace(top, gamma_K=top.gamma_K[:-1])
+    assert top.gamma_K[-1] == top.epsilon_K == (1, 1, 1)
+    assert failures_with(monkeypatch, rs, (bad, mid)) == [
+        {"check": "cover", "root": [1, 1, 1]},
+    ]
+
+
+def test_partition_check_reports_a_missing_partner(monkeypatch):
+    # move a1 + a2 from Gamma^{a1,a2,a3} to Gamma^{a2}: a3 loses its
+    # partner, and a1 + a2 has none beside a2
+    rs = build_root_system("A", 3)
+    top, mid = full_cascade(rs)
+    moved = (1, 1, 0)
+    bad_top = replace(top, gamma_K=tuple(r for r in top.gamma_K
+                                         if r != moved))
+    bad_mid = replace(mid, gamma_K=mid.gamma_K + (moved,))
+    assert failures_with(monkeypatch, rs, (bad_top, bad_mid)) == [
+        {"check": "unique-complement", "root": [0, 0, 1],
+         "entry": [0, 1, 2], "partners": []},
+        {"check": "unique-complement", "root": [1, 1, 0], "entry": [1],
+         "partners": []},
+    ]
+
+
+def test_partition_check_reports_overlapping_supports(monkeypatch):
+    # A5: K = {a2,a3,a4} and a relabelled {a4,a5} meet without nesting
+    rs = build_root_system("A", 5)
+    top, mid, low = full_cascade(rs)
+    assert sorted(mid.subset_K) == [1, 2, 3]
+    bad = replace(low, subset_K=frozenset({3, 4}))
+    assert failures_with(monkeypatch, rs, (top, mid, bad)) == [
+        {"check": "nesting", "entries": [[1, 2, 3], [3, 4]]},
+    ]

@@ -1,10 +1,16 @@
-"""Root systems built by reflection closure from the Cartan matrix."""
+"""Root systems built by raising reflections from the Cartan matrix."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liepairs.rootsystem import (
+    RootSystem,
+    _root_lengths,
     build_root_system,
     cartan_matrix,
     connected_components,
@@ -61,16 +67,68 @@ def test_root_negatives_and_no_doubles():
         assert not rs.is_root(tuple(-2 * c for c in r))
 
 
+def form(rs, a, b):
+    """The invariant form (a, b) = 6 (a, b) / 6."""
+    return Fraction(rs.form6(a, b), 6)
+
+
 def test_form_long_roots_normalized():
     for label, rank in (("B", 3), ("C", 3), ("F4", 4), ("G2", 2)):
         rs = build_root_system(label, rank)
         top = rs.positive_roots[-1]
-        assert rs.form(top, top) == Fraction(2)
+        assert form(rs, top, top) == Fraction(2)
 
 
 FORM_TYPES = ([("A", n) for n in range(1, 9)]
               + [(t, n) for t in "BCD" for n in range(2, 9)]
               + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+
+
+def closure_root_system(label, rank):
+    """Oracle: close the simple roots under all reflections, both signs
+    of root included, and keep the positive ones."""
+    C = cartan_matrix(label, rank)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for i in range(rank):
+                c = sum(a[j] * C[i][j] for j in range(rank))
+                b = list(a)
+                b[i] -= c
+                b = tuple(b)
+                if b not in roots and any(b):
+                    roots.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    positive = sorted((r for r in roots if all(c >= 0 for c in r)),
+                      key=lambda r: (sum(r), r))
+    return RootSystem(label, rank, tuple(tuple(r) for r in C),
+                      tuple(positive), tuple(_root_lengths(C)))
+
+
+@pytest.mark.parametrize("label,rank", FORM_TYPES)
+def test_raising_reflections_match_closure(label, rank):
+    # dataclass equality: positive roots in order, lengths, Cartan matrix
+    assert build_root_system(label, rank) == closure_root_system(label, rank)
+
+
+def test_non_finite_cartan_matrix_is_named_error():
+    # affine A1 has infinitely many real roots; the coordinate bound stops
+    # the generation instead of looping forever
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import liepairs.rootsystem as m\n"
+            "m.cartan_matrix = lambda t, n: [[2, -2], [-2, 2]]\n"
+            "m.build_root_system('A', 2)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ValueError: type A, rank 2: root coordinate exceeds 6, "
+        "Cartan matrix is not of finite type")
 
 
 @pytest.mark.parametrize("label,rank", FORM_TYPES)
@@ -88,7 +146,7 @@ def test_form_matches_fraction_formula(label, rank):
         for b in rs.positive_roots:
             want = sum((x * bj for x, bj in zip(a_dual, b) if bj),
                        Fraction(0))
-            got = rs.form(a, b)
+            got = form(rs, a, b)
             assert type(got) is Fraction and got == want, (a, b)
 
 
@@ -124,3 +182,11 @@ def test_subsystem_and_its_highest_root():
     top = highest_root_of_subset(rs, sub)
     assert all(top[i] >= r[i] for r in pos for i in sub)
     assert top[0] == 0
+
+
+def test_highest_root_needs_a_connected_nonempty_subset():
+    rs = build_root_system("A", 5)
+    with pytest.raises(ValueError, match="not connected"):
+        highest_root_of_subset(rs, {0, 2})
+    with pytest.raises(ValueError, match="empty subset"):
+        highest_root_of_subset(rs, set())
