@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .rootsystem import (
     RootSystem,
     connected_components,
-    highest_root_of_subset,
     strongly_orthogonal,
     subsystem_positive_roots,
 )
@@ -37,11 +36,12 @@ def cascade(rs: RootSystem, subset) -> list:
     """The cascade K(T) for T a set of simple-root indices."""
     out = []
     for comp in connected_components(rs, subset):
-        eps = highest_root_of_subset(rs, comp)
+        roots = subsystem_positive_roots(rs, comp)
+        # sorted by height, and R_K is irreducible: the last is its highest
+        eps = roots[-1]
         w = [sum(g * e for g, e in zip(row, eps)) for row in rs._gram6]
         # w = 6 (eps, alpha_j)_j: r is orthogonal to eps iff r . w == 0
-        gamma = tuple(r for r in subsystem_positive_roots(rs, comp)
-                      if sum(x * y for x, y in zip(r, w) if x))
+        gamma = tuple(r for r in roots if sum(x * y for x, y in zip(r, w) if x))
         out.append(CascadeEntry(comp, eps, gamma))
         out.extend(cascade(rs, {i for i in comp if not w[i]}))
     return out

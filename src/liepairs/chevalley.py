@@ -7,14 +7,25 @@ H_1..H_rank.  Structure-constant signs are fixed by the extraspecial-pair
 convention: for each non-simple positive root the special pair with the
 smallest first member gets a positive constant, and everything else is
 forced from there by the Jacobi identity.
+
+Each algebra fills one table on first use: N(a, b) for positive roots
+a, b, by the extraspecial-pair recursion (Carter, Simple Groups of Lie
+Type, 4.1-4.2).  Every other sign pattern takes one step from it:
+N(b, a) = -N(a, b), N(-a, -b) = -N(a, b), and for a mixed pair the
+cyclic identity N(a, b)/|c|^2 = N(b, c)/|a|^2 = N(c, a)/|b|^2 on
+a + b + c = 0, two of whose roots share a sign.  Roots are addressed by
+an integer key, coordinate k + 16 in base-32 digit k, so a root sum is
+one int add and one dict lookup.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import linalg
-from .rootsystem import RootSystem, build_root_system
+from .rootsystem import RootSystem, build_root_system, type_name
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -30,12 +41,10 @@ class ChevalleyAlgebra:
         self.rank = rs.rank
         self.dimension = len(self.roots) + rs.rank
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.pos_index = {r: i for i, r in enumerate(pos)}
+        self._off = sum(16 << 5 * k for k in range(rs.rank))   # key of 0
         # filled on first use: most algebras built are never bracketed
-        self._N_memo = {}
-        self._extraspecial = None
+        self._N_pos = {}
         self._bracket_memo = {}
-        self._length6 = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -59,105 +68,122 @@ class ChevalleyAlgebra:
     def zero(self):
         return LieElement(self, {})
 
+    @cached_property
+    def _key(self):
+        """The key of each root, by basis index.  A sum or difference of
+        two roots has coordinates in -12..12, so key(a) + key(b) - off is
+        the key of a + b and key(a) - key(b) + off that of a - b."""
+        off = self._off
+        pos = [sum(c << 5 * k for k, c in enumerate(r))
+               for r in self.rs.positive_roots]
+        return [off + k for k in pos] + [off - k for k in pos]
+
+    @cached_property
+    def _at(self):
+        """Basis index of each root key."""
+        return {k: i for i, k in enumerate(self._key)}
+
+    @cached_property
+    def _len6(self):
+        """6 (a, a) for each root a, by basis index."""
+        return [self.rs.form6(r, r) for r in self.rs.positive_roots] * 2
+
+    @cached_property
+    def _extra(self):
+        """The extraspecial pair of each positive root, by index (None
+        for a simple root)."""
+        # the simple roots come first in the positive order, and a
+        # non-simple positive root less some simple root is a positive
+        # root, so the minimal a is the first simple root that leaves
+        # one; that b comes after a, or b would have been met first
+        K, at, off, rank = self._key, self._at, self._off, self.rank
+        out = [None] * self.n_pos
+        for g in range(rank, self.n_pos):
+            for a in range(rank):
+                b = at.get(K[g] - K[a] + off)
+                if b is not None:
+                    out[g] = a, b
+                    break
+        return out
+
     # -- structure constants -------------------------------------------------
 
     def coroot(self, root):
         """Coordinates of the coroot of `root` over H_1..H_rank (integers)."""
         # coordinate i is root[i] (a_i, a_i) / (root, root)
-        rs = self.rs
-        la6 = self._sq_length6(tuple(root))
-        out = []
-        for i in range(rs.rank):
-            c, r = divmod(root[i] * rs._gram6[i][i], la6)
-            assert not r
-            out.append(c)
-        return tuple(out)
-
-    def chain_p(self, a, b):
-        """Largest p with b - p*a a root."""
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while self.rs.is_root(cur):
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        return p
+        g6, la6 = self.rs._gram6, self._len6[self.x_index(root)]
+        out = [divmod(c * g6[i][i], la6) for i, c in enumerate(root)]
+        assert not any(r for _, r in out)
+        return tuple(q for q, _ in out)
 
     def extraspecial_pair(self, gamma):
         """The special pair (a, b), a + b = gamma, with minimal a."""
-        if self._extraspecial is None:
-            # the simple roots come first in the positive order, and a
-            # non-simple positive root less some simple root is a positive
-            # root, so the minimal a is the first simple root that leaves
-            # one; that b comes after a, or b would have been met first
-            pos = list(self.pos_index)
-            table = {}
-            for g in pos[self.rank:]:
-                for a in pos[:self.rank]:
-                    b = tuple(x - y for x, y in zip(g, a))
-                    if b in self.pos_index:
-                        table[g] = (a, b)
-                        break
-            self._extraspecial = table
-        best = self._extraspecial.get(tuple(gamma))
-        if best is None:
+        i = self.root_index.get(tuple(gamma), self.n_pos)
+        pair = self._extra[i] if i < self.n_pos else None
+        if pair is None:
             raise ValueError("no special pair: input is not a non-simple "
                              "positive root")
-        return best
+        return self.roots[pair[0]], self.roots[pair[1]]
 
     def N(self, a, b):
         """Structure constant with [x_a, x_b] = N(a,b) x_{a+b}; 0 when a+b
-        is not a root.  Raises when b = -a (that bracket is a coroot)."""
-        key = a, b = tuple(a), tuple(b)
-        val = self._N_memo.get(key)
-        if val is not None:
-            return val
-        s = tuple(x + y for x, y in zip(a, b))
-        if not any(s):
+        is not a root.  Raises when a or b is not a root, and when
+        b = -a (that bracket is a coroot)."""
+        i = self.root_index.get(tuple(a))
+        j = self.root_index.get(tuple(b))
+        if i is None or j is None:
+            raise ValueError(f"N({tuple(a)}, {tuple(b)}): not a pair of roots"
+                             f" of {type_name(self.rs.type_label, self.rank)}")
+        if abs(i - j) == self.n_pos:
             raise ValueError("N is undefined for opposite roots")
-        val = 0
-        if self.rs.is_root(s):
-            val = self._compute_N(a, b, s)
-            assert val != 0
-        self._N_memo[key] = val
-        return val
+        s = self._at.get(self._key[i] + self._key[j] - self._off)
+        return 0 if s is None else self._n(i, j, s)
 
-    def _compute_N(self, a, b, s):
-        rs = self.rs
-        pos_a = a in self.pos_index
-        pos_b = b in self.pos_index
-        if pos_a and pos_b:
-            if self.pos_index[a] > self.pos_index[b]:
-                return -self.N(b, a)
-            a1, b1 = self.extraspecial_pair(s)
-            if (a, b) == (a1, b1):
-                return self.chain_p(a, b) + 1
-            na1 = tuple(-c for c in a1)
-            term = 0
-            d1 = tuple(x - y for x, y in zip(a, a1))
-            if rs.is_root(d1):
-                term += self.N(na1, a) * self.N(d1, b)
-            d2 = tuple(x - y for x, y in zip(b, a1))
-            if rs.is_root(d2):
-                term += self.N(na1, b) * self.N(a, d2)
-            val, r = divmod(term, self.N(na1, s))
+    def _n(self, i, j, s):
+        """N for the roots of basis indices i and j, whose sum has index s;
+        the table holds the pairs of positive roots with i < j."""
+        P = self.n_pos
+        if (i < P) != (j < P):
+            # with c = -s, a + b + c = 0 and N(a, b)/|c|^2 =
+            # N(b, c)/|a|^2 = N(c, a)/|b|^2; c shares a sign with a or b
+            L, c = self._len6, (s + P) % (2 * P)
+            if (c < P) == (i < P):
+                v, r = divmod(L[c] * self._n(c, i, (j + P) % (2 * P)), L[j])
+            else:
+                v, r = divmod(L[c] * self._n(j, c, (i + P) % (2 * P)), L[i])
             assert not r
-            return val
-        if not pos_a and not pos_b:
-            return -self.N(tuple(-c for c in a), tuple(-c for c in b))
-        # mixed signs: rotate through the cyclic identity on a + b + c = 0,
-        # N(a, b) = N(b, c) (c, c) / (a, a)
-        c = tuple(-x - y for x, y in zip(a, b))
-        val, r = divmod(self._sq_length6(c) * self.N(b, c),
-                        self._sq_length6(a))
-        assert not r
-        return val
-
-    def _sq_length6(self, root):
-        """6 (root, root), an integer."""
-        out = self._length6.get(root)
-        if out is None:
-            out = self._length6[root] = self.rs.form6(root, root)
-        return out
+            return v
+        if i >= P:
+            return -self._n(i - P, j - P, s - P)
+        if i > j:
+            return -self._n(j, i, s)
+        v = self._N_pos.get((i, j))
+        if v is not None:
+            return v
+        K, at, off = self._key, self._at, self._off
+        a1, b1 = self._extra[s]
+        if i == a1:
+            # the extraspecial pair: N = p + 1, p largest with b - p a a root
+            step = K[i] - off
+            k, v = K[j] - step, 1
+            while k in at:
+                k -= step
+                v += 1
+        else:
+            # Carter 4.1: from the Jacobi identity on x_{-a1}, x_a, x_b,
+            # whose other terms have sums of lower height
+            na1 = a1 + P
+            term = 0
+            d1 = at.get(K[i] - K[a1] + off)
+            if d1 is not None:
+                term += self._n(na1, i, d1) * self._n(d1, j, b1)
+            d2 = at.get(K[j] - K[a1] + off)
+            if d2 is not None:
+                term += self._n(na1, j, d2) * self._n(i, d2, b1)
+            v, r = divmod(term, self._n(na1, s, b1))
+            assert not r
+        self._N_pos[i, j] = v
+        return v
 
     # -- brackets -------------------------------------------------------------
 
@@ -181,19 +207,13 @@ class ChevalleyAlgebra:
             a = self.roots[i]
             c = self.rs.pairing(a, k)
             out = {i: -c} if c else {}
+        elif abs(i - j) == self.n_pos:
+            pos, sign = (i, 1) if i < j else (j, -1)
+            out = {self.h_index(k): sign * c
+                   for k, c in enumerate(self.coroot(self.roots[pos])) if c}
         else:
-            a, b = self.roots[i], self.roots[j]
-            if all(x + y == 0 for x, y in zip(a, b)):
-                pos = a if a in self.pos_index else b
-                sign = 1 if a in self.pos_index else -1
-                out = {self.h_index(k): sign * c
-                       for k, c in enumerate(self.coroot(pos)) if c}
-            else:
-                s = tuple(x + y for x, y in zip(a, b))
-                if self.rs.is_root(s):
-                    out = {self.root_index[s]: self.N(a, b)}
-                else:
-                    out = {}
+            s = self._at.get(self._key[i] + self._key[j] - self._off)
+            out = {} if s is None else {s: self._n(i, j, s)}
         self._bracket_memo[key] = out
         return out
 
@@ -273,11 +293,31 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(x.alg, out)
 
 
+def _numerators(coeffs):
+    """(d, d * coeffs) for d the lcm of the denominators of the rational
+    coefficients: the coefficients scaled to ints."""
+    d = lcm(*[c.denominator for c in coeffs.values()])
+    return d, {i: c.numerator * (d // c.denominator) for i, c in coeffs.items()}
+
+
 def centralizer_in(x: LieElement, subspace_basis):
-    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
-    if not subspace_basis:
-        return []
-    cols = [bracket(x, b).coeffs for b in subspace_basis]
+    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact, for x and
+    the basis rational."""
+    # ad x and ad(d x) have one kernel, so x is scaled to ints once; the
+    # column [d x, b] is [d x, e b] / e, bracketed on ints
+    basis = x.alg.bracket_basis
+    _, xs = _numerators(x.coeffs)
+    cols = []
+    for b in subspace_basis:
+        if b.alg is not x.alg:
+            raise ValueError("elements of different algebras")
+        e, ys = _numerators(b.coeffs)
+        col = {}
+        for i, ci in xs.items():
+            for j, cj in ys.items():
+                for k, n in basis(i, j).items():
+                    col[k] = col.get(k, 0) + ci * cj * n
+        cols.append({k: Fraction(v, e) for k, v in col.items() if v})
     return [lin_comb(sol.values(), [subspace_basis[j] for j in sol])
             for sol in linalg.kernel(cols)]
 

@@ -88,6 +88,116 @@ def test_structure_constants_against_chevalleys_theorem(label, rank):
             assert alg.N(*alg.extraspecial_pair(gamma)) > 0
 
 
+class TupleN:
+    """Reference structure constants: the tuple recursion that
+    `ChevalleyAlgebra.N` ran before its positive-pair table.  It recurses
+    on coordinate tuples, memoizes on tuple keys, and sends negative and
+    mixed pairs through further recursion."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.pos_index = {r: i for i, r in enumerate(rs.positive_roots)}
+        self.memo = {}
+
+    def chain_p(self, a, b):
+        """Largest p with b - p*a a root."""
+        p = 0
+        cur = tuple(x - y for x, y in zip(b, a))
+        while self.rs.is_root(cur):
+            p += 1
+            cur = tuple(x - y for x, y in zip(cur, a))
+        return p
+
+    def extraspecial_pair(self, gamma):
+        for a in self.rs.positive_roots[:self.rs.rank]:
+            b = tuple(x - y for x, y in zip(gamma, a))
+            if b in self.pos_index:
+                return a, b
+
+    def N(self, a, b):
+        key = a, b = tuple(a), tuple(b)
+        val = self.memo.get(key)
+        if val is None:
+            s = tuple(x + y for x, y in zip(a, b))
+            val = self.compute(a, b, s) if self.rs.is_root(s) else 0
+            self.memo[key] = val
+        return val
+
+    def compute(self, a, b, s):
+        rs, N = self.rs, self.N
+        pos_a, pos_b = a in self.pos_index, b in self.pos_index
+        if pos_a and pos_b:
+            if self.pos_index[a] > self.pos_index[b]:
+                return -N(b, a)
+            a1, b1 = self.extraspecial_pair(s)
+            if (a, b) == (a1, b1):
+                return self.chain_p(a, b) + 1
+            na1 = tuple(-c for c in a1)
+            term = 0
+            d1 = tuple(x - y for x, y in zip(a, a1))
+            if rs.is_root(d1):
+                term += N(na1, a) * N(d1, b)
+            d2 = tuple(x - y for x, y in zip(b, a1))
+            if rs.is_root(d2):
+                term += N(na1, b) * N(a, d2)
+            val, r = divmod(term, N(na1, s))
+            assert not r
+            return val
+        if not pos_a and not pos_b:
+            return -N(tuple(-c for c in a), tuple(-c for c in b))
+        # mixed signs: N(a, b) = N(b, c) (c, c) / (a, a) on a + b + c = 0
+        c = tuple(-x - y for x, y in zip(a, b))
+        val, r = divmod(rs.form6(c, c) * N(b, c), rs.form6(a, a))
+        assert not r
+        return val
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_structure_constants_match_tuple_recursion(label, rank):
+    alg = build_algebra(label, rank)
+    ref = TupleN(alg.rs)
+    for a in alg.roots:
+        for b in alg.roots:
+            if any(x + y for x, y in zip(a, b)):
+                assert alg.N(a, b) == ref.N(a, b), (a, b)
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_structure_constant_identities(label, rank):
+    # N(-a, -b) = -N(a, b); N(a, b)/|c|^2 = N(b, c)/|a|^2 = N(c, a)/|b|^2
+    # on a + b + c = 0; N > 0 on the special pair (a, b) of each positive
+    # root with a first in the positive order
+    alg = build_algebra(label, rank)
+    rs = alg.rs
+    for a in alg.roots:
+        na = tuple(-x for x in a)
+        for b in alg.roots:
+            c = tuple(-x - y for x, y in zip(a, b))
+            if not any(c):
+                continue
+            nb = tuple(-x for x in b)
+            assert alg.N(na, nb) == -alg.N(a, b)
+            if rs.is_root(c):
+                la, lb, lc = (rs.form6(r, r) for r in (a, b, c))
+                assert alg.N(a, b) * la == alg.N(b, c) * lc
+                assert alg.N(b, c) * lb == alg.N(c, a) * la
+    pos = rs.positive_roots
+    for gamma in pos[rank:]:
+        a, b = next((a, b) for a in pos
+                    if (b := tuple(g - x for g, x in zip(gamma, a))) in pos)
+        assert alg.N(a, b) > 0
+
+
+def test_structure_constant_of_non_roots_is_an_error():
+    alg = build_algebra("B", 3)
+    with pytest.raises(ValueError, match=r"\(0, 0, 2\), \(1, 2, 0\).*B3"):
+        alg.N((0, 0, 2), (1, 2, 0))
+    with pytest.raises(ValueError, match=r"\(1, 0\), \(0, 1, 0\).*B3"):
+        alg.N((1, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="opposite roots"):
+        alg.N((0, 1, 1), (0, -1, -1))
+
+
 @pytest.mark.parametrize("label,rank", ALL_TYPES)
 def test_extraspecial_pair_is_the_minimal_special_pair(label, rank):
     alg = build_algebra(label, rank)
