@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import linalg
 from .rootsystem import RootSystem, build_root_system, type_name
@@ -293,31 +292,11 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(x.alg, out)
 
 
-def _numerators(coeffs):
-    """(d, d * coeffs) for d the lcm of the denominators of the rational
-    coefficients: the coefficients scaled to ints."""
-    d = lcm(*[c.denominator for c in coeffs.values()])
-    return d, {i: c.numerator * (d // c.denominator) for i, c in coeffs.items()}
-
-
 def centralizer_in(x: LieElement, subspace_basis):
-    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact, for x and
-    the basis rational."""
-    # ad x and ad(d x) have one kernel, so x is scaled to ints once; the
-    # column [d x, b] is [d x, e b] / e, bracketed on ints
-    basis = x.alg.bracket_basis
-    _, xs = _numerators(x.coeffs)
-    cols = []
-    for b in subspace_basis:
-        if b.alg is not x.alg:
-            raise ValueError("elements of different algebras")
-        e, ys = _numerators(b.coeffs)
-        col = {}
-        for i, ci in xs.items():
-            for j, cj in ys.items():
-                for k, n in basis(i, j).items():
-                    col[k] = col.get(k, 0) + ci * cj * n
-        cols.append({k: Fraction(v, e) for k, v in col.items() if v})
+    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
+    if not subspace_basis:
+        return []
+    cols = [bracket(x, b).coeffs for b in subspace_basis]
     return [lin_comb(sol.values(), [subspace_basis[j] for j in sol])
             for sol in linalg.kernel(cols)]
 
