@@ -179,46 +179,33 @@ def _simple_type_table():
 _TYPE_TABLE = _simple_type_table()
 
 
-def toral_rank(basis):
-    """Rank of a semisimple subalgebra: the centralizer dimension of the
-    first of six fixed samples whose centralizer is abelian.
+def toral_rank(basis, cartan):
+    """Rank of a nonempty ideal I of l = [g^X, g^X]: dim(I ∩ T) for a
+    Cartan subalgebra T of g inside g^X.
 
-    By Kostant (1963), g^x is abelian iff x is regular, so that
-    dimension is the exact rank.  Raises if no sample is regular.
+    `subpair` passes T = a + h^a, h^a the part of h killing every
+    epsilon_K.  The epsilon_K are strongly orthogonal, so T is abelian,
+    toral and of dimension rank g; for X in a it lies in g^X.
     """
-    import random
-    if not basis:
-        return 0
-    rng = random.Random(7)
-    for _ in range(6):
-        x = lin_comb([rng.randint(-5, 5) for _ in basis], basis)
-        if not x:
-            continue
-        c = centralizer_in(x, basis)
-        if not any(bracket(a, b) for i, a in enumerate(c) for b in c[i + 1:]):
-            return len(c)
-    raise ValueError(f"none of six samples of a {len(basis)}-dimensional "
-                     "algebra has an abelian centralizer")
+    return len(span_intersection(basis, cartan, basis[0].alg))
 
 
-def identify_semisimple_type(ideals):
+def identify_semisimple_type(ideals, cartan):
     """Multiset of simple component labels, or "not-identified".
 
     Takes the simple ideals that `split_ideals` returns and looks up each
     one's dimension in a table; a factor whose dimension is shared by two
     non-isomorphic types is never guessed.  Types sharing a dimension
     share their rank too (B_n and C_n; B6, C6 and E6), so the rank, a
-    label's number, is computed only to confirm a unique label.
+    label's number, is computed only to confirm a unique label, against
+    the Cartan subalgebra `cartan` (see `toral_rank`).
     """
     if not ideals:
         return "0"
     labels = []
     for comp in ideals:
         cands = _TYPE_TABLE.get(len(comp), [])
-        try:
-            if len(cands) != 1 or toral_rank(comp) != int(cands[0][1:]):
-                return "not-identified"
-        except ValueError:
+        if len(cands) != 1 or toral_rank(comp, cartan) != int(cands[0][1:]):
             return "not-identified"
         labels.append(cands[0])
     return "x".join(sorted(labels))
@@ -265,10 +252,14 @@ def _so_pair_label(factors):
 
 
 def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
-    """Full report on the symmetric subpair attached to semisimple X."""
+    """Full report on the symmetric subpair attached to X in the Cartan
+    subspace a = span(X_K), which `toral_rank` needs."""
     alg = P.alg
     if not is_ad_semisimple(X):
         raise ValueError("X must be ad-semisimple")
+    xs = P.cartan_subspace()
+    if not span_of(xs).contains(X.coeffs):
+        raise ValueError("X must lie in the Cartan subspace span(X_K)")
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     gX = centralizer_in(X, full)
     pX = centralizer_in(X, P.p_basis())
@@ -285,7 +276,9 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     except ValueError:
         pass
     else:
-        l_type = identify_semisimple_type(l_ideals)
+        hs = [alg.h(i) for i in range(alg.rank)]
+        cartan = xs + centralizer_of_subspace(xs, hs, alg)
+        l_type = identify_semisimple_type(l_ideals, cartan)
         factors = [(len(comp), len(span_intersection(comp, l_minus, alg)),
                     len(span_intersection(comp, r_plus, alg)))
                    for comp in l_ideals

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 
+
 def type_name(type_label, rank):
     """The type's name: B3 for ("B", 3), but F4 for ("F4", 4)."""
     return type_label if type_label[0] in "EFG" else f"{type_label}{rank}"
@@ -233,14 +234,3 @@ def subsystem_positive_roots(rs, subset):
     return [r for r, m in zip(rs.positive_roots, rs._masks)
             if not m & outside]
 
-
-def highest_root_of_subset(rs, subset):
-    """Highest root of the (irreducible) subsystem R_T, T a connected subset."""
-    roots = subsystem_positive_roots(rs, subset)
-    if not roots:
-        raise ValueError("empty subset has no highest root")
-    best = max(roots, key=lambda r: (sum(r), r))
-    for r in roots:
-        if any(rc > bc for rc, bc in zip(r, best)):
-            raise ValueError("subset is not connected: no highest root")
-    return best

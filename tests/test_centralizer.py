@@ -120,41 +120,39 @@ def test_generators_reject_a_non_subalgebra():
         generators([alg.x((1, 0)), alg.x((0, 1))], alg)
 
 
+def _h(alg):
+    """The Cartan subalgebra h of a Chevalley basis."""
+    return [alg.h(i) for i in range(alg.rank)]
+
+
 def test_toral_rank_is_the_rank():
     for label, rank in (("A", 2), ("B", 2), ("G2", 2), ("D", 4)):
         alg = build_algebra(label, rank)
         full = [alg.basis_element(i) for i in range(alg.dimension)]
-        assert toral_rank(full) == rank
+        assert toral_rank(full, _h(alg)) == rank
 
 
-def test_toral_rank_skips_a_sample_that_is_not_regular():
-    # rewrite one basis vector of A2 so that the first of the six fixed
-    # samples is a root vector, whose centralizer has dimension 4 and is
-    # not abelian; the rank must come from a later sample
+def test_toral_rank_reads_the_span_not_the_basis():
+    # rewrite one basis vector of A2 as a combination of all eight, so
+    # that the basis is not a Chevalley basis; the rank stays 2
     alg = build_algebra("A", 2)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     rng = random.Random(7)
     c = [rng.randint(-5, 5) for _ in full]
     j = next(i for i, ci in enumerate(c) if ci)
-    root_vector = full[j]
-    assert j < len(alg.roots)
     others = alg.zero()
     for i, (ci, e) in enumerate(zip(c, full)):
         if i != j:
             others = others + ci * e
     basis = list(full)
-    basis[j] = Fraction(1, c[j]) * (root_vector - others)
-    assert len(centralizer_in(root_vector, basis)) == 4
-    assert toral_rank(basis) == 2
+    basis[j] = Fraction(1, c[j]) * (full[j] - others)
+    assert toral_rank(basis, _h(alg)) == 2
 
 
-def test_toral_rank_bounded_when_no_sample_is_regular():
-    # every sample of the span of a zero vector is zero, so none is
-    # regular: the six samples are all it tries
+def test_identify_type_of_a_zero_vector():
     alg = build_algebra("A", 1)
-    with pytest.raises(ValueError, match="1-dimensional"):
-        toral_rank([alg.zero()])
-    assert identify_semisimple_type([[alg.zero()]]) == "not-identified"
+    assert identify_semisimple_type([[alg.zero()]], _h(alg)) == \
+        "not-identified"
 
 
 def test_identify_type():
@@ -162,7 +160,8 @@ def test_identify_type():
                                 ("D", 4, "D4"), ("G2", 2, "G2")):
         alg = build_algebra(label, rank)
         full = [alg.basis_element(i) for i in range(alg.dimension)]
-        assert identify_semisimple_type(split_ideals(full, alg)) == expect
+        assert identify_semisimple_type(split_ideals(full, alg),
+                                        _h(alg)) == expect
 
 
 def test_identify_type_never_guesses_on_collision():
@@ -170,7 +169,7 @@ def test_identify_type_never_guesses_on_collision():
     # refuse rather than guess
     alg = build_algebra("B", 3)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
-    assert identify_semisimple_type(split_ideals(full, alg)) == \
+    assert identify_semisimple_type(split_ideals(full, alg), _h(alg)) == \
         "not-identified"
 
 
@@ -187,14 +186,14 @@ def test_type_table_labels_sharing_a_dimension_share_a_rank():
 
 
 def test_identify_type_skips_the_rank_on_a_shared_dimension(monkeypatch):
-    def no_rank(basis):
+    def no_rank(basis, cartan):
         raise AssertionError("rank computed for a shared dimension")
 
     alg = build_algebra("B", 3)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     ideals = split_ideals(full, alg)
     monkeypatch.setattr(centralizer, "toral_rank", no_rank)
-    assert identify_semisimple_type(ideals) == "not-identified"
+    assert identify_semisimple_type(ideals, _h(alg)) == "not-identified"
 
 
 def test_identify_type_confirms_a_unique_label_by_rank(monkeypatch):
@@ -202,8 +201,8 @@ def test_identify_type_confirms_a_unique_label_by_rank(monkeypatch):
     alg = build_algebra("A", 2)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     ideals = split_ideals(full, alg)
-    monkeypatch.setattr(centralizer, "toral_rank", lambda basis: 3)
-    assert identify_semisimple_type(ideals) == "not-identified"
+    monkeypatch.setattr(centralizer, "toral_rank", lambda basis, cartan: 3)
+    assert identify_semisimple_type(ideals, _h(alg)) == "not-identified"
 
 
 def test_regularity_generic_vs_special():
@@ -241,15 +240,35 @@ def test_every_rank2_catalog_row_has_the_four_lines():
         assert locus.generic_rank == len(P.p_basis()) - 2, P.pair_label
 
 
+def _spy_ideal_ranks(monkeypatch):
+    """Make each later `subpair` append the ranks of the simple ideals of
+    its l, read against the Cartan subalgebra it builds, to the returned
+    list."""
+    ranks = []
+    identify = centralizer.identify_semisimple_type
+
+    def spy(ideals, cartan):
+        assert len(cartan) == cartan[0].alg.rank
+        ranks.append([centralizer.toral_rank(I, cartan) for I in ideals])
+        return identify(ideals, cartan)
+
+    monkeypatch.setattr(centralizer, "identify_semisimple_type", spy)
+    return ranks
+
+
 @pytest.mark.parametrize("label, rank", [("B", 3), ("D", 5)])
-def test_dim_k_X_matches_the_k_kernel(label, rank):
+def test_dim_k_X_matches_the_k_kernel(label, rank, monkeypatch):
     # subpair reads dim k^X off g^X = k^X + p^X; the kernel of ad X on k
-    # is the independent count
+    # is the independent count.  The ranks of the simple ideals of l add
+    # up to rank g minus the dimension of the center of g^X
     P = _pair(label, rank, 1)
     xs = P.cartan_subspace()
+    ranks = _spy_ideal_ranks(monkeypatch)
     for mu, lam in nonregular_locus(P).special_lines:
         X = mu * xs[0] + lam * xs[1]
-        assert subpair(P, X).dim_k_X == len(centralizer_in(X, P.k_basis()))
+        rep = subpair(P, X)
+        assert rep.dim_k_X == len(centralizer_in(X, P.k_basis()))
+        assert sum(ranks.pop()) == rank - rep.l_center_dim, (mu, lam)
 
 
 def test_subpair_of_regular_element():
@@ -259,6 +278,10 @@ def test_subpair_of_regular_element():
     assert rep.dim_p_X == P.rank
     assert rep.r_pair_label == "(so_1, so_0)"
     assert rep.dim_l_minus == 0
+    # h_1 is semisimple but outside span(X_K), where the ranks of the
+    # ideals of l are not read
+    with pytest.raises(ValueError, match="Cartan subspace"):
+        subpair(P, P.alg.h(0))
 
 
 def commuting_nilpotent_witnesses(P, entry_index, beta):
@@ -329,14 +352,16 @@ def e7_pair():
 
 
 @pytest.mark.parametrize("c", list(E7_POINTS))
-def test_e7_special_point_subpairs(e7_pair, c):
+def test_e7_special_point_subpairs(e7_pair, c, monkeypatch):
     X = e7_pair.alg.zero()
     for ci, x in zip(c, e7_pair.cartan_subspace()):
         if ci:
             X = X + Fraction(ci) * x
     dg, dp, ltype, label = E7_POINTS[c]
+    ranks = _spy_ideal_ranks(monkeypatch)
     rep = subpair(e7_pair, X)
     assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
+    assert sum(ranks.pop()) == 7 - rep.l_center_dim, c
     if c in E7_K_KERNEL_POINTS:
         assert rep.dim_k_X == len(centralizer_in(X, e7_pair.k_basis())), c
     if ltype is not None:

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from liepairs import linalg, orbits
 from liepairs import matrixmodel as mm
+from liepairs.centralizer import nonregular_locus
+from liepairs.chevalley import build_algebra, centralizer_in
 from liepairs.gaussian import QI
+from liepairs.parabolic import build_parabolic
 
 F = Fraction
 
@@ -503,3 +506,37 @@ def test_restricted_root_multiplicities():
             for k, ck in zip((1, 2), c):
                 assert mm.commutator(pair.H(k), Z) == \
                     mm.mat_scale(Z, mm.I_UNIT * ck)
+
+
+# (type, rank, omitted root, p): the so-type catalog rows B_n and D_n
+# omitting alpha_1 are (so_{p+2}, so_p x so_2); the last three rows are
+# (sp_4, gl_2), (sl_4, s(gl_2 x gl_2)) and (so_8, gl_4), isomorphic to it
+# at p = 3, 4 and 6
+MODEL_ROWS = ([("B", n, 1, 2 * n - 1) for n in range(2, 9)]
+              + [("D", n, 1, 2 * n - 2) for n in range(4, 9)]
+              + [("C", 2, 2, 3), ("A", 3, 2, 4), ("D", 4, 4, 6)])
+
+
+@pytest.mark.parametrize("label, rank, root, p", MODEL_ROWS)
+def test_matrix_model_meets_the_chevalley_path(label, rank, root, p):
+    # the multiset of (dim g^X, dim p^X) over the four special lines: in
+    # the model at mu H_1 + lambda H_2 (the lines of
+    # test_locus_matrix_model), and on the Chevalley side at the lines of
+    # the pencil on the cascade's X_K
+    pair = mm.build_pair(p)
+    model = []
+    for mu, lam in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        X = mm.lin_comb((F(mu), F(lam)), (pair.H(1), pair.H(2)))
+        model.append((len(pair.centralizer_in(X, pair.k_basis()
+                                              + pair.p_basis())),
+                      pair.dim_p_centralizer(X)))
+    alg = build_algebra(label, rank)
+    P = build_parabolic(alg, frozenset(range(rank)) - {root - 1})
+    full = [alg.basis_element(i) for i in range(alg.dimension)]
+    xs = P.cartan_subspace()
+    chevalley = []
+    for mu, lam in nonregular_locus(P).special_lines:
+        X = mu * xs[0] + lam * xs[1]
+        chevalley.append((len(centralizer_in(X, full)),
+                          len(centralizer_in(X, P.p_basis()))))
+    assert sorted(model) == sorted(chevalley), P.pair_label

@@ -14,7 +14,6 @@ from liepairs.rootsystem import (
     build_root_system,
     cartan_matrix,
     connected_components,
-    highest_root_of_subset,
     strongly_orthogonal,
     subsystem_positive_roots,
 )
@@ -55,7 +54,6 @@ def test_highest_roots():
             ("F4", 4): (2, 3, 4, 2), ("E6", 6): (1, 2, 2, 3, 2, 1)}.items():
         rs = build_root_system(label, rank)
         assert rs.positive_roots[-1] == top
-        assert highest_root_of_subset(rs, range(rank)) == top
 
 
 def test_root_negatives_and_no_doubles():
@@ -175,18 +173,13 @@ def test_connected_components():
 
 
 def test_subsystem_and_its_highest_root():
+    # `cascade` reads the highest root of a connected subsystem as its
+    # last positive root: that root dominates every other one
     rs = build_root_system("D", 5)
     sub = frozenset({1, 2, 3, 4})  # a D4 inside D5
     pos = subsystem_positive_roots(rs, sub)
     assert len(pos) == 12
-    top = highest_root_of_subset(rs, sub)
+    top = pos[-1]
     assert all(top[i] >= r[i] for r in pos for i in sub)
     assert top[0] == 0
 
-
-def test_highest_root_needs_a_connected_nonempty_subset():
-    rs = build_root_system("A", 5)
-    with pytest.raises(ValueError, match="not connected"):
-        highest_root_of_subset(rs, {0, 2})
-    with pytest.raises(ValueError, match="empty subset"):
-        highest_root_of_subset(rs, set())
