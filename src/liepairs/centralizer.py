@@ -8,14 +8,20 @@ splits as l_plus + l_minus against k_S/p_S, and r = [l_minus, l_minus]
 (r, r_plus) with r_plus = [l_minus, l_minus] measures how far X is
 from p_S-regular; for the so-type pairs in scope it is always a
 product of pairs (so_{m+1}, so_m) and (so_{m+2}, so_m x so_2).
+
+l is split into simple ideals from root vectors of the Cartan
+subalgebra T = span(X_K) + h^a of g^X, the Chevalley root vectors moved
+by the inverse Cayley transform: one ideal closure per simple ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from . import linalg
 from .chevalley import (
+    F0,
     LieElement,
     bracket,
     bracket_span,
@@ -117,42 +123,68 @@ def centralizer_of_subspace(gens, ambient, alg):
     return out
 
 
-def split_ideals(basis, alg):
-    """Decompose a semisimple subalgebra into its simple ideals.
+def split_ideals(basis, seeds, cartan, alg):
+    """The simple ideals of a semisimple subalgebra, one `ideal_closure`
+    each, from the seeds in span(basis).
 
-    Tries the ideal generated by each basis vector, as its closure under
-    a generating set, and peels off the smallest; the complement of an
-    ideal in a semisimple algebra is its centralizer.  Raises if the
-    input is not a subalgebra, or if the candidate complement does not
-    give a direct sum (e.g. the input has a center).
-
-    It calls an ideal simple when no input basis vector generates a proper
-    one, so in D4 the basis [e1 ± e3, f1 ± f3, h1 ± h3], alpha_1 ⊥ alpha_3,
-    comes back whole as [6]; `subpair` passes it reduced echelon rows.
+    A seed outside the ideals found so far must be a root vector of the
+    Cartan subalgebra span(cartan) of g ([t, v] in C v for every t,
+    nonzero for some), so it lies in one simple ideal and generates it
+    (de Graaf 2000, 1.15).  Raises, naming the seed, if it is not, and
+    raises if the ideals do not add up to len(basis).
     """
-    ideals = []
-    remaining = basis
-    while remaining:
-        gens = generators(remaining, alg)
-        best = None
-        for v in remaining:
-            cand = ideal_closure([v], gens, alg)
-            if best is None or len(cand) < len(best):
-                best = cand
-            if len(best) == 1 or len(best) * 2 <= len(remaining):
-                break
-        if len(best) == len(remaining):
-            ideals.append(remaining)
+    gens = generators(basis, alg)
+    inside, found, ideals = span_of(basis), linalg.Span(), []
+    for v in seeds:
+        if found.dim == len(basis):
             break
-        comp = centralizer_of_subspace(best, remaining, alg)
-        if len(best) + len(comp) != len(remaining):
-            raise ValueError(
-                f"subalgebra of dimension {len(remaining)} is not a direct "
-                f"sum of ideals: an ideal of dimension {len(best)} has a "
-                f"centralizer of dimension {len(comp)}")
-        ideals.append(best)
-        remaining = comp
+        if found.contains(v.coeffs) or not inside.contains(v.coeffs):
+            continue
+        images = [bracket(t, v).coeffs for t in cartan]
+        if not any(images) or linalg.rank([v.coeffs] + images) > 1:
+            raise ValueError(f"seed {v!r} is not a root vector of span(cartan)")
+        ideals.append(ideal_closure([v], gens, alg))
+        for e in ideals[-1]:
+            found.add(e.coeffs)
+    if sum(map(len, ideals)) != len(basis):
+        raise ValueError(f"simple ideals of dimensions {list(map(len, ideals))}"
+                         f" do not add up to {len(basis)}")
     return ideals
+
+
+def _exp_ad(y, v, t):
+    """exp(t ad y)(v); raises, naming y and v, unless (ad y)^4 v = 0, as
+    for a root vector y, since a root string holds at most four roots."""
+    out = term = v
+    for k in range(1, 5):
+        term = bracket(y, term)
+        if not term:
+            return out
+        term = Fraction(t, k) * term
+        out = out + term
+    raise ValueError(f"exp(ad y) does not stop on v: y = {y!r}, v = {v!r}")
+
+
+def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
+    """Yields A^-1(x_alpha), a root vector of g^X, for each positive root
+    alpha vanishing at H = sum_K c_K h_{eps_K}, X = sum_K c_K X_K.
+
+    A = prod_K exp(1/2 ad x_{eps_K}) exp(-ad x_{-eps_K}), the Cayley
+    transform (Kostant-Rallis 1971), sends X to H and span(X_K) + h^a to
+    h; A^-1 applies exp(-1/2 ad x_{eps_K}) first.  The eps_K are strongly
+    orthogonal, so the factors of different K commute.
+    """
+    alg, rs = P.alg, P.rs
+    eps = [e.epsilon_K for e in P.E_entries]
+    cs = [X.coeffs.get(alg.x_index(e), F0) for e in eps]
+    for a in rs.positive_roots:
+        if sum(c * rs.form6(a, e) / rs.form6(e, e) for c, e in zip(cs, eps)):
+            continue
+        v = alg.x(a)
+        for e in eps:
+            v = _exp_ad(alg.x(tuple(-c for c in e)),
+                        _exp_ad(alg.x(e), v, Fraction(-1, 2)), 1)
+        yield v
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +285,7 @@ def _so_pair_label(factors):
 
 def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     """Full report on the symmetric subpair attached to X in the Cartan
-    subspace a = span(X_K), which `toral_rank` needs."""
+    subspace a = span(X_K), which the Cayley root vectors need."""
     alg = P.alg
     if not is_ad_semisimple(X):
         raise ValueError("X must be ad-semisimple")
@@ -262,29 +294,31 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
         raise ValueError("X must lie in the Cartan subspace span(X_K)")
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     gX = centralizer_in(X, full)
-    pX = centralizer_in(X, P.p_basis())
+    pb = P.p_basis()
+    pX = centralizer_in(X, pb)
     l = derived_subalgebra(gX)
     l_minus = span_intersection(l, pX, alg)
     r_plus = bracket_span(l_minus)
     r_span = span_of(l_minus + r_plus)
 
-    # r is an ideal of l ([l ∩ k, l_minus] ⊆ l_minus), so each simple
-    # ideal of l lies in r or meets it in 0; r is the sum of those inside
-    l_type = label = "not-identified"
-    try:
-        l_ideals = split_ideals(l, alg)
-    except ValueError:
-        pass
-    else:
-        hs = [alg.h(i) for i in range(alg.rank)]
-        cartan = xs + centralizer_of_subspace(xs, hs, alg)
-        l_type = identify_semisimple_type(l_ideals, cartan)
-        factors = [(len(comp), len(span_intersection(comp, l_minus, alg)),
-                    len(span_intersection(comp, r_plus, alg)))
-                   for comp in l_ideals
-                   if all(r_span.contains(e.coeffs) for e in comp)]
-        if sum(f[0] for f in factors) == r_span.dim:
-            label = _so_pair_label(factors)
+    hs = [alg.h(i) for i in range(alg.rank)]
+    cartan = xs + centralizer_of_subspace(xs, hs, alg)
+    l_ideals = split_ideals(l, cayley_root_vectors(P, X), cartan, alg)
+    # r is an ideal of l ([l ∩ k, l_minus] ⊆ l_minus), so it is the sum of
+    # the simple ideals inside it; theta, -1 on p, permutes those, and a
+    # factor of the r-pair is one theta-orbit of them
+    p_idx = {i for e in pb for i in e.coeffs}
+    inner = [I for I in l_ideals if all(r_span.contains(e.coeffs) for e in I)]
+    factors = []
+    while inner:
+        comp = inner.pop()
+        tv = {i: -c if i in p_idx else c for i, c in comp[0].coeffs.items()}
+        for k, I in enumerate(inner):
+            if span_of(I).contains(tv):
+                comp = comp + inner.pop(k)
+                break
+        factors.append((len(comp), len(span_intersection(comp, l_minus, alg)),
+                        len(span_intersection(comp, r_plus, alg))))
 
     return SubpairReport(
         dim_g_X=len(gX),
@@ -293,10 +327,10 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
         dim_p_X=len(pX),
         l_dim=len(l),
         l_center_dim=len(gX) - len(l),
-        l_type=l_type,
+        l_type=identify_semisimple_type(l_ideals, cartan),
         dim_l_minus=len(l_minus),
         dim_r_plus=len(r_plus),
-        r_pair_label=label,
+        r_pair_label=_so_pair_label(factors),
     )
 
 
@@ -306,7 +340,8 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
 
 def regularity_check(P: AbelianParabolic, X: LieElement) -> bool:
     """True iff X is p_S-regular, i.e. dim p_S^X equals the pair rank."""
-    return len(centralizer_in(X, P.p_basis())) == P.rank
+    pb = P.p_basis()
+    return len(pb) - linalg.rank(bracket(X, b).coeffs for b in pb) == P.rank
 
 
 @dataclass

@@ -2,12 +2,15 @@
 non-regular locus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from liepairs import centralizer
 from liepairs.centralizer import (
+    cayley_root_vectors,
+    centralizer_of_subspace,
     generators,
     ideal_closure,
     identify_semisimple_type,
@@ -76,28 +79,130 @@ def _echelon_set(ideals):
             for i in ideals}
 
 
+def _h(alg):
+    """The Cartan subalgebra h of a Chevalley basis."""
+    return [alg.h(i) for i in range(alg.rank)]
+
+
+def _split_full(alg):
+    """split_ideals on the whole Chevalley basis, seeded by the positive
+    root vectors against h."""
+    full = [alg.basis_element(i) for i in range(alg.dimension)]
+    return split_ideals(full, [alg.x(a) for a in alg.rs.positive_roots],
+                        _h(alg), alg)
+
+
+def _cartan(P):
+    """T = span(X_K) + h^a, the Cartan subalgebra `subpair` builds."""
+    xs = P.cartan_subspace()
+    return xs + centralizer_of_subspace(xs, _h(P.alg), P.alg)
+
+
 def _levi(label, rank, line):
     """The semisimple part l of g^X at mu X_1 + lambda X_2, alpha_1
-    omitted."""
+    omitted, with the seeds and Cartan subalgebra `subpair` splits it by."""
     P = _pair(label, rank, 1)
     x1, x2 = P.cartan_subspace()
     X = line[0] * x1 + line[1] * x2
     full = [P.alg.basis_element(i) for i in range(P.alg.dimension)]
-    return P.alg, derived_subalgebra(centralizer_in(X, full))
+    return (P.alg, derived_subalgebra(centralizer_in(X, full)),
+            list(cayley_root_vectors(P, X)), _cartan(P))
 
 
 def test_split_ideals_of_semisimple():
     # the ambient-basis reference's ideals on D2 = A1 x A1 and D4 in
     # full, and on the Levis of (so_9, so_7 x so_2) at [1:1] (so_7) and
     # of (so_10, so_8 x so_2) at [0:1] (so_3 + so_6)
-    cases = [(alg, [alg.basis_element(i) for i in range(alg.dimension)])
+    cases = [(alg, [alg.basis_element(i) for i in range(alg.dimension)],
+              [alg.x(a) for a in alg.rs.positive_roots], _h(alg))
              for alg in (build_algebra("D", 2), build_algebra("D", 4))]
     cases += [_levi("B", 4, (1, 1)), _levi("D", 5, (0, 1))]
-    for (alg, basis), dims in zip(cases, ([3, 3], [28], [21], [3, 15])):
-        got = split_ideals(basis, alg)
+    for (alg, basis, seeds, cartan), dims in zip(cases, ([3, 3], [28], [21],
+                                                         [3, 15])):
+        got = split_ideals(basis, seeds, cartan, alg)
         assert sorted(len(i) for i in got) == dims
         assert _echelon_set(got) == _echelon_set(
             reference_split_ideals(basis))
+
+
+def _d4_sl2_pair():
+    """In D4, alpha_1 ⊥ alpha_3: the basis e1 ± e3, f1 ± f3, h1 ± h3 of
+    sl_2 x sl_2, no vector of which lies in either ideal, and the lists
+    e, f, h = [x_{a1}, x_{a3}], [x_{-a1}, x_{-a3}], [h_1, h_3]."""
+    alg = build_algebra("D", 4)
+    a1, a3 = (1, 0, 0, 0), (0, 0, 1, 0)
+    e = [alg.x(a1), alg.x(a3)]
+    f = [alg.x(tuple(-c for c in a)) for a in (a1, a3)]
+    h = [alg.h(0), alg.h(2)]
+    basis = [u[0] + s * u[1] for u in (e, f, h) for s in (1, -1)]
+    return alg, basis, (e, f, h)
+
+
+def test_split_ideals_of_a_basis_meeting_both_ideals():
+    alg, basis, (e, f, h) = _d4_sl2_pair()
+    got = split_ideals(basis, e, _h(alg), alg)
+    assert sorted(len(i) for i in got) == [3, 3]
+    assert _echelon_set(got) == _echelon_set([[e[0], f[0], h[0]],
+                                              [e[1], f[1], h[1]]])
+
+
+@pytest.mark.parametrize("which", ["x_a1 + x_a3", "h_1"])
+def test_split_ideals_rejects_a_seed_that_is_no_root_vector(which):
+    # x_a1 + x_a3 has two weights under h, and h_1 has weight 0
+    alg, basis, (e, f, h) = _d4_sl2_pair()
+    seed = e[0] + e[1] if which == "x_a1 + x_a3" else h[0]
+    with pytest.raises(ValueError, match=re.escape(repr(seed))):
+        split_ideals(basis, [seed], _h(alg), alg)
+
+
+def test_split_ideals_rejects_seeds_that_miss_an_ideal():
+    alg, basis, (e, f, h) = _d4_sl2_pair()
+    with pytest.raises(ValueError, match=r"\[3\] do not add up to 6"):
+        split_ideals(basis, e[:1], _h(alg), alg)
+
+
+def test_exp_ad_stops_only_on_a_nilpotent_input():
+    # in sl_2: exp(ad e)(f) = f + h - e; ad h is not nilpotent on e
+    alg = build_algebra("A", 1)
+    e, f, h = alg.x((1,)), alg.x((-1,)), alg.h(0)
+    assert centralizer._exp_ad(e, f, 1) == f + h - e
+    with pytest.raises(ValueError, match=re.escape(repr(h))):
+        centralizer._exp_ad(h, e, 1)
+
+
+def test_cayley_root_vectors_lie_in_the_centralizer():
+    # at X = X_1 + X_2 of (so_7, so_5 x so_2), g^X = so_5 + C, with four
+    # positive roots
+    P = _pair("B", 3, 1)
+    x1, x2 = P.cartan_subspace()
+    X = x1 + x2
+    seeds = list(cayley_root_vectors(P, X))
+    assert len(seeds) == 4
+    assert not any(bracket(X, v) for v in seeds)
+
+
+@pytest.mark.parametrize("label, rank, root, c, n", [
+    ("B", 4, 1, (1, 1), 1),             # so_7
+    ("D", 5, 1, (0, 1), 2),             # so_3 + so_6
+    ("E7", 7, 7, (-1, -1, 0), 2),       # A1 + D5
+])
+def test_one_ideal_closure_per_simple_ideal(label, rank, root, c, n,
+                                            monkeypatch):
+    calls = []
+    closure = centralizer.ideal_closure
+
+    def spy(*args):
+        calls.append(args)
+        return closure(*args)
+
+    P = _pair(label, rank, root)
+    X = P.alg.zero()
+    for ci, x in zip(c, P.cartan_subspace()):
+        if ci:
+            X = X + Fraction(ci) * x
+    monkeypatch.setattr(centralizer, "ideal_closure", spy)
+    subpair(P, X)
+    assert len(calls) == n
 
 
 def test_closure_of_generators_spans_the_algebra():
@@ -118,11 +223,6 @@ def test_generators_reject_a_non_subalgebra():
     alg = build_algebra("A", 2)
     with pytest.raises(ValueError, match="2 basis vectors.*dimension 3"):
         generators([alg.x((1, 0)), alg.x((0, 1))], alg)
-
-
-def _h(alg):
-    """The Cartan subalgebra h of a Chevalley basis."""
-    return [alg.h(i) for i in range(alg.rank)]
 
 
 def test_toral_rank_is_the_rank():
@@ -159,17 +259,14 @@ def test_identify_type():
     for label, rank, expect in (("A", 2, "A2"), ("B", 2, "B2"),
                                 ("D", 4, "D4"), ("G2", 2, "G2")):
         alg = build_algebra(label, rank)
-        full = [alg.basis_element(i) for i in range(alg.dimension)]
-        assert identify_semisimple_type(split_ideals(full, alg),
-                                        _h(alg)) == expect
+        assert identify_semisimple_type(_split_full(alg), _h(alg)) == expect
 
 
 def test_identify_type_never_guesses_on_collision():
     # B3 and C3 share (dimension, rank) = (21, 3); the identifier must
     # refuse rather than guess
     alg = build_algebra("B", 3)
-    full = [alg.basis_element(i) for i in range(alg.dimension)]
-    assert identify_semisimple_type(split_ideals(full, alg), _h(alg)) == \
+    assert identify_semisimple_type(_split_full(alg), _h(alg)) == \
         "not-identified"
 
 
@@ -190,8 +287,7 @@ def test_identify_type_skips_the_rank_on_a_shared_dimension(monkeypatch):
         raise AssertionError("rank computed for a shared dimension")
 
     alg = build_algebra("B", 3)
-    full = [alg.basis_element(i) for i in range(alg.dimension)]
-    ideals = split_ideals(full, alg)
+    ideals = _split_full(alg)
     monkeypatch.setattr(centralizer, "toral_rank", no_rank)
     assert identify_semisimple_type(ideals, _h(alg)) == "not-identified"
 
@@ -199,8 +295,7 @@ def test_identify_type_skips_the_rank_on_a_shared_dimension(monkeypatch):
 def test_identify_type_confirms_a_unique_label_by_rank(monkeypatch):
     # A2 is the only 8-dimensional type; a rank other than 2 refutes it
     alg = build_algebra("A", 2)
-    full = [alg.basis_element(i) for i in range(alg.dimension)]
-    ideals = split_ideals(full, alg)
+    ideals = _split_full(alg)
     monkeypatch.setattr(centralizer, "toral_rank", lambda basis, cartan: 3)
     assert identify_semisimple_type(ideals, _h(alg)) == "not-identified"
 
@@ -238,6 +333,44 @@ def test_every_rank2_catalog_row_has_the_four_lines():
         assert locus.special_lines == four, P.pair_label
         assert locus.residual_factors == (), P.pair_label
         assert locus.generic_rank == len(P.p_basis()) - 2, P.pair_label
+
+
+# l_type on the diagonal lines [1:1] and [1:-1] of the rows (sl_{n+1},
+# s(gl_2 x gl_{n-1})), alpha_2 or alpha_{n-1} omitted.  There X has the
+# eigenvalues c, c, -c, -c and 0 (n - 3 times) on C^{n+1}, so
+# l = sl_2 + sl_2 + sl_{n-3}, and theta swaps the two sl_2:
+A_DIAGONAL_L_TYPES = {
+    3: "A1xA1",         # (sl_4, s(gl_2 x gl_2)) = (so_6, so_4 x so_2): so_4
+    4: "A1xA1",         # sl_1 = 0
+    5: "A1xA1xA1",      # sl_2
+    6: "A1xA1xA2",      # sl_3
+    7: "A1xA1xA3",      # sl_4
+    8: "A1xA1xA4",      # sl_5
+}
+
+
+def test_subpair_on_every_rank2_special_line(monkeypatch):
+    # all 120 lines: the simple ideals' ranks add up to rank g less the
+    # center of g^X, an identified l_type has one label per ideal, and
+    # the 22 diagonal lines of the A rows read A1xA1(x...)
+    ranks = _spy_ideal_ranks(monkeypatch)
+    diagonal = 0
+    for P in enumerate_catalog()[0]:
+        if P.rank != 2:
+            continue
+        xs = P.cartan_subspace()
+        n = P.alg.rank
+        for mu, lam in nonregular_locus(P).special_lines:
+            rep = subpair(P, mu * xs[0] + lam * xs[1])
+            r = ranks.pop()
+            assert sum(r) == n - rep.l_center_dim, (P.pair_label, mu, lam)
+            if rep.l_type != "not-identified":
+                assert len(rep.l_type.split("x")) == len(r), rep.l_type
+            if P.rs.type_label == "A" and mu * lam:
+                assert rep.l_type == A_DIAGONAL_L_TYPES[n], (n, mu, lam)
+                assert rep.r_pair_label == "(so_4, so_3)", (n, mu, lam)
+                diagonal += 1
+    assert diagonal == 22
 
 
 def _spy_ideal_ranks(monkeypatch):

@@ -248,6 +248,9 @@ def test_centralizer_json(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (["centralizer", "B", "3"], "centralizer_B3.json"),
     (["centralizer", "D", "5", "--root", "5"], "centralizer_D5_root5.json"),
+    # (sl_4, s(gl_2 x gl_2)) = (so_6, so_4 x so_2): l is so_4 = A1xA1 on
+    # the diagonal lines, with the subpair (so_4, so_3)
+    (["centralizer", "A", "3", "--root", "2"], "centralizer_A3_root2.json"),
 ])
 def test_centralizer_golden(argv, golden, capsys):
     assert run(argv + ["--json"]) == 0
