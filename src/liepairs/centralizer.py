@@ -12,6 +12,8 @@ product of pairs (so_{m+1}, so_m) and (so_{m+2}, so_m x so_2).
 l is split into simple ideals from root vectors of the Cartan
 subalgebra T = span(X_K) + h^a of g^X, the Chevalley root vectors moved
 by the inverse Cayley transform: one ideal closure per simple ideal.
+theta permutes them; r is the sum of the orbits meeting p_S, and each
+orbit's l_minus and r_plus are read off its ideals (see `subpair`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .chevalley import (
     F0,
     LieElement,
     bracket,
-    bracket_span,
+    bracket_span,  # no caller here: perfbench/tracer.py spans it by this name
     centralizer_in,
     derived_subalgebra,
     is_ad_semisimple,
@@ -264,22 +266,19 @@ class SubpairReport:
 
 
 def _so_pair_label(factors):
-    """Label a product of subpair factors, each (dim, dim_minus, dim_plus),
+    """Label a product of subpair factors, each (dim_minus, dim_plus),
     when every factor is of so type; otherwise "not-identified"."""
     if not factors:
         return "(so_1, so_0)"
     labels = []
-    for ds, dm, dp in factors:
-        m = dm
-        if ds == dm + dp and dp == m * (m - 1) // 2:
-            labels.append(f"(so_{m + 1}, so_{m})")
-            continue
-        if dm % 2 == 0:
-            m = dm // 2
-            if ds == dm + dp and dp == m * (m - 1) // 2 + 1:
-                labels.append(f"(so_{m + 2}, so_{m} x so_2)")
-                continue
-        return "not-identified"
+    for dm, dp in factors:
+        m = dm // 2
+        if dp == dm * (dm - 1) // 2:
+            labels.append(f"(so_{dm + 1}, so_{dm})")
+        elif dm % 2 == 0 and dp == m * (m - 1) // 2 + 1:
+            labels.append(f"(so_{m + 2}, so_{m} x so_2)")
+        else:
+            return "not-identified"
     return " x ".join(sorted(labels))
 
 
@@ -294,42 +293,40 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
         raise ValueError("X must lie in the Cartan subspace span(X_K)")
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     gX = centralizer_in(X, full)
-    pb = P.p_basis()
-    pX = centralizer_in(X, pb)
+    dim_pX = P.dim_p_centralizer(X)
     l = derived_subalgebra(gX)
-    l_minus = span_intersection(l, pX, alg)
-    r_plus = bracket_span(l_minus)
-    r_span = span_of(l_minus + r_plus)
 
     hs = [alg.h(i) for i in range(alg.rank)]
     cartan = xs + centralizer_of_subspace(xs, hs, alg)
     l_ideals = split_ideals(l, cayley_root_vectors(P, X), cartan, alg)
-    # r is an ideal of l ([l ∩ k, l_minus] ⊆ l_minus), so it is the sum of
-    # the simple ideals inside it; theta, -1 on p, permutes those, and a
-    # factor of the r-pair is one theta-orbit of them
-    p_idx = {i for e in pb for i in e.coeffs}
-    inner = [I for I in l_ideals if all(r_span.contains(e.coeffs) for e in I)]
-    factors = []
-    while inner:
-        comp = inner.pop()
-        tv = {i: -c if i in p_idx else c for i, c in comp[0].coeffs.items()}
-        for k, I in enumerate(inner):
-            if span_of(I).contains(tv):
-                comp = comp + inner.pop(k)
-                break
-        factors.append((len(comp), len(span_intersection(comp, l_minus, alg)),
-                        len(span_intersection(comp, r_plus, alg))))
+    # theta, -1 on p, permutes the simple ideals.  An orbit that meets p
+    # is generated by its p-part, so r is the sum of those orbits, one
+    # r-pair factor each.  The p-projection of an ideal I is I ∩ p if
+    # theta(I) = I, and all of I if not, as I ∩ k ⊆ I ∩ theta(I) = 0
+    p_idx = {i for e in P.p_basis() for i in e.coeffs}
+    rest, factors = list(l_ideals), []
+    while rest:
+        I = rest.pop()
+        dm = linalg.rank({i: c for i, c in e.coeffs.items() if i in p_idx}
+                         for e in I)
+        if not dm:
+            continue
+        tv = {i: -c if i in p_idx else c for i, c in I[0].coeffs.items()}
+        k = next((k for k, J in enumerate(rest)
+                  if span_of(J).contains(tv)), None)
+        orbit = I if k is None else I + rest.pop(k)
+        factors.append((dm, len(orbit) - dm))
 
     return SubpairReport(
         dim_g_X=len(gX),
         # X in p makes g^X theta-stable: g^X = k^X + p^X
-        dim_k_X=len(gX) - len(pX),
-        dim_p_X=len(pX),
+        dim_k_X=len(gX) - dim_pX,
+        dim_p_X=dim_pX,
         l_dim=len(l),
         l_center_dim=len(gX) - len(l),
         l_type=identify_semisimple_type(l_ideals, cartan),
-        dim_l_minus=len(l_minus),
-        dim_r_plus=len(r_plus),
+        dim_l_minus=sum(dm for dm, _ in factors),
+        dim_r_plus=sum(dp for _, dp in factors),
         r_pair_label=_so_pair_label(factors),
     )
 
@@ -340,8 +337,7 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
 
 def regularity_check(P: AbelianParabolic, X: LieElement) -> bool:
     """True iff X is p_S-regular, i.e. dim p_S^X equals the pair rank."""
-    pb = P.p_basis()
-    return len(pb) - linalg.rank(bracket(X, b).coeffs for b in pb) == P.rank
+    return P.dim_p_centralizer(X) == P.rank
 
 
 @dataclass

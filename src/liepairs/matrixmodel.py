@@ -276,10 +276,10 @@ class MatrixPair:
         return _kernel(basis, lambda b: entries(commutator(X, b)))
 
     def dim_p_centralizer(self, X):
-        """dim p^X, counted on the coefficient kernel: no element of p^X
-        is built."""
-        return len(linalg.kernel([entries(bracket_skew(X, i, j))
-                                  for i, j in self.p_pairs()]))
+        """dim p^X, the nullity of the columns [X, p_j]; builds no element."""
+        pairs = self.p_pairs()
+        return len(pairs) - linalg.rank(entries(bracket_skew(X, i, j))
+                                        for i, j in pairs)
 
     def dim_bracket_k(self, X):
         """dim [k, X], the rank of the columns [X, k_j] = -[k_j, X]."""

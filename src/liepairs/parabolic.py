@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import chevalley
+from . import chevalley, linalg
 from .cascade import full_cascade
 from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
 from .errors import UsageError
@@ -75,6 +75,11 @@ class AbelianParabolic:
         for r in self.R_S1:
             out.append(alg.x(tuple(-c for c in r)))
         return out
+
+    def dim_p_centralizer(self, X):
+        """dim p_S^X, the nullity of ad X on p_S; builds no element of it."""
+        pb = self.p_basis()
+        return len(pb) - linalg.rank(bracket(X, b).coeffs for b in pb)
 
     def cartan_subspace(self):
         """The commuting semisimple elements X_K spanning a Cartan
@@ -261,5 +266,4 @@ def generic_p_centralizer_dim(P: AbelianParabolic):
     are among +-c_i, +-2c_i and +-c_i +- c_j in the X_K coordinates.  As a
     lies in p_S^X, this is the rank exactly when a is a Cartan subspace."""
     xs = P.cartan_subspace()
-    X = lin_comb(range(1, len(xs) + 1), xs)
-    return len(chevalley.centralizer_in(X, P.p_basis()))
+    return P.dim_p_centralizer(lin_comb(range(1, len(xs) + 1), xs))

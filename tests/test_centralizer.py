@@ -1,9 +1,11 @@
 """Centralizers of Cartan-subspace elements, subpair structure, and the
 non-regular locus."""
 
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from liepairs.centralizer import (
     identify_semisimple_type,
     nonregular_locus,
     regularity_check,
+    span_intersection,
     split_ideals,
     subpair,
     toral_rank,
@@ -23,6 +26,7 @@ from liepairs.centralizer import (
 from liepairs.chevalley import (
     LieElement,
     bracket,
+    bracket_span,
     build_algebra,
     centralizer_in,
     derived_subalgebra,
@@ -30,6 +34,17 @@ from liepairs.chevalley import (
 )
 from liepairs.parabolic import build_parabolic, enumerate_catalog, scan_type
 from liepairs.rootsystem import build_root_system
+
+
+# every `subpair` field on the 120 rank-2 special lines and the ten E7
+# points, recorded from the basis route (l ∩ p^X, [l_minus, l_minus])
+# that `test_dim_k_X_matches_the_k_kernel` keeps as its oracle
+SUBPAIRS = json.loads(
+    (Path(__file__).parent / "golden" / "subpairs.json").read_text())
+
+
+def _golden_key(P, where):
+    return f"{P.rs.type_label} {P.alg.rank} root {P.omitted_index + 1} {where}"
 
 
 def _pair(label, rank, root):
@@ -362,6 +377,8 @@ def test_subpair_on_every_rank2_special_line(monkeypatch):
         n = P.alg.rank
         for mu, lam in nonregular_locus(P).special_lines:
             rep = subpair(P, mu * xs[0] + lam * xs[1])
+            assert rep.to_json_dict() == \
+                SUBPAIRS[_golden_key(P, f"[{mu}:{lam}]")]
             r = ranks.pop()
             assert sum(r) == n - rep.l_center_dim, (P.pair_label, mu, lam)
             if rep.l_type != "not-identified":
@@ -391,17 +408,46 @@ def _spy_ideal_ranks(monkeypatch):
 
 @pytest.mark.parametrize("label, rank", [("B", 3), ("D", 5)])
 def test_dim_k_X_matches_the_k_kernel(label, rank, monkeypatch):
-    # subpair reads dim k^X off g^X = k^X + p^X; the kernel of ad X on k
-    # is the independent count.  The ranks of the simple ideals of l add
-    # up to rank g minus the dimension of the center of g^X
+    # subpair reads dim k^X off g^X = k^X + p^X, and l_minus and r_plus
+    # off the theta-orbits of the simple ideals of l; the kernels of ad X
+    # on k and p, l ∩ p^X and [l_minus, l_minus] are the independent
+    # counts.  The ranks of the simple ideals of l add up to rank g minus
+    # the dimension of the center of g^X
     P = _pair(label, rank, 1)
     xs = P.cartan_subspace()
+    full = [P.alg.basis_element(i) for i in range(P.alg.dimension)]
     ranks = _spy_ideal_ranks(monkeypatch)
     for mu, lam in nonregular_locus(P).special_lines:
         X = mu * xs[0] + lam * xs[1]
         rep = subpair(P, X)
+        pX = centralizer_in(X, P.p_basis())
+        l_minus = span_intersection(
+            derived_subalgebra(centralizer_in(X, full)), pX, P.alg)
         assert rep.dim_k_X == len(centralizer_in(X, P.k_basis()))
+        assert rep.dim_p_X == len(pX)
+        assert rep.dim_l_minus == len(l_minus), (mu, lam)
+        assert rep.dim_r_plus == len(bracket_span(l_minus)), (mu, lam)
         assert sum(ranks.pop()) == rank - rep.l_center_dim, (mu, lam)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_so_pair_label_reads_both_factor_shapes(m):
+    # (so_{m+1}, so_m): dim_minus m, dim_plus m(m-1)/2; (so_{m+2}, so_m x
+    # so_2): dim_minus 2m, dim_plus m(m-1)/2 + 1.  At m = 1 the second
+    # shape is (2, 1), the first shape's (so_3, so_2), which wins
+    label = centralizer._so_pair_label
+    assert label([(m, m * (m - 1) // 2)]) == f"(so_{m + 1}, so_{m})"
+    assert label([(2 * m, m * (m - 1) // 2 + 1)]) == (
+        "(so_3, so_2)" if m == 1 else f"(so_{m + 2}, so_{m} x so_2)")
+
+
+def test_so_pair_label_of_a_product_or_of_no_factor():
+    label = centralizer._so_pair_label
+    assert label([]) == "(so_1, so_0)"
+    assert label([(2, 1), (9, 36)]) == "(so_10, so_9) x (so_3, so_2)"
+    # (E6, F4): dim_minus 26, dim_plus 52, of no so shape
+    assert label([(26, 52)]) == "not-identified"
+    assert label([(3, 3), (26, 52)]) == "not-identified"
 
 
 def test_subpair_of_regular_element():
@@ -461,17 +507,22 @@ def test_e6_subpair_spot_check():
     assert rep.r_pair_label == "(so_8, so_7)"
 
 
+# (dim g^X, dim p^X, l_type, r_pair_label, dim_l_minus, dim_r_plus); the
+# last two are dim p and dim k of the r-pair: (so_12, so_10 x so_2) is
+# 20 + 46, (so_10, so_9) x (so_3, so_2) is (9 + 36) + (2 + 1), and on the
+# 78-dimensional l, whose type the dimension table cannot name, the
+# r-pair is (E6, F4), 26 + 52 (Helgason, ch. X, Table V)
 E7_POINTS = {
-    (-1, 0, 0): (67, 21, "D6", "(so_12, so_10 x so_2)"),
-    (0, -1, 0): (67, 21, "D6", "(so_12, so_10 x so_2)"),
-    (0, 0, -1): (67, 21, "D6", "(so_12, so_10 x so_2)"),
-    (-1, -1, 0): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)"),
-    (-1, 0, -1): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)"),
-    (0, -1, -1): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)"),
-    (-1, -1, -1): (79, 27, None, None),
-    (-1, -1, 1): (79, 27, None, None),
-    (-1, 1, -1): (79, 27, None, None),
-    (-1, 1, 1): (79, 27, None, None),
+    (-1, 0, 0): (67, 21, "D6", "(so_12, so_10 x so_2)", 20, 46),
+    (0, -1, 0): (67, 21, "D6", "(so_12, so_10 x so_2)", 20, 46),
+    (0, 0, -1): (67, 21, "D6", "(so_12, so_10 x so_2)", 20, 46),
+    (-1, -1, 0): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)", 11, 37),
+    (-1, 0, -1): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)", 11, 37),
+    (0, -1, -1): (49, 12, "A1xD5", "(so_10, so_9) x (so_3, so_2)", 11, 37),
+    (-1, -1, -1): (79, 27, None, None, 26, 52),
+    (-1, -1, 1): (79, 27, None, None, 26, 52),
+    (-1, 1, -1): (79, 27, None, None, 26, 52),
+    (-1, 1, 1): (79, 27, None, None, 26, 52),
 }
 
 
@@ -490,10 +541,12 @@ def test_e7_special_point_subpairs(e7_pair, c, monkeypatch):
     for ci, x in zip(c, e7_pair.cartan_subspace()):
         if ci:
             X = X + Fraction(ci) * x
-    dg, dp, ltype, label = E7_POINTS[c]
+    dg, dp, ltype, label, lm, rp = E7_POINTS[c]
     ranks = _spy_ideal_ranks(monkeypatch)
     rep = subpair(e7_pair, X)
+    assert rep.to_json_dict() == SUBPAIRS[_golden_key(e7_pair, str(c))], c
     assert (rep.dim_g_X, rep.dim_p_X) == (dg, dp), c
+    assert (rep.dim_l_minus, rep.dim_r_plus) == (lm, rp), c
     assert sum(ranks.pop()) == 7 - rep.l_center_dim, c
     if c in E7_K_KERNEL_POINTS:
         assert rep.dim_k_X == len(centralizer_in(X, e7_pair.k_basis())), c
