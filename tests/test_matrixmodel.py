@@ -319,7 +319,29 @@ def test_jordan_decompose_newton_is_bounded(monkeypatch):
         mm.jordan_decompose(sp([[F(1), F(1)], [F(0), F(1)]]))
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def kernel_signs(pair, Xk):
+    """(dim ker X^k on V+, dim ker X^k on V-), V+ the coordinates 0..p-1
+    and V- the last two: X is odd for the grading, so X^k maps each of
+    them into one of V+ and V-, and ker X^k is the sum of its two parts."""
+    p = pair.p
+    return tuple(dim - linalg.rank({j: x for j, x in row.items()
+                                    if (j < p) == plus} for row in Xk)
+                 for plus, dim in ((True, p), (False, 2)))
+
+
+def diagram_kernel_signs(d, k):
+    """(#+, #-) among the last k boxes of each row of d, an even pair
+    read as one row +-+-... and one row -+-+...: ker X^k on each Jordan
+    string is its last k vectors."""
+    rows = d.sign_string().split("/")
+    flip = str.maketrans("+-", "-+")
+    tail = "".join((r.translate(flip) if len(r) % 2 == 0
+                    and rows[:i].count(r) % 2 else r)[-k:]
+                   for i, r in enumerate(rows))
+    return tail.count("+"), tail.count("-")
+
+
+@pytest.mark.parametrize("p", range(2, 65))
 def test_diagram_representatives(p):
     pair = mm.build_pair(p)
     for d in orbits.enumerate_dyo(p):
@@ -327,6 +349,13 @@ def test_diagram_representatives(p):
         assert mm.is_skew(X)
         assert mm.jordan_type(X) == d.shape
         assert pair.in_p(X)
+        # the box signs: ker X^k splits between V+ and V- as the last k
+        # boxes of the rows do, for every k up to the longest row
+        Xk, k = X, 1
+        while not mm.mat_is_zero(Xk):
+            assert kernel_signs(pair, Xk) == diagram_kernel_signs(d, k), \
+                (d, k)
+            Xk, k = mm.mat_mul(Xk, X), k + 1
 
 
 @pytest.mark.parametrize("p", [3, 4])
