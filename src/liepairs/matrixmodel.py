@@ -28,14 +28,10 @@ writes the Cayley triple of the restricted root e1 - e2 down on the
 coordinates 1, 2, n-1, n, and exact checks certify it (the sl2 and
 theta_0 relations and [K_1, X0] = X0, [K_2, X0] = -X0).
 
-Orbit representatives are built directly on the complex side: each
-diagram row gives a Jordan string with an invariant symmetric form and
-an involution acting by alternating signs down the string (even-length
-rows act in pairs, with the involution swapping the two strings).
-Rewriting in an exact orthonormal basis of involution eigenvectors
-lands the representative in p with the involution in standard diagonal
-form.  Q(i) suffices for this; realizing the same orbits through
-rational Cayley triples in the real form would need square roots.
+Orbit representatives are read off a table: every element of p is
+X = [[0, B], [-B^T, 0]] with B a p x 2 block, and a signature (p,2)
+diagram uses only (1,+) and the few rows that can hold its two - boxes,
+each with a fixed block of B over Q(i) (`_ROW_BLOCKS`).
 """
 
 from __future__ import annotations
@@ -474,75 +470,48 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
 # orbit representatives from signed diagrams
 
 
+# X = [[0, B], [-B^T, 0]], B the p x 2 block on the plus rows and minus
+# columns.  Per row, or even pair, of a signature (p,2) diagram: (plus and
+# minus coordinates used, block entries (i, j, B_ij) from the next free
+# ones).  (3,+): X e_0 = -e_-, X e_- = e_0 + i e_1 and X(e_0 + i e_1) = 0.
+_ROW_BLOCKS = {
+    ((1, "+"),): (1, 0, ()),
+    ((1, "-"),): (0, 1, ()),
+    ((3, "+"),): (2, 1, ((0, 0, F1), (1, 0, I_UNIT))),
+    ((3, "-"),): (1, 2, ((0, 0, F1), (0, 1, I_UNIT))),
+    ((5, "+"),): (3, 2, ((0, 0, F1), (0, 1, I_UNIT), (1, 1, F1),
+                         (2, 1, I_UNIT))),
+    ((2, "+"), (2, "+")): (2, 2, ((0, 0, F1), (0, 1, I_UNIT),
+                                  (1, 0, I_UNIT), (1, 1, -F1))),
+}
+
+
 def nilpotent_from_diagram(pair: MatrixPair, diagram):
-    """Representative X in p of the nilpotent orbit of a signed diagram.
-
-    Each row carries a Jordan string; the involution acts by the
-    alternating box signs on odd rows and swaps the strings of an
-    even-row pair.  The result is expressed in an exact orthonormal
-    basis of involution eigenvectors ordered (+1)-block first, so that
-    the involution is conjugation by diag(I_p, -I_2) and X lands in p.
+    """Representative X in p of the nilpotent orbit of a signed diagram:
+    X = [[0, B], [-B^T, 0]], where one `_ROW_BLOCKS` lookup per row, or
+    per even pair, writes its block into B at the next free plus and minus
+    coordinates.  The numerals are not read: the I and II variants of a
+    diagram share one representative.
     """
-    rows = list(diagram.rows)
-    n = pair.n
-    if sum(l for l, _ in rows) != n:
-        raise ValueError("diagram size must be p + 2")
-    odd = [(l, s) for l, s in rows if l % 2 == 1]
-    even = sorted(l for l, s in rows if l % 2 == 0)
-    pairs = []
-    while even:
-        a = even.pop()
-        b = even.pop()
-        if a != b:
-            raise ValueError("even rows must come in equal-length pairs")
-        pairs.append(a)
-
-    Xstr = zeros(n)
-    plus_vecs, minus_vecs = [], []
-    base = 0
-
-    for l, s in odd:
-        for m in range(l - 1):
-            Xstr[base + m + 1][base + m] = F1
-        m0 = (l - 1) // 2
-        c = Fraction((-1) ** m0)
-        sgn = 1 if s == "+" else -1
-        store = plus_vecs if sgn * (-1) ** m0 > 0 else minus_vecs
-        store.append({base + m0: F1})
-        for a in range(m0):
-            q = Fraction((-1) ** a) * c
-            beta = 1 / (2 * q)
-            e1 = {base + a: F1, base + l - 1 - a: beta}
-            e2 = {base + a: I_UNIT, base + l - 1 - a: -beta * I_UNIT}
-            store = plus_vecs if sgn * (-1) ** a > 0 else minus_vecs
-            store.append(e1)
-            store.append(e2)
-        base += l
-
-    for l in pairs:
-        bv, bw = base, base + l
-        for m in range(l - 1):
-            Xstr[bv + m + 1][bv + m] = F1
-            Xstr[bw + m + 1][bw + m] = F1
-        c = Fraction(-1, 2)
-        # u+_m = v_m + (-1)^m w_m pairs with u+_{l-1-m}, product -2c = 1
-        # u-_m = v_m - (-1)^m w_m pairs with u-_{l-1-m}, product  2c = -1
-        for a in range(l // 2):
-            b = l - 1 - a
-            for sign, store, q in ((1, plus_vecs, -2 * c),
-                                   (-1, minus_vecs, 2 * c)):
-                beta = 1 / (2 * q)
-                sa, sb = sign * (-1) ** a, sign * (-1) ** b
-                # e1 = u_a + beta u_b and e2 = i (u_a - beta u_b)
-                for f, g in ((F1, beta), (I_UNIT, -beta * I_UNIT)):
-                    store.append({bv + a: f, bw + a: f * sa,
-                                  bv + b: g, bw + b: g * sb})
-        base += 2 * l
-
-    if len(plus_vecs) != pair.p or len(minus_vecs) != 2:
-        raise ValueError("diagram signature is not (p,2)")
-    P = transpose(plus_vecs + minus_vecs)
-    return mat_mul(mat_inverse(P), mat_mul(Xstr, P))
+    rows = iter(diagram.rows)
+    B, plus, minus = [], 0, 0
+    for row in rows:
+        key = (row,) if row[0] % 2 else (row, next(rows, None))
+        if key not in _ROW_BLOCKS:
+            raise ValueError(f"diagram {diagram}: no block for the rows "
+                             f"{key} in signature (p,2)")
+        dp, dm, block = _ROW_BLOCKS[key]
+        B.extend((plus + i, minus + j, x) for i, j, x in block)
+        plus, minus = plus + dp, minus + dm
+    # every block uses one coordinate per box, so this checks the size too
+    if (plus, minus) != (pair.p, 2):
+        raise ValueError(f"diagram {diagram} has signature ({plus},{minus})"
+                         f" and size {plus + minus}, not ({pair.p},2)")
+    X = zeros(pair.n)
+    for i, j, x in B:
+        X[i][pair.p + j] = x
+        X[pair.p + j][i] = -x
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def _canonical_rows(rows):
 
 # The rows that can hold one of the two - boxes of signature (p,2): a row
 # of length l holds at least l // 2 of them.  Every other row is (1,+).
-_MINUS_ROWS = ((1, "-"), (3, "+"), (3, "-"), (5, "+"), (2, "+"), (4, "+"))
+# No (4,+): a lone even row breaks P1, and a pair of them holds four -.
+_MINUS_ROWS = ((1, "-"), (3, "+"), (3, "-"), (5, "+"), (2, "+"))
 
 
 def enumerate_dyo(p):

@@ -358,6 +358,28 @@ def test_diagram_representatives(p):
             Xk, k = mm.mat_mul(Xk, X), k + 1
 
 
+def test_row_blocks_cover_exactly_the_enumerated_rows():
+    rows = {r for p in range(2, 65) for d in orbits.enumerate_dyo(p)
+            for r in d.rows}
+    assert rows == {r for key in mm._ROW_BLOCKS for r in key}
+
+
+@pytest.mark.parametrize("rows, match", [
+    # a pair of (4,+) rows holds four - boxes: no block
+    (((4, "+"), (4, "+")), r"no block for the rows \(\(4, '\+'\), "
+                           r"\(4, '\+'\)\)"),
+    (((3, "+"), (1, "+"), (1, "+")), r"size 5, not \(4,2\)"),
+    (((3, "+"), (1, "+"), (1, "+"), (1, "+"), (1, "+")),
+     r"size 7, not \(4,2\)"),
+    (((3, "-"), (1, "+"), (1, "+"), (1, "-")),
+     r"signature \(3,3\) and size 6, not \(4,2\)"),
+], ids=["4+4+", "size-5", "size-7", "signature-3-3"])
+def test_nilpotent_from_diagram_rejects(rows, match):
+    with pytest.raises(ValueError, match=match):
+        mm.nilpotent_from_diagram(mm.build_pair(4),
+                                  orbits.SignedYoungDiagram(rows))
+
+
 @pytest.mark.parametrize("p", [3, 4])
 def test_normal_triples_and_characteristics(p):
     pair = mm.build_pair(p)
@@ -551,21 +573,30 @@ def test_matrix_model_meets_the_chevalley_path(label, rank, root, p):
     # the multiset of (dim g^X, dim p^X) over the four special lines: in
     # the model at mu H_1 + lambda H_2 (the lines of
     # test_locus_matrix_model), and on the Chevalley side at the lines of
-    # the pencil on the cascade's X_K
+    # the pencil on the cascade's X_K; then the same pair at one generic
+    # point, 2 H_1 + 3 H_2 and X_1 + 2 X_2, off every special line
     pair = mm.build_pair(p)
-    model = []
-    for mu, lam in ((0, 1), (1, -1), (1, 0), (1, 1)):
+
+    def model_dims(mu, lam):
         X = mm.lin_comb((F(mu), F(lam)), (pair.H(1), pair.H(2)))
-        model.append((len(pair.centralizer_in(X, pair.k_basis()
-                                              + pair.p_basis())),
-                      pair.dim_p_centralizer(X)))
+        return (len(pair.centralizer_in(X, pair.k_basis()
+                                        + pair.p_basis())),
+                pair.dim_p_centralizer(X))
+
     alg = build_algebra(label, rank)
     P = build_parabolic(alg, frozenset(range(rank)) - {root - 1})
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     xs = P.cartan_subspace()
-    chevalley = []
-    for mu, lam in nonregular_locus(P).special_lines:
+
+    def chevalley_dims(mu, lam):
         X = mu * xs[0] + lam * xs[1]
-        chevalley.append((len(centralizer_in(X, full)),
-                          len(centralizer_in(X, P.p_basis()))))
-    assert sorted(model) == sorted(chevalley), P.pair_label
+        return (len(centralizer_in(X, full)),
+                len(centralizer_in(X, P.p_basis())))
+
+    lines = nonregular_locus(P).special_lines
+    assert all(2 * mu != lam for mu, lam in lines)
+    model = [model_dims(mu, lam)
+             for mu, lam in ((0, 1), (1, -1), (1, 0), (1, 1))]
+    assert sorted(model) == sorted(chevalley_dims(mu, lam)
+                                   for mu, lam in lines), P.pair_label
+    assert model_dims(2, 3) == chevalley_dims(1, 2), P.pair_label
