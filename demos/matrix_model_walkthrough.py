@@ -54,9 +54,8 @@ d = [x for x in enumerate_dyo(p) if x.shape == (3, 1, 1, 1)][0]
 t = normal_triple_for(pair, nilpotent_from_diagram(pair, d))
 rep = even_sheet_witness(pair, t)
 print(f"dim p^X = {rep['dim_p_X']}")
-for s in rep["samples"]:
-    print(f"  lambda = {s['lambda']}: dim preserved = {s['dim_match']},"
-          f" X + lambda Y semisimple = {s['semisimple']}")
+print(f"  dim p^(X + Y) = {rep['dim_p_X_plus_Y']},"
+      f" X + Y semisimple = {rep['semisimple']} (so for every lambda != 0)")
 
 print()
 print("=" * 72)

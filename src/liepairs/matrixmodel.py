@@ -265,6 +265,13 @@ class MatrixPair:
 
     # -- kernels --------------------------------------------------------------
 
+    def kernel_signs(self, Xk):
+        """(dim ker Xk on V+, on V-), V+ the first p coordinates and V- the
+        last two: Xk, a power of some X in p, maps each into one of them."""
+        return tuple(dim - linalg.rank({j: x for j, x in row.items()
+                                        if (j < self.p) == plus} for row in Xk)
+                     for plus, dim in ((True, self.p), (False, 2)))
+
     def centralizer_in(self, X, basis):
         """Coefficient basis of {Y in span(basis) : [X, Y] = 0}."""
         if not basis:
@@ -549,26 +556,21 @@ def characteristic_from_triple(t: NormalTriple):
 
 
 def even_sheet_witness(pair: MatrixPair, t: NormalTriple):
-    """For an even X, check dim p^{X + s Y} = dim p^X and semisimplicity
-    of X + s Y for s = 1, 2, 3."""
+    """Check that X + Y is semisimple with dim p^{X+Y} = dim p^X, X even.
+
+    H in k, [H, X] = 2X and [H, Y] = -2Y (`NormalTriple.validate`), so
+    Ad exp(uH) in K maps X + Y to e^{2u}(X + e^{-4u} Y): for lambda != 0,
+    X + lambda Y is a nonzero multiple of a K-conjugate of X + Y, with its
+    dim p^Z and its semisimplicity (Kostant-Rallis 1971)."""
     cands = characteristic_from_triple(t)
     if not any(orbits.is_even(c) for c in cands):
         raise ValueError("X is not even: characteristic "
                          + "/".join(map(str, cands)))
-    d0 = pair.dim_p_centralizer(t.X)
-    results = []
-    for s in (1, 2, 3):
-        Xs = lin_comb((F1, s), (t.X, t.Y))
-        results.append({
-            "lambda": str(s),
-            "dim_match": pair.dim_p_centralizer(Xs) == d0,
-            "semisimple": is_semisimple(Xs),
-        })
-    return {
-        "dim_p_X": d0,
-        "samples": results,
-        "ok": all(e["dim_match"] and e["semisimple"] for e in results),
-    }
+    Z = mat_add(t.X, t.Y)
+    d0, d1 = pair.dim_p_centralizer(t.X), pair.dim_p_centralizer(Z)
+    ss = is_semisimple(Z)
+    return {"dim_p_X": d0, "dim_p_X_plus_Y": d1, "semisimple": ss,
+            "ok": d1 == d0 and ss}
 
 
 def restricted_root_space(pair: MatrixPair, c1, c2):

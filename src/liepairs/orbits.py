@@ -50,6 +50,16 @@ class SignedYoungDiagram:
                                for i in range(length)))
         return "/".join(out)
 
+    def kernel_signs(self, k):
+        """(#+, #-) among the last k boxes of the rows, an even pair read
+        as one +-... row and one -+... row: ker X^k is those boxes."""
+        rows = self.sign_string().split("/")
+        flip = str.maketrans("+-", "-+")
+        tail = "".join((r.translate(flip) if len(r) % 2 == 0
+                        and rows[:i].count(r) % 2 else r)[-k:]
+                       for i, r in enumerate(rows))
+        return tail.count("+"), tail.count("-")
+
     def __repr__(self):
         tag = "".join("," + n for n in self.numerals)
         return f"SYD({self.sign_string()}{tag})"

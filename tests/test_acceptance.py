@@ -83,16 +83,18 @@ def test_criterion_07_distinguished_evenness_and_witness():
 
 def test_criterion_08_characteristic_oracle():
     """(alpha_i(H)) from exact normal triples equals the combinatorial
-    recipe for every orbit representative, p <= 40."""
-    _check(rp.characteristic_item(range(2, 41)))
-    _report(8, "characteristics from normal triples, p = 2..40")
+    recipe for every orbit representative, p <= 64."""
+    _check(rp.characteristic_item(range(2, 65)))
+    _report(8, "characteristics from normal triples, p = 2..64")
 
 
 def test_criterion_09_even_sheet():
-    """For every even orbit: dim p^(X+lambda Y) = dim p^X at
-    lambda = 1, 2, 3 and X + lambda Y is semisimple, p <= 32."""
-    _check(rp.even_sheet_item(range(2, 33)))
-    _report(9, "even-sheet property at lambda = 1, 2, 3 for p = 2..32")
+    """For every nonzero even orbit: dim p^(X+Y) = dim p^X and X + Y is
+    semisimple, which covers every X + lambda Y with lambda != 0 (Ad
+    exp(uH) carries one to a multiple of the other), p <= 64."""
+    _check(rp.even_sheet_item(range(2, 65)))
+    _report(9, "even-sheet property at lambda = 1, so every lambda != 0, "
+            "for p = 2..64")
 
 
 def test_criterion_10_jordan_component_and_dim_identity():

@@ -204,6 +204,24 @@ def test_model_rejects_a_wrong_representative(monkeypatch, capsys):
         assert item["status"] == "fail", X
 
 
+def test_model_rejects_a_representative_with_wrong_signs(monkeypatch,
+                                                        capsys):
+    # (3,-)(1,+)(1,+) has the shape and signature of (3,+)(1,+)(1,-): its
+    # representative is skew, in p and of Jordan type (3,1,1), and only
+    # the signs of ker X^k on V+ and V- tell the two orbits apart
+    pair = mm.build_pair(3)
+    d = [d for d in enumerate_dyo(3)
+         if d.rows == ((3, "-"), (1, "+"), (1, "+"))][0]
+    X = mm.nilpotent_from_diagram(pair, d)
+    monkeypatch.setattr(mm, "nilpotent_from_diagram", lambda pair, d: X)
+    assert run(["model", "--p", "3", "--orbit", "3,1,1:++-",
+                "--verify", "characteristic", "--json"]) == 1
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert items == [{"name": "representative-in-model", "status": "fail",
+                      "details": {"diagram": "SYD(+-+/+/-)",
+                                  "jordan_type": [3, 1, 1]}}]
+
+
 def test_criteria_8_and_9_fail_exactly_where_model_does(monkeypatch):
     # break each check on the shape (3,1,1) alone: the verify-all item
     # names exactly its diagrams, and `model` fails on exactly those

@@ -319,28 +319,6 @@ def test_jordan_decompose_newton_is_bounded(monkeypatch):
         mm.jordan_decompose(sp([[F(1), F(1)], [F(0), F(1)]]))
 
 
-def kernel_signs(pair, Xk):
-    """(dim ker X^k on V+, dim ker X^k on V-), V+ the coordinates 0..p-1
-    and V- the last two: X is odd for the grading, so X^k maps each of
-    them into one of V+ and V-, and ker X^k is the sum of its two parts."""
-    p = pair.p
-    return tuple(dim - linalg.rank({j: x for j, x in row.items()
-                                    if (j < p) == plus} for row in Xk)
-                 for plus, dim in ((True, p), (False, 2)))
-
-
-def diagram_kernel_signs(d, k):
-    """(#+, #-) among the last k boxes of each row of d, an even pair
-    read as one row +-+-... and one row -+-+...: ker X^k on each Jordan
-    string is its last k vectors."""
-    rows = d.sign_string().split("/")
-    flip = str.maketrans("+-", "-+")
-    tail = "".join((r.translate(flip) if len(r) % 2 == 0
-                    and rows[:i].count(r) % 2 else r)[-k:]
-                   for i, r in enumerate(rows))
-    return tail.count("+"), tail.count("-")
-
-
 @pytest.mark.parametrize("p", range(2, 65))
 def test_diagram_representatives(p):
     pair = mm.build_pair(p)
@@ -353,8 +331,7 @@ def test_diagram_representatives(p):
         # boxes of the rows do, for every k up to the longest row
         Xk, k = X, 1
         while not mm.mat_is_zero(Xk):
-            assert kernel_signs(pair, Xk) == diagram_kernel_signs(d, k), \
-                (d, k)
+            assert pair.kernel_signs(Xk) == d.kernel_signs(k), (d, k)
             Xk, k = mm.mat_mul(Xk, X), k + 1
 
 
@@ -502,8 +479,30 @@ def test_even_sheet_on_even_orbit():
     d = [x for x in orbits.enumerate_dyo(4) if x.shape == (3, 1, 1, 1)][0]
     t = mm.normal_triple_for(pair, mm.nilpotent_from_diagram(pair, d))
     rep = mm.even_sheet_witness(pair, t)
-    assert rep["ok"], rep
-    assert all(s["semisimple"] for s in rep["samples"])
+    assert rep == {"dim_p_X": 4, "dim_p_X_plus_Y": 4, "semisimple": True,
+                   "ok": True}
+
+
+def test_even_sheet_one_point_covers_the_line():
+    # Ad exp(uH) carries X + Y to a multiple of X + lambda Y, so the
+    # witness's one point must agree with every lambda != 0 it stands for
+    lams = (2, 3, -1, F(1, 2), mm.I_UNIT)
+    for p in range(2, 9):
+        pair = mm.build_pair(p)
+        for d in orbits.enumerate_dyo(p):
+            X = mm.nilpotent_from_diagram(pair, d)
+            if mm.mat_is_zero(X) or not any(
+                    orbits.is_even(c)
+                    for c in orbits.characteristic(orbits.forget_signs(d))):
+                continue
+            t = mm.normal_triple_for(pair, X)
+            rep = mm.even_sheet_witness(pair, t)
+            assert rep["ok"], (d, rep)
+            for lam in lams:
+                Z = mm.lin_comb((F(1), lam), (t.X, t.Y))
+                assert mm.is_semisimple(Z), (d, lam)
+                assert pair.dim_p_centralizer(Z) == rep["dim_p_X_plus_Y"], \
+                    (d, lam)
 
 
 def test_even_sheet_rejects_non_even_orbit():
