@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .chevalley import (
-    F0,
     LieElement,
     bracket,
     bracket_span,  # no caller here: perfbench/tracer.py spans it by this name
@@ -178,9 +178,13 @@ def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
     """
     alg, rs = P.alg, P.rs
     eps = [e.epsilon_K for e in P.E_entries]
-    cs = [X.coeffs.get(alg.x_index(e), F0) for e in eps]
+    cs = [X.coeffs.get(alg.x_index(e), 0) for e in eps]
+    # alpha(H) = sum_K c_K (alpha, eps_K)/(eps_K, eps_K) up to a factor 2,
+    # tested as one numerator over the common denominator L
+    L = lcm(*(rs.form6(e, e) for e in eps))
+    ws = [c * (L // rs.form6(e, e)) for c, e in zip(cs, eps)]
     for a in rs.positive_roots:
-        if sum(c * rs.form6(a, e) / rs.form6(e, e) for c, e in zip(cs, eps)):
+        if sum(w * rs.form6(a, e) for w, e in zip(ws, eps)):
             continue
         v = alg.x(a)
         for e in eps:

@@ -1,5 +1,7 @@
 """Chevalley basis of the complex simple Lie algebra attached to a root
-system, with integer structure constants.
+system, with integer structure constants.  A basis vector has the int
+coefficient 1, so brackets of basis vectors and of integral elements
+(see `integral`) stay on int.
 
 Basis order: root vectors x_a for a running over positive then negative
 roots (negatives in the positive order), followed by the simple coroots
@@ -20,14 +22,11 @@ one int add and one dict lookup.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .rootsystem import RootSystem, build_root_system, type_name
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 class ChevalleyAlgebra:
@@ -55,7 +54,7 @@ class ChevalleyAlgebra:
 
     def basis_element(self, idx):
         e = LieElement(self, {})
-        e.coeffs[idx] = F1
+        e.coeffs[idx] = 1
         return e
 
     def x(self, root):
@@ -239,7 +238,8 @@ class LieElement:
             raise ValueError("elements of different algebras")
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, F0) + c
+            prev = out.get(i)
+            out[i] = c if prev is None else prev + c
         return LieElement(self.alg, out)
 
     def __sub__(self, other):
@@ -270,8 +270,19 @@ def lin_comb(coeffs, elems):
     for c, e in zip(coeffs, elems):
         if c:
             for i, x in e.coeffs.items():
-                out[i] = out.get(i, F0) + c * x
+                t = x if c == 1 else c * x
+                prev = out.get(i)
+                out[i] = t if prev is None else prev + t
     return LieElement(elems[0].alg, out)
+
+
+def integral(x: LieElement) -> LieElement:
+    """The primitive integral multiple of x: x times the positive rational
+    that makes its coefficients coprime ints (the zero element for 0)."""
+    d = lcm(*(c.denominator for c in x.coeffs.values()))
+    num = {i: c.numerator * (d // c.denominator) for i, c in x.coeffs.items()}
+    g = gcd(*num.values()) or 1
+    return LieElement(x.alg, {i: n // g for i, n in num.items()})
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -293,17 +304,21 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
 
 
 def centralizer_in(x: LieElement, subspace_basis):
-    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact."""
+    """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact.  The
+    kernel of ad x is that of ad r x for any r != 0, so the columns are
+    brackets with `integral(x)`, all int on an integral subspace basis."""
     if not subspace_basis:
         return []
+    x = integral(x)
     cols = [bracket(x, b).coeffs for b in subspace_basis]
     return [lin_comb(sol.values(), [subspace_basis[j] for j in sol])
             for sol in linalg.kernel(cols)]
 
 
 def is_ad_semisimple(x: LieElement) -> bool:
-    p = minimal_polynomial_ad(x)
-    return linalg.is_squarefree(p)
+    # the minimal polynomial of ad r x, r != 0, is that of ad x with its
+    # roots scaled by r, so one is squarefree iff the other is
+    return linalg.is_squarefree(minimal_polynomial_ad(integral(x)))
 
 
 def minimal_polynomial_ad(x: LieElement):

@@ -16,10 +16,15 @@ are the small square minors of the pencil; `sparse` turns a dense vector
 into the sparse format.
 Everything is duck-typed over the field operations +, -, *, /, and
 truthiness as the zero test, so the same routines serve the rational
-and Gaussian-rational cases.  The one exception is `min_poly` over Q:
-it clears the denominators of the map once and runs its Krylov and
-Horner steps on int, which is exact because the minimal polynomial of
-an integral map is integral, and rescales the result back to Q.
+and Gaussian-rational cases.  One scalar rule holds throughout: an int
+stays an int where that is exact, a rational becomes a Fraction where
+it is not, and no result is ever a float.  A reduced row stays int when
+its pivot divides each of its int entries, as a pivot of +-1 does on
+nearly every row of a Chevalley bracket; any other row is divided as
+Fractions.  `min_poly` over Q leans on the rule: it clears
+the denominators of the map once and runs its Krylov and Horner steps
+on int, which is exact because the minimal polynomial of an integral
+map is integral, and rescales the result back to Q.
 """
 
 from __future__ import annotations
@@ -75,10 +80,19 @@ def _reduce(echelon, red):
 
 def _insert(echelon, red):
     """Add a nonzero remainder of `_reduce` to the row space as a new
-    reduced row, clearing its pivot column from the other rows."""
+    reduced row, clearing its pivot column from the other rows.  The row
+    stays int where its pivot divides every entry; an int pivot that
+    does not is made a Fraction, so that no entry becomes a float."""
     pc = min(red)
     pv = red[pc]
-    row = {c: x / pv for c, x in red.items()}
+    if pv == 1:
+        row = red
+    elif type(pv) is int and all(type(x) is int and not x % pv
+                                 for x in red.values()):
+        row = {c: x // pv for c, x in red.items()}
+    else:
+        pv = Fraction(pv) if type(pv) is int else pv
+        row = {c: x / pv for c, x in red.items()}
     for other in echelon.values():
         if pc in other:
             _eliminate(other, pc, row)
@@ -245,7 +259,7 @@ def poly_divmod(p, q):
         raise ZeroDivisionError("polynomial division by zero")
     p = list(p)
     quot = [F0] * max(0, len(p) - len(q) + 1)
-    inv = 1 / q[-1]
+    inv = F1 / q[-1]
     while len(p) >= len(q) and any(p):
         poly_trim(p)
         if len(p) < len(q):
@@ -262,7 +276,7 @@ def poly_divmod(p, q):
 def poly_monic(p):
     if not p:
         return []
-    inv = 1 / p[-1]
+    inv = F1 / p[-1]
     return [a * inv for a in p]
 
 
@@ -344,7 +358,9 @@ def min_poly(columns):
     of each (it divides the integral characteristic polynomial of dA);
     m_A(x) = d^-deg * m_dA(d*x) then rescales the result exactly.  The
     coefficients are Fractions over Q and QIs once an entry is a QI, in
-    which case the same loop runs on the columns as given.  A column entry
+    which case the same loop runs on the columns as given.  Either way the
+    module's scalar rule holds inside: int stays int where that is exact,
+    Fraction otherwise, and nothing is ever a float.  A column entry
     keyed outside 0..n-1 is a ValueError.
     """
     n = len(columns)
@@ -394,38 +410,32 @@ def _apply_poly(columns, p, i):
     return acc
 
 
-def _exact(v):
-    """v with its int entries made Fractions: `Span` and `solve` divide,
-    and int / int is a float."""
-    return {i: Fraction(x) if type(x) is int else x for i, x in v.items()}
-
-
 def _krylov_annihilator(columns, v):
-    """The monic q of least degree with q(A) v = 0; a coefficient that is
-    an integer comes back as an int, so over an integral map and vector
-    (Gauss's lemma) q is all int."""
+    """The monic q of least degree with q(A) v = 0.  Its chain runs on
+    the entries as given, int staying int where that is exact; a
+    coefficient that is an integer comes back as an int, so over an
+    integral map and vector (Gauss's lemma) q is all int."""
     n = len(columns)
     span = Span()
-    chain = [_exact(v)]
-    span.add(chain[0])
+    chain = [v]
+    span.add(v)
     nxt = v
     # the span grows on every step that does not close the chain, and it
     # has dimension at most n
     for _ in range(n + 1):
         nxt = _apply(columns, nxt)
-        exact = _exact(nxt)
-        if span.contains(exact):
+        if span.contains(nxt):
             break
-        span.add(exact)
-        chain.append(exact)
+        span.add(nxt)
+        chain.append(nxt)
     else:
         raise ValueError(f"min_poly: the Krylov chain of a map on {n} basis "
                          f"vectors did not close in {n + 1} steps")
-    # exact = sum c_k chain[k], solved on the rows where the chain has
+    # nxt = sum c_k chain[k], solved on the rows where the chain has
     # support
     support = sorted(set().union(*chain))
-    coeffs = solve([[u.get(r, F0) for u in chain] for r in support],
-                   [exact.get(r, F0) for r in support])
+    coeffs = solve([[u.get(r, 0) for u in chain] for r in support],
+                   [nxt.get(r, 0) for r in support])
     q = [-c for c in coeffs] + [F1]
     return [c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for c in q]

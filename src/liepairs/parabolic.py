@@ -79,6 +79,7 @@ class AbelianParabolic:
     def dim_p_centralizer(self, X):
         """dim p_S^X, the nullity of ad X on p_S; builds no element of it."""
         pb = self.p_basis()
+        X = chevalley.integral(X)
         return len(pb) - linalg.rank(bracket(X, b).coeffs for b in pb)
 
     def cartan_subspace(self):

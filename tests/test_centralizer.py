@@ -30,6 +30,8 @@ from liepairs.chevalley import (
     build_algebra,
     centralizer_in,
     derived_subalgebra,
+    integral,
+    is_ad_semisimple,
     span_of,
 )
 from liepairs.parabolic import build_parabolic, enumerate_catalog, scan_type
@@ -348,6 +350,49 @@ def test_every_rank2_catalog_row_has_the_four_lines():
         assert locus.special_lines == four, P.pair_label
         assert locus.residual_factors == (), P.pair_label
         assert locus.generic_rank == len(P.p_basis()) - 2, P.pair_label
+
+
+def test_subpair_reads_int_and_fraction_coefficients_alike():
+    # cayley_root_vectors tests alpha(H) = 0 on X's own coefficients, which
+    # may be ints: the test must stay exact, not divide them as floats
+    P = _pair("B", 3, 1)
+    xs = P.cartan_subspace()
+    for mu, lam in nonregular_locus(P).special_lines:
+        X = mu * xs[0] + lam * xs[1]
+        ints = LieElement(P.alg, {i: int(c) for i, c in X.coeffs.items()})
+        twin = LieElement(P.alg, {i: Fraction(c) for i, c in X.coeffs.items()})
+        assert {type(c) for c in ints.coeffs.values()} == {int}
+        assert {type(c) for c in twin.coeffs.values()} == {Fraction}
+        rep = subpair(P, ints)
+        assert rep == subpair(P, twin)
+        assert rep.to_json_dict() == SUBPAIRS[_golden_key(P, f"[{mu}:{lam}]")]
+
+
+def test_centralizer_path_is_scale_invariant():
+    # at a generic point and on the line [1:1] of every rank-2 pair, X and
+    # r X have one centralizer, p-centralizer, semisimplicity and subpair,
+    # and ad integral(X) has int columns on the int Chevalley basis
+    rows = [P for P in enumerate_catalog()[0] if P.rank == 2]
+    assert len(rows) == 30
+    for P in rows:
+        alg = P.alg
+        full = [alg.basis_element(i) for i in range(alg.dimension)]
+        xs = P.cartan_subspace()
+        # [2:3] is on none of the special lines [0:1], [1:-1], [1:0], [1:1]
+        for X, regular in ((2 * xs[0] + 3 * xs[1], True),
+                           (xs[0] + xs[1], False)):
+            Z = integral(X)
+            assert all(type(c) is int
+                       for b in full for c in bracket(Z, b).coeffs.values())
+            want = (centralizer_in(X, full), P.dim_p_centralizer(X),
+                    is_ad_semisimple(X), subpair(P, X))
+            assert (want[1] == P.rank) == regular and want[2]
+            for r in (Fraction(3, 7), Fraction(-2, 9)):
+                rX = r * X
+                assert integral(rX) == (Z if r > 0 else -Z)
+                got = (centralizer_in(rX, full), P.dim_p_centralizer(rX),
+                       is_ad_semisimple(rX), subpair(P, rX))
+                assert got == want, (P.pair_label, regular, r)
 
 
 # l_type on the diagonal lines [1:1] and [1:-1] of the rows (sl_{n+1},

@@ -12,6 +12,7 @@ from liepairs.chevalley import (
     build_algebra,
     centralizer_in,
     derived_subalgebra,
+    integral,
     is_ad_semisimple,
     jacobi_defect,
     lin_comb,
@@ -26,6 +27,19 @@ def test_sl2_relations():
     assert bracket(e, f) == h
     assert bracket(h, e) == 2 * e
     assert bracket(h, f) == Fraction(-2) * f
+
+
+def test_integral_is_the_primitive_integral_multiple():
+    alg = build_algebra("B", 2)
+    basis = [alg.basis_element(j) for j in range(4)]
+    assert all(type(c) is int for e in basis for c in e.coeffs.values())
+    x = lin_comb([Fraction(2, 3), Fraction(-4, 9), 0, Fraction(8, 3)], basis)
+    # times 9/2: the lcm 9 of the denominators over the gcd 2 of 6, -4, 24
+    z = integral(x)
+    assert z == lin_comb([3, -2, 0, 12], basis)
+    assert all(type(c) is int for c in z.coeffs.values())
+    assert integral(z) == z
+    assert integral(alg.zero()) == alg.zero()
 
 
 def test_sl3_structure_constants():

@@ -64,6 +64,10 @@ def test_poly_arithmetic():
     q, r = linalg.poly_divmod(p, [F(-1), F(1)])
     assert q == [F(1), F(1)] and linalg.poly_trim(r) == []
     assert linalg.poly_gcd(p, [F(-1), F(1)]) == [F(-1), F(1)]
+    # an int leading coefficient is inverted as a Fraction, not a float
+    monic = linalg.poly_monic([2, 4])
+    assert monic == [F(1, 2), F(1)] and {type(a) for a in monic} == {F}
+    assert linalg.poly_divmod([1, 0, 2], [0, 2]) == ([F(0), F(1)], [1])
 
 
 def test_squarefree_part():
@@ -339,6 +343,48 @@ def test_span_stream_matches_dense_reference(vectors):
         assert sp.pivots == want_pivots
         assert_same(_dense(sp.rows, ncols), want_rows)
         assert sp.contains(v)
+
+
+integers_ = st.sampled_from([x for x in SCALARS if type(x) is int])
+
+
+def _scalars(value):
+    """Every scalar inside nested lists, tuples and dicts (their values)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _scalars(v)]
+    return [value]
+
+
+def _eliminations(mat, rhs):
+    """What each elimination entry point makes of one system."""
+    ncols = len(mat[0]) if mat else 0
+    k = min(len(mat), ncols)
+    sp = linalg.Span()
+    grew = [sp.add(linalg.sparse(r)) for r in mat]
+    return {
+        "rref": linalg.rref(mat),
+        "nullspace": linalg.nullspace([linalg.sparse(r) for r in mat], ncols),
+        "kernel": linalg.kernel([linalg.sparse(c) for c in mat]),
+        "solve": linalg.solve(mat, rhs),
+        "det": linalg.det([row[:k] for row in mat[:k]]),
+        "rank": linalg.rank(linalg.sparse(r) for r in mat),
+        "span": (grew, sp.rows, sp.pivots, sp.dim),
+    }
+
+
+@PROPERTY
+@given(systems(integers_))
+@example(([[2, 4], [1, 3]], [2, 1]))
+def test_int_input_stays_exact(system):
+    # an int row whose pivot does not divide it becomes Fractions, never
+    # floats, and every answer is the one over Q
+    mat, rhs = system
+    got = _eliminations(mat, rhs)
+    assert not any(type(x) is float for x in _scalars(got))
+    assert got == _eliminations([[F(x) for x in row] for row in mat],
+                                [F(x) for x in rhs])
 
 
 def _dense(rows, ncols):
