@@ -9,11 +9,11 @@ splits as l_plus + l_minus against k_S/p_S, and r = [l_minus, l_minus]
 from p_S-regular; for the so-type pairs in scope it is always a
 product of pairs (so_{m+1}, so_m) and (so_{m+2}, so_m x so_2).
 
-l is split into simple ideals from root vectors of the Cartan
-subalgebra T = span(X_K) + h^a of g^X, the Chevalley root vectors moved
-by the inverse Cayley transform: one ideal closure per simple ideal.
-theta permutes them; r is the sum of the orbits meeting p_S, and each
-orbit's l_minus and r_plus are read off its ideals (see `subpair`).
+l is split into simple ideals by closing the root vectors x_{±alpha},
+alpha simple in Phi_H = {alpha : alpha(H) = 0} and moved into g^X by
+the inverse Cayley transform, under each other.  theta permutes the
+ideals; r is the sum of the orbits meeting p_S, and each orbit's
+l_minus and r_plus are read off its ideals (see `subpair`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .chevalley import (
     bracket_span,  # no caller here: perfbench/tracer.py spans it by this name
     centralizer_in,
     derived_subalgebra,
+    integral,
     is_ad_semisimple,
     lin_comb,
     span_of,
@@ -65,19 +66,6 @@ def span_intersection(basis_a, basis_b, alg):
 # ideal decomposition of a semisimple subalgebra
 
 
-def _close(sp, frontier, gens):
-    """Grow the Span sp until it is ad(gens)-stable: each new vector, the
-    frontier first, is bracketed with every generator once."""
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                v = bracket(g, e)
-                if v and sp.add(v.coeffs):
-                    nxt.append(v)
-        frontier = nxt
-
-
 def ideal_closure(seed, gens, alg):
     """Smallest ad(gens)-stable subspace containing the seed vectors.
 
@@ -86,67 +74,42 @@ def ideal_closure(seed, gens, alg):
     holds gens.
     """
     sp = linalg.Span()
-    _close(sp, [e for e in seed if sp.add(e.coeffs)], gens)
+    frontier = [e for e in seed if sp.add(e.coeffs)]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                v = bracket(g, e)
+                if v and sp.add(v.coeffs):
+                    nxt.append(v)
+        frontier = nxt
     return _span_elems(sp, alg)
 
 
-def generators(basis, alg):
-    """A subset of a linearly independent basis of a subalgebra that
-    generates it.
-
-    Basis vectors are taken greedily: one joins only if it lies outside
-    the subalgebra the vectors already chosen generate, which is
-    ideal_closure(S, S), since right-normed brackets of S span Lie(S).
-    That closure is grown in place with the new vector b as the only
-    frontier: [b, w] for w a right-normed bracket of S lands in it by
-    induction, as ad(w) is a polynomial in ad(S).  Raises if the
-    closure leaves span(basis).
-    """
-    gens = []
-    sp = linalg.Span()
-    for b in basis:
-        if sp.add(b.coeffs):
-            gens.append(b)
-            _close(sp, [b], gens)
-    if sp.dim != len(basis):
-        raise ValueError(f"the {len(basis)} basis vectors do not span a "
-                         f"subalgebra: {len(gens)} of them generate one of "
-                         f"dimension {sp.dim}")
-    return gens
-
-
-def centralizer_of_subspace(gens, ambient, alg):
-    """Elements of span(ambient) commuting with every generator."""
-    out = ambient
-    for g in gens:
-        out = centralizer_in(g, out)
-        if not out:
-            break
-    return out
-
-
 def split_ideals(basis, seeds, cartan, alg):
-    """The simple ideals of a semisimple subalgebra, one `ideal_closure`
-    each, from the seeds in span(basis).
+    """The simple ideals of a semisimple subalgebra, each one seed's
+    `ideal_closure` under all the seeds, which must generate it.
 
     A seed outside the ideals found so far must be a root vector of the
     Cartan subalgebra span(cartan) of g ([t, v] in C v for every t,
     nonzero for some), so it lies in one simple ideal and generates it
-    (de Graaf 2000, 1.15).  Raises, naming the seed, if it is not, and
-    raises if the ideals do not add up to len(basis).
+    (de Graaf 2000, 1.15).  Raises, naming the seed, if it is not or if
+    its closure leaves span(basis), and raises if the ideals do not add
+    up to len(basis).
     """
-    gens = generators(basis, alg)
     inside, found, ideals = span_of(basis), linalg.Span(), []
     for v in seeds:
         if found.dim == len(basis):
             break
-        if found.contains(v.coeffs) or not inside.contains(v.coeffs):
+        if found.contains(v.coeffs):
             continue
         images = [bracket(t, v).coeffs for t in cartan]
         if not any(images) or linalg.rank([v.coeffs] + images) > 1:
             raise ValueError(f"seed {v!r} is not a root vector of span(cartan)")
-        ideals.append(ideal_closure([v], gens, alg))
+        ideals.append(ideal_closure([v], seeds, alg))
         for e in ideals[-1]:
+            if not inside.contains(e.coeffs):
+                raise ValueError(f"seed {v!r} generates beyond span(basis)")
             found.add(e.coeffs)
     if sum(map(len, ideals)) != len(basis):
         raise ValueError(f"simple ideals of dimensions {list(map(len, ideals))}"
@@ -168,8 +131,12 @@ def _exp_ad(y, v, t):
 
 
 def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
-    """Yields A^-1(x_alpha), a root vector of g^X, for each positive root
-    alpha vanishing at H = sum_K c_K h_{eps_K}, X = sum_K c_K X_K.
+    """integral(A^-1 x_{±alpha}), root vectors of g^X that generate
+    l = [g^X, g^X], for each simple root alpha of Phi_H^+, the positive
+    roots vanishing at H = sum_K c_K h_{eps_K}, X = sum_K c_K X_K.  The
+    simple roots are the indecomposable ones, alpha - beta outside
+    Phi_H^+ for every beta in it (Bourbaki, ch. VI, 1.6-1.7), and the
+    x_{±alpha} generate [g^H, g^H] (Chevalley-Serre).
 
     A = prod_K exp(1/2 ad x_{eps_K}) exp(-ad x_{-eps_K}), the Cayley
     transform (Kostant-Rallis 1971), sends X to H and span(X_K) + h^a to
@@ -178,19 +145,26 @@ def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
     """
     alg, rs = P.alg, P.rs
     eps = [e.epsilon_K for e in P.E_entries]
-    cs = [X.coeffs.get(alg.x_index(e), 0) for e in eps]
-    # alpha(H) = sum_K c_K (alpha, eps_K)/(eps_K, eps_K) up to a factor 2,
-    # tested as one numerator over the common denominator L
+    # alpha(H) = sum_K c_K (alpha, eps_K)/(eps_K, eps_K) up to a factor 2:
+    # with the c_K of integral(X), one int pairing with H over lcm L
+    coeffs = integral(X).coeffs
+    cs = [coeffs.get(alg.x_index(e), 0) for e in eps]
     L = lcm(*(rs.form6(e, e) for e in eps))
     ws = [c * (L // rs.form6(e, e)) for c, e in zip(cs, eps)]
-    for a in rs.positive_roots:
-        if sum(w * rs.form6(a, e) for w, e in zip(ws, eps)):
+    H = [sum(w * e[i] for w, e in zip(ws, eps)) for i in range(rs.rank)]
+    phi = [a for a in rs.positive_roots if not rs.form6(a, H)]
+    positive = set(phi)
+    out = []
+    for a in phi:
+        if any(tuple(x - y for x, y in zip(a, b)) in positive for b in phi):
             continue
-        v = alg.x(a)
-        for e in eps:
-            v = _exp_ad(alg.x(tuple(-c for c in e)),
-                        _exp_ad(alg.x(e), v, Fraction(-1, 2)), 1)
-        yield v
+        for r in (a, tuple(-c for c in a)):
+            v = alg.x(r)
+            for e in eps:
+                v = _exp_ad(alg.x(tuple(-c for c in e)),
+                            _exp_ad(alg.x(e), v, Fraction(-1, 2)), 1)
+            out.append(integral(v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +274,9 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     dim_pX = P.dim_p_centralizer(X)
     l = derived_subalgebra(gX)
 
+    # h^a: [t, sum_K X_K] = sum_K eps_K(t)(x_{eps_K} - x_{-eps_K}) = 0
     hs = [alg.h(i) for i in range(alg.rank)]
-    cartan = xs + centralizer_of_subspace(xs, hs, alg)
+    cartan = xs + centralizer_in(sum(xs, alg.zero()), hs)
     l_ideals = split_ideals(l, cayley_root_vectors(P, X), cartan, alg)
     # theta, -1 on p, permutes the simple ideals.  An orbit that meets p
     # is generated by its p-part, so r is the sum of those orbits, one

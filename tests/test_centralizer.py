@@ -12,8 +12,6 @@ import pytest
 from liepairs import centralizer
 from liepairs.centralizer import (
     cayley_root_vectors,
-    centralizer_of_subspace,
-    generators,
     ideal_closure,
     identify_semisimple_type,
     nonregular_locus,
@@ -101,18 +99,23 @@ def _h(alg):
     return [alg.h(i) for i in range(alg.rank)]
 
 
+def _root_vectors(alg):
+    """The root vectors x_{±a} of every positive root a."""
+    return [alg.x(tuple(s * c for c in a))
+            for a in alg.rs.positive_roots for s in (1, -1)]
+
+
 def _split_full(alg):
-    """split_ideals on the whole Chevalley basis, seeded by the positive
-    root vectors against h."""
+    """split_ideals on the whole Chevalley basis, seeded by the root
+    vectors against h."""
     full = [alg.basis_element(i) for i in range(alg.dimension)]
-    return split_ideals(full, [alg.x(a) for a in alg.rs.positive_roots],
-                        _h(alg), alg)
+    return split_ideals(full, _root_vectors(alg), _h(alg), alg)
 
 
 def _cartan(P):
     """T = span(X_K) + h^a, the Cartan subalgebra `subpair` builds."""
     xs = P.cartan_subspace()
-    return xs + centralizer_of_subspace(xs, _h(P.alg), P.alg)
+    return xs + centralizer_in(sum(xs, P.alg.zero()), _h(P.alg))
 
 
 def _levi(label, rank, line):
@@ -123,7 +126,7 @@ def _levi(label, rank, line):
     X = line[0] * x1 + line[1] * x2
     full = [P.alg.basis_element(i) for i in range(P.alg.dimension)]
     return (P.alg, derived_subalgebra(centralizer_in(X, full)),
-            list(cayley_root_vectors(P, X)), _cartan(P))
+            cayley_root_vectors(P, X), _cartan(P))
 
 
 def test_split_ideals_of_semisimple():
@@ -131,7 +134,7 @@ def test_split_ideals_of_semisimple():
     # full, and on the Levis of (so_9, so_7 x so_2) at [1:1] (so_7) and
     # of (so_10, so_8 x so_2) at [0:1] (so_3 + so_6)
     cases = [(alg, [alg.basis_element(i) for i in range(alg.dimension)],
-              [alg.x(a) for a in alg.rs.positive_roots], _h(alg))
+              _root_vectors(alg), _h(alg))
              for alg in (build_algebra("D", 2), build_algebra("D", 4))]
     cases += [_levi("B", 4, (1, 1)), _levi("D", 5, (0, 1))]
     for (alg, basis, seeds, cartan), dims in zip(cases, ([3, 3], [28], [21],
@@ -157,7 +160,7 @@ def _d4_sl2_pair():
 
 def test_split_ideals_of_a_basis_meeting_both_ideals():
     alg, basis, (e, f, h) = _d4_sl2_pair()
-    got = split_ideals(basis, e, _h(alg), alg)
+    got = split_ideals(basis, e + f, _h(alg), alg)
     assert sorted(len(i) for i in got) == [3, 3]
     assert _echelon_set(got) == _echelon_set([[e[0], f[0], h[0]],
                                               [e[1], f[1], h[1]]])
@@ -175,7 +178,16 @@ def test_split_ideals_rejects_a_seed_that_is_no_root_vector(which):
 def test_split_ideals_rejects_seeds_that_miss_an_ideal():
     alg, basis, (e, f, h) = _d4_sl2_pair()
     with pytest.raises(ValueError, match=r"\[3\] do not add up to 6"):
-        split_ideals(basis, e[:1], _h(alg), alg)
+        split_ideals(basis, e[:1] + f[:1], _h(alg), alg)
+
+
+def test_split_ideals_rejects_a_non_subalgebra():
+    # x_{a1} and x_{a2} bracket to x_{a1+a2}, outside their span
+    alg = build_algebra("A", 2)
+    basis = [alg.x((1, 0)), alg.x((0, 1))]
+    with pytest.raises(ValueError,
+                       match=re.escape(f"seed {basis[0]!r} generates beyond")):
+        split_ideals(basis, basis, _h(alg), alg)
 
 
 def test_exp_ad_stops_only_on_a_nilpotent_input():
@@ -188,12 +200,12 @@ def test_exp_ad_stops_only_on_a_nilpotent_input():
 
 
 def test_cayley_root_vectors_lie_in_the_centralizer():
-    # at X = X_1 + X_2 of (so_7, so_5 x so_2), g^X = so_5 + C, with four
-    # positive roots
+    # at X = X_1 + X_2 of (so_7, so_5 x so_2), g^X = so_5 + C: the four
+    # vectors are those of the ± simple roots of B2
     P = _pair("B", 3, 1)
     x1, x2 = P.cartan_subspace()
     X = x1 + x2
-    seeds = list(cayley_root_vectors(P, X))
+    seeds = cayley_root_vectors(P, X)
     assert len(seeds) == 4
     assert not any(bracket(X, v) for v in seeds)
 
@@ -222,24 +234,12 @@ def test_one_ideal_closure_per_simple_ideal(label, rank, root, c, n,
     assert len(calls) == n
 
 
-def test_closure_of_generators_spans_the_algebra():
+def test_closure_of_the_simple_root_vectors_is_the_algebra():
     for label, rank in (("A", 2), ("B", 3), ("G2", 2)):
         alg = build_algebra(label, rank)
-        full = [alg.basis_element(i) for i in range(alg.dimension)]
-        gens = generators(full, alg)
-        # greedy over the Chevalley basis keeps exactly the x_{±a_i}
-        simple = [tuple(s * (i == k) for i in range(rank))
-                  for s in (1, -1) for k in range(rank)]
-        assert sorted(i for g in gens for i in g.coeffs) == \
-            sorted(alg.x_index(a) for a in simple)
+        gens = [alg.x(tuple(s * (i == k) for i in range(rank)))
+                for s in (1, -1) for k in range(rank)]
         assert len(ideal_closure(gens, gens, alg)) == alg.dimension
-
-
-def test_generators_reject_a_non_subalgebra():
-    # x_{a1} and x_{a2} bracket to x_{a1+a2}, outside their span
-    alg = build_algebra("A", 2)
-    with pytest.raises(ValueError, match="2 basis vectors.*dimension 3"):
-        generators([alg.x((1, 0)), alg.x((0, 1))], alg)
 
 
 def test_toral_rank_is_the_rank():
@@ -353,8 +353,8 @@ def test_every_rank2_catalog_row_has_the_four_lines():
 
 
 def test_subpair_reads_int_and_fraction_coefficients_alike():
-    # cayley_root_vectors tests alpha(H) = 0 on X's own coefficients, which
-    # may be ints: the test must stay exact, not divide them as floats
+    # cayley_root_vectors tests alpha(H) = 0 on the coefficients of
+    # integral(X), from X's ints or Fractions alike: it must stay exact
     P = _pair("B", 3, 1)
     xs = P.cartan_subspace()
     for mu, lam in nonregular_locus(P).special_lines:
@@ -580,12 +580,18 @@ def e7_pair():
     return scan_type("E7", 7)[0]
 
 
-@pytest.mark.parametrize("c", list(E7_POINTS))
-def test_e7_special_point_subpairs(e7_pair, c, monkeypatch):
-    X = e7_pair.alg.zero()
-    for ci, x in zip(c, e7_pair.cartan_subspace()):
+def _e7_point(P, c):
+    """sum_K c_K X_K, with Fraction coefficients."""
+    X = P.alg.zero()
+    for ci, x in zip(c, P.cartan_subspace()):
         if ci:
             X = X + Fraction(ci) * x
+    return X
+
+
+@pytest.mark.parametrize("c", list(E7_POINTS))
+def test_e7_special_point_subpairs(e7_pair, c, monkeypatch):
+    X = _e7_point(e7_pair, c)
     dg, dp, ltype, label, lm, rp = E7_POINTS[c]
     ranks = _spy_ideal_ranks(monkeypatch)
     rep = subpair(e7_pair, X)
@@ -598,3 +604,22 @@ def test_e7_special_point_subpairs(e7_pair, c, monkeypatch):
     if ltype is not None:
         assert rep.l_type == ltype, c
         assert rep.r_pair_label == label, c
+
+
+def test_cayley_root_vectors_are_those_of_the_simple_roots_of_phi_h(e7_pair):
+    # on the 130 golden points: two seeds per simple root of Phi_H, whose
+    # number is the semisimple rank of g^X, each in g^X and integral
+    points = [(e7_pair, _e7_point(e7_pair, c), str(c)) for c in E7_POINTS]
+    for P in enumerate_catalog()[0]:
+        if P.rank == 2:
+            xs = P.cartan_subspace()
+            points += [(P, mu * xs[0] + lam * xs[1], f"[{mu}:{lam}]")
+                       for mu, lam in nonregular_locus(P).special_lines]
+    assert len(points) == 130
+    for P, X, where in points:
+        key = _golden_key(P, where)
+        seeds = cayley_root_vectors(P, X)
+        semisimple_rank = P.alg.rank - SUBPAIRS[key]["l_center_dim"]
+        assert len(seeds) == 2 * semisimple_rank, key
+        assert not any(bracket(X, v) for v in seeds), key
+        assert all(type(c) is int for v in seeds for c in v.coeffs.values())
