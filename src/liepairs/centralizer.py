@@ -25,6 +25,7 @@ from math import lcm
 from . import linalg
 from .chevalley import (
     LieElement,
+    ad_columns,
     bracket,
     bracket_span,  # no caller here: perfbench/tracer.py spans it by this name
     centralizer_in,
@@ -282,7 +283,7 @@ def subpair(P: AbelianParabolic, X: LieElement) -> SubpairReport:
     # is generated by its p-part, so r is the sum of those orbits, one
     # r-pair factor each.  The p-projection of an ideal I is I ∩ p if
     # theta(I) = I, and all of I if not, as I ∩ k ⊆ I ∩ theta(I) = 0
-    p_idx = {i for e in P.p_basis() for i in e.coeffs}
+    p_idx = set(P.p_indices())
     rest, factors = list(l_ideals), []
     while rest:
         I = rest.pop()
@@ -335,8 +336,8 @@ def nonregular_locus(P: AbelianParabolic) -> RegularityLocus:
     """
     if P.rank != 2:
         raise ValueError("non-regular locus requires a rank-2 pair")
-    pb = P.p_basis()
-    A, B = ([bracket(x, b).coeffs for b in pb] for x in P.cartan_subspace())
+    p = P.p_indices()
+    A, B = (ad_columns(x, p) for x in P.cartan_subspace())
     lines, residual = linalg.projective_locus(A, B, P.rank)
-    return RegularityLocus(len(pb) - P.rank, lines, residual)
+    return RegularityLocus(len(p) - P.rank, lines, residual)
 

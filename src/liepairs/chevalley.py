@@ -18,6 +18,11 @@ cyclic identity N(a, b)/|c|^2 = N(b, c)/|a|^2 = N(c, a)/|b|^2 on
 a + b + c = 0, two of whose roots share a sign.  Roots are addressed by
 an integer key, coordinate k + 16 in base-32 digit k, so a root sum is
 one int add and one dict lookup.
+
+The brackets of basis vectors are memoized per algebra, and the columns
+[x, e_j] of ad x are read straight from that memo (`ad_columns`), with
+no element built per column: centralizers, p-centralizer dimensions,
+the non-regular locus and the minimal polynomial of ad x all take them.
 """
 
 from __future__ import annotations
@@ -263,17 +268,28 @@ class LieElement:
         return " + ".join(parts) if parts else "0"
 
 
+def _comb(coeffs, vectors):
+    """sum c * vectors[k] over the entries k: c of the sparse vector
+    coeffs, as a sparse vector; 1 * v is v itself, not a copy."""
+    if len(coeffs) == 1:
+        (k, c), = coeffs.items()
+        if c == 1:
+            return vectors[k]
+    out = {}
+    for k, c in coeffs.items():
+        for i, x in vectors[k].items():
+            t = x if c == 1 else c * x
+            prev = out.get(i)
+            out[i] = t if prev is None else prev + t
+    return {i: x for i, x in out.items() if x}
+
+
 def lin_comb(coeffs, elems):
     """sum c * e over the pairs (c, e), as one element of the algebra of
     elems[0]."""
-    out = {}
-    for c, e in zip(coeffs, elems):
-        if c:
-            for i, x in e.coeffs.items():
-                t = x if c == 1 else c * x
-                prev = out.get(i)
-                out[i] = t if prev is None else prev + t
-    return LieElement(elems[0].alg, out)
+    vectors = [e.coeffs for e in elems]
+    return LieElement(elems[0].alg, _comb(
+        {k: c for k, c in zip(range(len(vectors)), coeffs) if c}, vectors))
 
 
 def integral(x: LieElement) -> LieElement:
@@ -303,16 +319,42 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(x.alg, out)
 
 
+def ad_columns(x: LieElement, indices):
+    """The columns [x, e_j] of ad x at the basis indices j, as sparse
+    vectors.  Each is read from the bracket memo, `bracket_basis` filling
+    a miss, and builds no element; an entry is dropped only where its
+    terms cancel, as two Cartan terms of x can on a root column."""
+    alg = x.alg
+    memo, basis = alg._bracket_memo, alg.bracket_basis
+    terms = list(x.coeffs.items())
+    cols = []
+    for j in indices:
+        col = {}
+        for i, c in terms:
+            b = memo.get((i, j))
+            if b is None:
+                b = basis(i, j)
+            for k, n in b.items():
+                t = col.get(k, 0) + c * n
+                if t:
+                    col[k] = t
+                else:
+                    del col[k]
+        cols.append(col)
+    return cols
+
+
 def centralizer_in(x: LieElement, subspace_basis):
     """Basis of {y in span(subspace_basis) : [x, y] = 0}, exact.  The
     kernel of ad x is that of ad r x for any r != 0, so the columns are
-    brackets with `integral(x)`, all int on an integral subspace basis."""
-    if not subspace_basis:
-        return []
-    x = integral(x)
-    cols = [bracket(x, b).coeffs for b in subspace_basis]
-    return [lin_comb(sol.values(), [subspace_basis[j] for j in sol])
-            for sol in linalg.kernel(cols)]
+    those of ad `integral(x)`, all int on an integral subspace basis.
+    The column of b is sum_k b_k [x, e_k] over the support of b, the
+    column of ad x itself when b is a basis vector."""
+    support = list(dict.fromkeys(k for b in subspace_basis for k in b.coeffs))
+    ad = dict(zip(support, ad_columns(integral(x), support)))
+    basis = [b.coeffs for b in subspace_basis]
+    return [LieElement(x.alg, _comb(sol, basis))
+            for sol in linalg.kernel([_comb(b, ad) for b in basis])]
 
 
 def is_ad_semisimple(x: LieElement) -> bool:
@@ -322,9 +364,7 @@ def is_ad_semisimple(x: LieElement) -> bool:
 
 
 def minimal_polynomial_ad(x: LieElement):
-    alg = x.alg
-    return linalg.min_poly([bracket(x, alg.basis_element(j)).coeffs
-                            for j in range(alg.dimension)])
+    return linalg.min_poly(ad_columns(x, range(x.alg.dimension)))
 
 
 def span_of(elems):

@@ -131,7 +131,7 @@ def nullspace(rows, ncols):
     """Basis of {x : row . x = 0 for every sparse row}, as sparse vectors:
     one per free column of 0..ncols-1, in column order, with 1 there."""
     echelon = _echelon(dict(row) for row in rows)
-    basis = {fc: {fc: F1} for fc in range(ncols) if fc not in echelon}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in echelon}
     # a reduced row is zero at every other pivot column, so each of its
     # other entries sits in a free column
     for pc, row in echelon.items():

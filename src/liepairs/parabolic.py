@@ -66,21 +66,22 @@ class AbelianParabolic:
                 out.append(alg.x(tuple(-c for c in r)))
         return out
 
-    def p_basis(self):
-        """Basis of p_S = u_S + u_S^-."""
+    def p_indices(self):
+        """Basis indices of p_S = u_S + u_S^-: the roots of R_S1, then
+        their negatives."""
         alg = self.alg
-        out = []
-        for r in self.R_S1:
-            out.append(alg.x(r))
-        for r in self.R_S1:
-            out.append(alg.x(tuple(-c for c in r)))
-        return out
+        pos = [alg.x_index(r) for r in self.R_S1]
+        return pos + [i + alg.n_pos for i in pos]
+
+    def p_basis(self):
+        """Basis of p_S, in the order of `p_indices`."""
+        return [self.alg.basis_element(i) for i in self.p_indices()]
 
     def dim_p_centralizer(self, X):
         """dim p_S^X, the nullity of ad X on p_S; builds no element of it."""
-        pb = self.p_basis()
+        p = self.p_indices()
         X = chevalley.integral(X)
-        return len(pb) - linalg.rank(bracket(X, b).coeffs for b in pb)
+        return len(p) - linalg.rank(chevalley.ad_columns(X, p))
 
     def cartan_subspace(self):
         """The commuting semisimple elements X_K spanning a Cartan

@@ -121,6 +121,9 @@ def centralizer_report(type_label, rank, omitted=None):
     table = expected_rows(type_label, rank)
     command = f"centralizer {type_label} {rank}"
     if omitted is not None:
+        if not 1 <= omitted <= rank:
+            raise UsageError(f"--root must be in 1..{rank} for "
+                             f"{type_name(type_label, rank)}, got {omitted}")
         command += f" --root {omitted}"
     else:
         if not table:

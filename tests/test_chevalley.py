@@ -8,6 +8,7 @@ import pytest
 
 from liepairs.chevalley import (
     LieElement,
+    ad_columns,
     bracket,
     build_algebra,
     centralizer_in,
@@ -17,6 +18,7 @@ from liepairs.chevalley import (
     jacobi_defect,
     lin_comb,
     minimal_polynomial_ad,
+    span_of,
 )
 from liepairs.report import jacobi_item
 
@@ -302,6 +304,49 @@ def test_centralizer_of_cartan_element():
     x = alg.h(0) + Fraction(17) * alg.h(1)
     full = [alg.basis_element(i) for i in range(alg.dimension)]
     assert len(centralizer_in(x, full)) == 2
+
+
+@pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("G2", 2),
+                                         ("F4", 4)])
+def test_ad_columns_match_brackets(label, rank):
+    alg = build_algebra(label, rank)
+    d = alg.dimension
+    rng = random.Random(rank)
+    xs = [alg.h(0) + 2 * alg.h(1),
+          LieElement(alg, {i: rng.randint(-3, 3) for i in range(d)}),
+          LieElement(alg, {i: rng.randint(-3, 3)
+                           for i in rng.sample(range(d), 4) + [d - 1]})]
+    for x in xs:
+        # the first call meets a cold bracket memo, the second a warm one
+        cold = ad_columns(x, range(d))
+        want = [bracket(x, alg.basis_element(j)).coeffs for j in range(d)]
+        assert cold == want == ad_columns(x, range(d))
+        assert all(type(c) is int for col in cold for c in col.values())
+        assert ad_columns(x, [d - 1, 0]) == [want[d - 1], want[0]]
+    if label == "A":
+        # <a1, a1^vee> + 2 <a1, a2^vee> = 2 - 2: the terms cancel
+        assert xs[0].coeffs == {d - 2: 1, d - 1: 2}
+        assert ad_columns(xs[0], [alg.x_index((1, 0))]) == [{}]
+
+
+@pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("G2", 2)])
+def test_centralizer_in_on_a_recombined_basis(label, rank):
+    # an upper unitriangular integral recombination of the unit basis
+    # spans g too, and each centralizer is the same subspace on both
+    alg = build_algebra(label, rank)
+    d = alg.dimension
+    rng = random.Random(rank)
+    unit = [alg.basis_element(j) for j in range(d)]
+    mixed = [lin_comb([1] + [rng.randint(-2, 2) for _ in unit[j + 1:]],
+                      unit[j:]) for j in range(d)]
+    highest = alg.x(alg.rs.positive_roots[-1])
+    for x in (highest, alg.h(0), highest + 3 * alg.h(1),
+              LieElement(alg, {i: rng.randint(-2, 2) for i in range(d)})):
+        want = centralizer_in(x, unit)
+        got = centralizer_in(x, mixed)
+        assert span_of(got).rows == span_of(want).rows
+        assert len(got) == len(want)
+        assert not any(bracket(x, y) for y in got)
 
 
 def test_semisimplicity_detection():

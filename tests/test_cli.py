@@ -37,7 +37,7 @@ def test_frac_str():
     assert frac_str(Fraction(-1, 2)) == "-1/2"
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run(["bogus"]) == 2
     assert run(["model", "--p", "3"]) == 2          # missing required flags
     for spec in ("9,9", "3,1,1:-++:I:II"):        # no such orbit
@@ -55,6 +55,12 @@ def test_usage_errors():
                  "centralizer G2 2", "orbits --p 1 --signed",
                  "model --p 1 --orbit 3 --verify triple"):
         assert run(argv.split()) == 2, argv
+    # a root outside 1..rank is named as such, not as a bad S
+    capsys.readouterr()
+    for root in (0, 9):
+        assert run(["centralizer", "B", "3", "--root", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --root must be in 1..3 for B3, got {root}\n")
 
 
 @st.composite

@@ -196,7 +196,7 @@ def dense_nullspace(mat, ncols):
         if fc in pivots:
             continue
         vec = [F(0)] * ncols
-        vec[fc] = F(1)
+        vec[fc] = 1         # an int, as in `linalg.nullspace`
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[fc]
         basis.append(vec)
@@ -385,6 +385,14 @@ def test_int_input_stays_exact(system):
     assert not any(type(x) is float for x in _scalars(got))
     assert got == _eliminations([[F(x) for x in row] for row in mat],
                                 [F(x) for x in rhs])
+    # a kernel vector holds the int 1 at its free column, its last key,
+    # and is all int when the reduced rows are
+    int_rows = all(type(x) is int for row in got["rref"][0] for x in row)
+    for vec in got["nullspace"]:
+        assert type(vec[max(vec)]) is int
+        assert not int_rows or all(type(x) is int for x in vec.values())
+    for vec in got["kernel"]:
+        assert type(vec[max(vec)]) is int
 
 
 def _dense(rows, ncols):

@@ -102,6 +102,11 @@ def test_b3_cartan_subspace():
     assert P.rank == 2
     assert len(P.R_S1) == 5
     assert len(P.k_basis()) + len(P.p_basis()) == alg.dimension
+    # p_indices: the roots of R_S1, then their negatives, as p_basis
+    p = P.p_indices()
+    assert [alg.roots[i] for i in p] == (
+        list(P.R_S1) + [tuple(-c for c in r) for r in P.R_S1])
+    assert [e.coeffs for e in P.p_basis()] == [{i: 1} for i in p]
     rep = proposition_checks(P)
     assert rep["ok"], rep["failures"]
 
