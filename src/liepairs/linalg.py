@@ -24,7 +24,12 @@ nearly every row of a Chevalley bracket; any other row is divided as
 Fractions.  `min_poly` over Q leans on the rule: it clears
 the denominators of the map once and runs its Krylov and Horner steps
 on int, which is exact because the minimal polynomial of an integral
-map is integral, and rescales the result back to Q.
+map is integral, and rescales the result back to Q.  It takes a Horner
+step only for a basis vector that its neighbours' columns do not
+already certify: once p(A) kills e_j it kills A e_j, so when it kills
+every row of column j but one, it kills that one too.  `is_squarefree`
+over Q runs on int too, as the primitive pseudo-remainder sequence of p
+and p' with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -306,7 +311,39 @@ def squarefree_part(p):
 
 
 def is_squarefree(p):
-    return poly_deg(poly_gcd(p, poly_deriv(p))) == 0
+    """Whether p has no repeated root: gcd(p, p') is a nonzero constant.
+    The zero polynomial is not squarefree, a nonzero constant is.  Over Q
+    the gcd runs on int: p times the lcm of its denominators, then the
+    primitive pseudo-remainder sequence of it and its derivative, which
+    ends in a nonzero constant exactly when p is squarefree."""
+    if not all(type(c) in _RATIONAL for c in p):
+        return poly_deg(poly_gcd(p, poly_deriv(p))) == 0
+    d = lcm(*(c.denominator for c in p))
+    a = poly_trim([c.numerator * (d // c.denominator) for c in p])
+    b = _primitive(poly_deriv(a))
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return poly_deg(a) == 0
+
+
+def _primitive(p):
+    """The int polynomial p divided by the gcd of its coefficients."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pseudo_rem(a, b):
+    """An int multiple of the remainder of a by b, both int polynomials
+    with deg a >= deg b >= 0: each step scales the dividend by the leading
+    coefficient of b instead of dividing by it."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    while len(a) > db:
+        c, s = a.pop(), len(a) - db
+        a = [x * lead for x in a]
+        for k in range(db):
+            a[s + k] -= c * b[k]
+        poly_trim(a)
+    return a
 
 
 def rational_roots(p):
@@ -362,6 +399,14 @@ def min_poly(columns):
     module's scalar rule holds inside: int stays int where that is exact,
     Fraction otherwise, and nothing is ever a float.  A column entry
     keyed outside 0..n-1 is a ValueError.
+
+    A basis vector that p kills stays killed, as p only gains factors,
+    and a killed e_j certifies its column: p(A) A e_j = A p(A) e_j = 0, so
+    once p(A) kills every row of column j but one, it kills that one too.
+    A worklist propagates this, and only the vectors left get a Horner
+    step and, if need be, a Krylov chain.  Each basis vector is killed at
+    most once, so the worklist costs O(n + nonzero entries) per call.  The
+    result is that of checking every e_i, where a killed e_i adds no factor.
     """
     n = len(columns)
     stray = set().union(*columns).difference(range(n))
@@ -374,11 +419,38 @@ def min_poly(columns):
         d = lcm(*(x.denominator for x in entries))
         columns = [{i: x.numerator * (d // x.denominator)
                     for i, x in col.items()} for col in columns]
+    # the worklist's index: rows[i] lists the columns with a nonzero
+    # entry in row i; live[j] counts the rows of column j not yet killed
+    # and rest[j] sums them, so it names the last one
+    rows = [[] for _ in range(n)]
+    live, rest = [0] * n, [0] * n
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            if x:
+                rows[i].append(j)
+                live[j] += 1
+                rest[j] += i
+    killed = [False] * n
     p = [1]
     for i in range(n):
+        if killed[i]:
+            continue
         v = _apply_poly(columns, p, i)
         if v:
             p = poly_mul(p, _krylov_annihilator(columns, v))
+        todo = [i]
+        while todo:
+            k = todo.pop()
+            if killed[k]:
+                continue
+            killed[k] = True
+            for j in rows[k]:
+                live[j] -= 1
+                rest[j] -= k
+                if killed[j] and live[j] == 1:
+                    todo.append(rest[j])
+            if live[k] == 1:
+                todo.append(rest[k])
     if not rational:
         return [QI.coerce(c) for c in p]
     deg = len(p) - 1

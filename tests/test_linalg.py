@@ -1,5 +1,6 @@
 """Exact linear algebra and polynomial kernels over Q and Q(i)."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -77,6 +78,12 @@ def test_squarefree_part():
     assert linalg.squarefree_part(cube) == [F(-2), F(1)]
     assert not linalg.is_squarefree(cube)
     assert linalg.is_squarefree([F(-2), F(1)])
+    # a nonzero constant is squarefree (min_poly of the map on no basis
+    # vectors is [1]); the zero polynomial is not
+    for const in ([1], [5], [-3], [F(1)], [F(-2, 3)], [QI(1)], [QI(0, 2)]):
+        assert linalg.is_squarefree(const), const
+    assert linalg.is_squarefree(linalg.min_poly([]))
+    assert not linalg.is_squarefree([])
 
 
 def test_min_poly_certified():
@@ -90,6 +97,10 @@ def test_min_poly_certified():
     expect = linalg.poly_monic(
         linalg.poly_mul([F(0), F(0), F(0), F(1)], [F(-1), F(1)]))
     assert p == expect
+    # a stored zero is no neighbour: e0 -> e1 -> 0 and e2 -> e2 give
+    # x^2 (x - 1), though e2 is a key of column 0 beside the killed e1
+    p = linalg.min_poly([{1: F(1), 2: F(0)}, {}, {2: F(1)}])
+    assert p == [F(0), F(0), F(-1), F(1)]
 
 
 def sparse_columns(mat):
@@ -434,8 +445,35 @@ def square_matrices(draw, entry):
     return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(_fields(square_matrices))
+@st.composite
+def sparse_matrices(draw, entry):
+    """Maps on up to 10 basis vectors with at most 3 entries per column,
+    sparse enough that `min_poly` certifies many basis vectors from their
+    neighbours' columns."""
+    n = draw(st.integers(1, 10))
+    zero = draw(entry) * 0
+    mat = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3,
+                               unique=True)):
+            mat[i][j] = draw(entry)
+    return mat
+
+
+CYCLE_6 = [[F(i == (j + 1) % 6) for j in range(6)] for i in range(6)]
+# a nilpotent 3-block next to a swap
+BLOCK_AND_SWAP = [[F(0), F(0), F(0), F(0), F(0)],
+                  [F(1), F(0), F(0), F(0), F(0)],
+                  [F(0), F(1), F(0), F(0), F(0)],
+                  [F(0), F(0), F(0), F(0), F(1)],
+                  [F(0), F(0), F(0), F(1), F(0)]]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(_fields(square_matrices), _fields(sparse_matrices),
+                 sparse_matrices(st.sampled_from([0, 1, -1, 2, -3]))))
+@example(CYCLE_6)
+@example(BLOCK_AND_SWAP)
 @example([[F(1, 2), F(1, 3), F(0)],      # denominators 2 and 3, so d = 6
           [F(0), F(1, 2), F(-2, 3)],
           [F(1, 3), F(0), F(1, 2)]])
@@ -454,6 +492,29 @@ def test_min_poly_matches_dense_reference(mat):
     # as soon as one entry is a QI
     gaussian = any(type(x) is QI for col in columns for x in col.values())
     assert all(type(c) is (QI if gaussian else F) for c in got)
+
+
+def _x_k_maps():
+    """The matrices of ad X_K on (sp_6, gl_3)."""
+    P = build_parabolic(build_algebra("C", 3), {0, 1})
+    assert P.pair_label == "(sp_6, gl_3)"
+    return [dense_ad(x) for x in P.cartan_subspace()]
+
+
+@pytest.mark.parametrize("mats", [lambda: [CYCLE_6],
+                                  lambda: [BLOCK_AND_SWAP], _x_k_maps],
+                         ids=["6-cycle", "block-and-swap", "ad-X_K-sp6-gl3"])
+def test_min_poly_certifies_from_neighbouring_columns(mats, monkeypatch):
+    # fewer Horner evaluations than basis vectors: the others are
+    # certified by the columns of vectors already killed
+    calls = []
+    horner = linalg._apply_poly
+    monkeypatch.setattr(linalg, "_apply_poly",
+                        lambda *args: calls.append(1) or horner(*args))
+    for mat in mats():
+        calls.clear()
+        assert linalg.min_poly(sparse_columns(mat)) == dense_min_poly(mat)
+        assert len(calls) < len(mat)
 
 
 def test_min_poly_rejects_a_key_outside_the_basis():
@@ -553,3 +614,46 @@ def test_minimal_polynomial_ad_of_cartan_element():
     p = minimal_polynomial_ad(x)
     assert p == dense_min_poly(dense_ad(x))
     assert linalg.is_squarefree(p)
+
+
+# irreducible quadratics over Q, no two sharing a root
+QUADRATICS = [[F(1), F(0), F(1)], [F(-2), F(0), F(1)], [F(1), F(1), F(1)],
+              [F(5), F(2), F(1)]]
+
+
+@st.composite
+def factored_polys(draw):
+    """A product of powers (x - r)^k and q^k, q an irreducible quadratic,
+    times a nonzero scalar, with whether it is squarefree (no factor
+    repeated); written over Fraction, as bare ints, or over Q(i)."""
+    mult = {}
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            factor = (-draw(st.sampled_from([0, 1, -1, 2, F(1, 2),
+                                             F(-2, 3)])), 1)
+        else:
+            factor = tuple(draw(st.sampled_from(QUADRATICS)))
+        mult[factor] = mult.get(factor, 0) + draw(st.integers(1, 3))
+    p = [F(1)]
+    for factor, k in mult.items():
+        for _ in range(k):
+            p = linalg.poly_mul(p, [F(c) for c in factor])
+    field = draw(st.sampled_from(["fraction", "int", "gaussian"]))
+    scale = draw(st.sampled_from([1, -1, 6, F(2, 3), F(-7, 5)]))
+    p = [c * scale for c in p]
+    if field == "int":
+        d = math.lcm(*(c.denominator for c in p))
+        p = [int(c * d) for c in p]
+    elif field == "gaussian":
+        unit = QI(1, draw(st.sampled_from([0, 1, F(-1, 2)])))
+        p = [QI(c) * unit for c in p]
+    return p, all(k == 1 for k in mult.values())
+
+
+@PROPERTY
+@given(factored_polys())
+def test_is_squarefree_matches_euclid(poly):
+    p, squarefree = poly
+    assert linalg.is_squarefree(p) is squarefree
+    assert squarefree == (linalg.poly_deg(
+        linalg.poly_gcd(p, linalg.poly_deriv(p))) == 0)
