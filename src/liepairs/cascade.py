@@ -12,6 +12,7 @@ the positive roots supported on T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .rootsystem import (
     RootSystem,
@@ -39,9 +40,14 @@ def cascade(rs: RootSystem, subset) -> list:
         roots = subsystem_positive_roots(rs, comp)
         # sorted by height, and R_K is irreducible: the last is its highest
         eps = roots[-1]
-        w = [sum(g * e for g, e in zip(row, eps)) for row in rs._gram6]
-        # w = 6 (eps, alpha_j)_j: r is orthogonal to eps iff r . w == 0
-        gamma = tuple(r for r in roots if sum(x * y for x, y in zip(r, w) if x))
+        w = [sum(map(mul, row, eps)) for row in rs._gram6]
+        # w = 6 (eps, alpha_j)_j: r is orthogonal to eps iff r . w == 0, a
+        # sum over the j in K with w_j != 0 (at most two; r_j = 0 off K)
+        dot = [0] * len(roots)
+        for j, x in enumerate(w):
+            if x and j in comp:
+                dot = [d + r[j] * x for d, r in zip(dot, roots)]
+        gamma = tuple(r for r, d in zip(roots, dot) if d)
         out.append(CascadeEntry(comp, eps, gamma))
         out.extend(cascade(rs, {i for i in comp if not w[i]}))
     return out

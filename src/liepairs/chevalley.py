@@ -37,14 +37,13 @@ from .rootsystem import RootSystem, build_root_system, type_name
 class ChevalleyAlgebra:
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        pos = list(rs.positive_roots)
-        neg = [tuple(-c for c in r) for r in pos]
-        self.roots = pos + neg
-        self.n_pos = len(pos)
+        self.roots = rs.positive_roots + rs.negative_roots
+        self.n_pos = len(rs.positive_roots)
         self.rank = rs.rank
         self.dimension = len(self.roots) + rs.rank
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self._off = sum(16 << 5 * k for k in range(rs.rank))   # key of 0
+        self._len6 = rs._len6 * 2      # 6 (a, a) by basis index
         # filled on first use: most algebras built are never bracketed
         self._N_pos = {}
         self._bracket_memo = {}
@@ -76,20 +75,13 @@ class ChevalleyAlgebra:
         """The key of each root, by basis index.  A sum or difference of
         two roots has coordinates in -12..12, so key(a) + key(b) - off is
         the key of a + b and key(a) - key(b) + off that of a - b."""
-        off = self._off
-        pos = [sum(c << 5 * k for k, c in enumerate(r))
-               for r in self.rs.positive_roots]
+        off, pos = self._off, self.rs._keys
         return [off + k for k in pos] + [off - k for k in pos]
 
     @cached_property
     def _at(self):
         """Basis index of each root key."""
         return {k: i for i, k in enumerate(self._key)}
-
-    @cached_property
-    def _len6(self):
-        """6 (a, a) for each root a, by basis index."""
-        return [self.rs.form6(r, r) for r in self.rs.positive_roots] * 2
 
     @cached_property
     def _extra(self):
@@ -116,7 +108,8 @@ class ChevalleyAlgebra:
         # coordinate i is root[i] (a_i, a_i) / (root, root)
         g6, la6 = self.rs._gram6, self._len6[self.x_index(root)]
         out = [divmod(c * g6[i][i], la6) for i, c in enumerate(root)]
-        assert not any(r for _, r in out)
+        if any(r for _, r in out):
+            self._inexact(f"coroot of {tuple(root)}, 6 |a|^2 = {la6}")
         return tuple(q for q, _ in out)
 
     def extraspecial_pair(self, gamma):
@@ -154,7 +147,8 @@ class ChevalleyAlgebra:
                 v, r = divmod(L[c] * self._n(c, i, (j + P) % (2 * P)), L[j])
             else:
                 v, r = divmod(L[c] * self._n(j, c, (i + P) % (2 * P)), L[i])
-            assert not r
+            if r:
+                self._inexact(f"N({self.roots[i]}, {self.roots[j]})")
             return v
         if i >= P:
             return -self._n(i - P, j - P, s - P)
@@ -184,9 +178,14 @@ class ChevalleyAlgebra:
             if d2 is not None:
                 term += self._n(na1, j, d2) * self._n(i, d2, b1)
             v, r = divmod(term, self._n(na1, s, b1))
-            assert not r
+            if r:
+                self._inexact(f"N({self.roots[i]}, {self.roots[j]})")
         self._N_pos[i, j] = v
         return v
+
+    def _inexact(self, what):
+        raise ValueError(f"type {self.rs.type_label}, rank {self.rank}: "
+                         f"{what} is not an integer quotient")
 
     # -- brackets -------------------------------------------------------------
 

@@ -195,14 +195,14 @@ def characteristic_of_weights(weights, numeral):
     r = n // 2
     pos = sorted((t for t in weights if t > 0), reverse=True)
     zeros = weights.count(0)
+    # for odd n the sequence rearranges to (0, h_1..h_r, -h_1..-h_r): one
+    # zero leads, the remaining zeros split evenly between the h's and -h's
+    h = pos + [0] * ((zeros - n % 2) // 2)
+    if len(h) != r:
+        raise ValueError(f"weights {list(weights)}: {len(h)} values h_i"
+                         f" for rank {r}, not H's eigenvalues on so_{n}")
     if n % 2 == 1:
-        # sequence rearranges to (0, h_1..h_r, -h_1..-h_r): one zero leads,
-        # the remaining zeros split evenly between the h's and the -h's
-        h = pos + [0] * ((zeros - 1) // 2)
-        assert len(h) == r
         return (tuple(h[i] - h[i + 1] for i in range(r - 1)) + (h[r - 1],),)
-    h = pos + [0] * (zeros // 2)
-    assert len(h) == r
     if zeros:
         head = tuple(h[i] - h[i + 1] for i in range(r - 1))
         return (head + (h[r - 2] + h[r - 1],),)

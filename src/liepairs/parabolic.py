@@ -27,8 +27,8 @@ from .rootsystem import RootSystem, type_name
 def abelian_set(rs: RootSystem, S) -> tuple:
     """R_S^1 = positive roots not supported on S."""
     S = frozenset(S)
-    omitted = [i for i in range(rs.rank) if i not in S]
-    return tuple(r for r in rs.positive_roots if any(r[i] for i in omitted))
+    omitted = sum(1 << i for i in range(rs.rank) if i not in S)
+    return tuple(r for r, m in zip(rs.positive_roots, rs._masks) if m & omitted)
 
 
 def is_abelian_radical(rs: RootSystem, S) -> bool:

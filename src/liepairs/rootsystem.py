@@ -4,13 +4,18 @@ Roots are integer tuples over the simple-root basis.  The positive roots
 are generated from the simple roots by raising reflections alone, with
 every coordinate bounded by 6 (the largest coefficient of any finite
 type's highest root).  The invariant bilinear form is normalized so that
-long roots have squared length 2; six times it is integral.
+long roots have squared length 2; six times it is integral.  The one
+raising sweep also yields each root's support mask, 6 |a|^2 and integer
+key, which the cascade and the Chevalley basis read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import add, sub
 
 from .errors import UsageError
 
@@ -94,21 +99,23 @@ def cartan_matrix(type_label, rank):
 
 def _root_lengths(C):
     """Squared lengths (a_i,a_i), long roots normalized to 2."""
-    # d_i proportional to (a_i,a_i) symmetrizes C: d_i C_ij = d_j C_ji.
-    # A Dynkin diagram is a forest, so one pass from node 0 sets each node
-    # of its component from its parent; the other component of D2 keeps 1
+    # d_i = num_i / den_i ~ (a_i,a_i) symmetrizes C: d_i C_ij = d_j C_ji.  The
+    # diagram is a forest, so one pass from node 0 sets each node of its
+    # component from its parent; the other component of D2 keeps 1
     rank = len(C)
-    d = [Fraction(1)] * rank
+    num, den = [1] * rank, [1] * rank
     stack, seen = [0], {0}
     while stack:
         i = stack.pop()
         for j in range(rank):
             if C[i][j] and j not in seen:
-                d[j] = d[i] * Fraction(C[i][j], C[j][i])
+                num[j], den[j] = num[i] * C[i][j], den[i] * C[j][i]
                 seen.add(j)
                 stack.append(j)
+    common = lcm(*den)
+    d = [n * (common // m) for n, m in zip(num, den)]
     top = max(d)
-    return [Fraction(2) * x / top for x in d]
+    return [Fraction(2 * x, top) for x in d]
 
 
 @dataclass(frozen=True)
@@ -118,22 +125,22 @@ class RootSystem:
     cartan_matrix: tuple
     positive_roots: tuple          # tuples of ints, simple-root coordinates
     lengths: tuple                 # (a_i, a_i), long roots squared length 2
+    # from the raising sweep, by positive root: support bitmask (bit i for
+    # alpha_i), 6 (a, a), and key sum_k a_k 32^k; and 6 (a_i, a_j)
+    _masks: tuple = field(default=(), compare=False, repr=False)
+    _len6: tuple = field(default=(), compare=False, repr=False)
+    _keys: tuple = field(default=(), compare=False, repr=False)
+    _gram6: tuple = field(default=(), compare=False, repr=False)
+    _cascade: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        pos = set(self.positive_roots)
-        object.__setattr__(self, "_root_set",
-                           pos | {tuple(-c for c in r) for r in pos})
-        # support bitmask of each positive root, bit i for alpha_i
-        object.__setattr__(self, "_masks", tuple(
-            sum(1 << i for i, c in enumerate(r) if c)
-            for r in self.positive_roots))
-        object.__setattr__(self, "_cascade", None)   # set by full_cascade
-        # 6 (a_i, a_j) = 3 |a_i|^2 C_ij is integral: |a_i|^2 is 2, 1 or 2/3
-        l3 = [3 * li for li in self.lengths]
-        assert all(x.denominator == 1 for x in l3)
-        object.__setattr__(self, "_gram6", tuple(
-            tuple(int(x) * cij for cij in row)
-            for x, row in zip(l3, self.cartan_matrix)))
+    @cached_property
+    def negative_roots(self):
+        """-a for each positive root a, in the positive order."""
+        return tuple(tuple([-c for c in r]) for r in self.positive_roots)
+
+    @cached_property
+    def _root_set(self):
+        return set(self.positive_roots).union(self.negative_roots)
 
     # -- pairing helpers ----------------------------------------------------
 
@@ -160,37 +167,52 @@ def build_root_system(type_label, rank):
     c = <a, alpha_i^vee> < 0 raises it to a - c alpha_i; each positive
     root is reached from a simple root this way, by induction on height.
     Each root carries its pairing vector, updated by one column of C per
-    step.  A coordinate above 6 means C is not of finite type, and is a
-    `ValueError`.
+    step, its support mask, its height (up by -c), its key (coordinate k
+    in base-32 digit k, up by -c 32^i) and 6 (a, a), that of the simple
+    root it started from, as reflections keep lengths.  A coordinate
+    above 6 means C is not of finite type: a `ValueError`, raised before
+    the key moves, so no digit overflows into a false match.
 
     Positive roots come out in a deterministic order: graded by height, then
     lexicographically by coordinates.
     """
     C = cartan_matrix(type_label, rank)
     lengths = _root_lengths(C)
-    frontier = [(tuple(int(j == i) for j in range(rank)),
-                 tuple(row[i] for row in C)) for i in range(rank)]
-    roots = {a for a, _ in frontier}
+    # 6 (a_i, a_j) = 3 |a_i|^2 C_ij is integral: |a_i|^2 is 2, 1 or 2/3
+    l3 = [divmod(3 * x.numerator, x.denominator) for x in lengths]
+    if any(r for _, r in l3):
+        raise ValueError(f"type {type_label}, rank {rank}: 3 |a_i|^2 is not "
+                         f"integral for |a_i|^2 = {[str(x) for x in lengths]}")
+    gram6 = tuple(tuple(x * c for c in row) for (x, _), row in zip(l3, C))
+    cols = [[row[i] for row in C] for i in range(rank)]
+    # (height, coordinates, mask, 6 |a|^2, key): sorted, the first two order
+    found = [(1, tuple(int(j == i) for j in range(rank)), 1 << i,
+              gram6[i][i], 1 << 5 * i) for i in range(rank)]
+    seen = {r[4] for r in found}
+    frontier = list(zip(found, cols))
     while frontier:
         nxt = []
-        for a, pa in frontier:
+        for (h, a, m, l6, k), pa in frontier:
             for i, c in enumerate(pa):
                 if c >= 0:
                     continue
-                b = a[:i] + (a[i] - c,) + a[i + 1:]
-                if b in roots:
-                    continue
-                if b[i] > 6:
+                if a[i] - c > 6:
                     raise ValueError(f"type {type_label}, rank {rank}: root "
                                      "coordinate exceeds 6, Cartan matrix "
                                      "is not of finite type")
-                roots.add(b)
-                nxt.append((b, tuple(p - c * row[i]
-                                     for p, row in zip(pa, C))))
+                kb = k - (c << 5 * i)
+                if kb in seen:
+                    continue
+                seen.add(kb)
+                b = list(a)
+                b[i] -= c
+                root = (h - c, tuple(b), m | 1 << i, l6, kb)
+                found.append(root)
+                nxt.append((root, [p - c * q for p, q in zip(pa, cols[i])]))
         frontier = nxt
-    positive = sorted(roots, key=lambda r: (sum(r), r))
+    _, positive, masks, len6, keys = zip(*sorted(found))
     return RootSystem(type_label, rank, tuple(tuple(r) for r in C),
-                      tuple(positive), tuple(lengths))
+                      positive, tuple(lengths), masks, len6, keys, gram6)
 
 
 def strongly_orthogonal(rs, a, b):
@@ -200,9 +222,7 @@ def strongly_orthogonal(rs, a, b):
         raise ValueError("strong orthogonality is only defined for distinct roots")
     if not rs.is_root(a) or not rs.is_root(b):
         raise ValueError("inputs must be roots of the given system")
-    s = tuple(x + y for x, y in zip(a, b))
-    d = tuple(x - y for x, y in zip(a, b))
-    return not rs.is_root(s) and not rs.is_root(d)
+    return not rs.is_root(map(add, a, b)) and not rs.is_root(map(sub, a, b))
 
 
 def connected_components(rs, subset):

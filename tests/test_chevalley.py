@@ -214,6 +214,49 @@ def test_structure_constant_of_non_roots_is_an_error():
         alg.N((0, 1, 1), (0, -1, -1))
 
 
+def _corrupt_len6(monkeypatch, alg, root, value):
+    """Replace 6 |a|^2 of one root, as a wrong length table would."""
+    len6 = list(alg._len6)
+    len6[alg.x_index(root)] = value
+    monkeypatch.setattr(alg, "_len6", len6)
+
+
+def test_coroot_guard_is_named_error(monkeypatch):
+    # the short simple root of B2 has 6 |a|^2 = 6; with 5 its coroot
+    # coordinate 6/5 is not an integer, and that stays an error under -O
+    alg = build_algebra("B", 2)
+    _corrupt_len6(monkeypatch, alg, (0, 1), 5)
+    with pytest.raises(ValueError) as err:
+        alg.coroot((0, 1))
+    assert str(err.value) == ("type B, rank 2: coroot of (0, 1), "
+                              "6 |a|^2 = 5 is not an integer quotient")
+
+
+def test_mixed_sign_guard_is_named_error(monkeypatch):
+    # N(a1 + a2, -a2) comes from the cyclic identity, divided by
+    # 6 |a1 + a2|^2: with 5 in place of 6 the quotient is not exact
+    alg = build_algebra("B", 2)
+    _corrupt_len6(monkeypatch, alg, (1, 1), 5)
+    with pytest.raises(ValueError) as err:
+        alg.N((1, 1), (0, -1))
+    assert str(err.value) == ("type B, rank 2: N((1, 1), (0, -1)) is not "
+                              "an integer quotient")
+
+
+def test_carter_quotient_guard_is_named_error(monkeypatch):
+    # in A3, (a3, a1 + a2) is the extraspecial pair of the highest root,
+    # so N(a1, a2 + a3) is a Jacobi quotient with N(-a3, a1 + a2 + a3) as
+    # divisor; a table entry of 2 in place of +-1 leaves a remainder
+    alg = build_algebra("A", 3)
+    pair = (alg.x_index((0, 0, 1)), alg.x_index((1, 1, 0)))
+    assert alg._extra[alg.x_index((1, 1, 1))] == pair
+    monkeypatch.setitem(alg._N_pos, pair, 2)
+    with pytest.raises(ValueError) as err:
+        alg.N((1, 0, 0), (0, 1, 1))
+    assert str(err.value) == ("type A, rank 3: N((1, 0, 0), (0, 1, 1)) is "
+                              "not an integer quotient")
+
+
 @pytest.mark.parametrize("label,rank", ALL_TYPES)
 def test_extraspecial_pair_is_the_minimal_special_pair(label, rank):
     alg = build_algebra(label, rank)

@@ -285,6 +285,17 @@ def test_centralizer_golden(argv, golden, capsys):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["pairs", "--max-rank", "8"], "pairs_max_rank_8.json"),
+    (["cascade", "E8", "8"], "cascade_E8.json"),
+])
+def test_pairs_and_cascade_golden(argv, golden, capsys):
+    # both read every root system's sweep data (masks, cascades, keys)
+    assert run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_model_verify_commands(capsys):
     for verify in ("triple", "characteristic", "sheet", "distinguished"):
         code = run(["model", "--p", "3", "--orbit", "2,2,1",

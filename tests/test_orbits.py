@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from liepairs import orbits
 from liepairs.orbits import (
     SignedYoungDiagram,
     YoungDiagram,
@@ -118,3 +119,19 @@ def test_is_even():
 def test_invalid_signature():
     with pytest.raises(ValueError):
         enumerate_dyo(1)
+
+
+@pytest.mark.parametrize("weights, rank", [
+    ([2, 2, 0], 1),        # odd n: one zero leads, two h_i for rank 1
+    ([2, 2, 0, 0], 2),     # even n: three h_i for rank 2
+])
+def test_weight_count_guard_is_named_error(monkeypatch, weights, rank):
+    # a weight list that is not the spectrum of a neutral element of so_n
+    # fails by name (with or without -O), not by an assert
+    monkeypatch.setattr(orbits, "_weight_terms", lambda rows: list(weights))
+    with pytest.raises(ValueError) as err:
+        characteristic(YoungDiagram((len(weights),)))
+    n = len(weights)
+    assert str(err.value) == (
+        f"weights {weights}: {rank + 1} values h_i for rank {rank}, "
+        f"not H's eigenvalues on so_{n}")

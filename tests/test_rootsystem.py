@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from liepairs import rootsystem
+from liepairs.chevalley import ChevalleyAlgebra
 from liepairs.rootsystem import (
     RootSystem,
     _root_lengths,
@@ -113,12 +115,13 @@ def test_raising_reflections_match_closure(label, rank):
     assert build_root_system(label, rank) == closure_root_system(label, rank)
 
 
-def test_non_finite_cartan_matrix_is_named_error():
-    # affine A1 has infinitely many real roots; the coordinate bound stops
-    # the generation instead of looping forever
+def _assert_not_finite_type(C):
+    """build_root_system on the rank-2 matrix C, in a fresh interpreter so
+    that a generation that never stops is cut by the timeout, raises the
+    named ValueError."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import liepairs.rootsystem as m\n"
-            "m.cartan_matrix = lambda t, n: [[2, -2], [-2, 2]]\n"
+            f"m.cartan_matrix = lambda t, n: {C!r}\n"
             "m.build_root_system('A', 2)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -127,6 +130,57 @@ def test_non_finite_cartan_matrix_is_named_error():
     assert proc.stderr.splitlines()[-1] == (
         "ValueError: type A, rank 2: root coordinate exceeds 6, "
         "Cartan matrix is not of finite type")
+
+
+def test_non_finite_cartan_matrix_is_named_error():
+    # affine A1 has infinitely many real roots; the coordinate bound stops
+    # the generation instead of looping forever
+    _assert_not_finite_type([[2, -2], [-2, 2]])
+
+
+def test_hyperbolic_cartan_matrix_is_named_error():
+    # C_12 C_21 = 9 > 4: a hyperbolic rank-2 matrix, whose root keys grow
+    # without bound; the bound is tested before a key digit can overflow
+    _assert_not_finite_type([[2, -3], [-3, 2]])
+
+
+def test_nonintegral_lengths_are_named_error(monkeypatch):
+    # 6 (a_i, a_j) must be integral; a length table that breaks this is a
+    # named error under -O too, not an assert
+    monkeypatch.setattr(rootsystem, "_root_lengths",
+                        lambda C: [Fraction(2), Fraction(1, 2)])
+    with pytest.raises(ValueError) as err:
+        build_root_system("B", 2)
+    assert str(err.value) == ("type B, rank 2: 3 |a_i|^2 is not integral "
+                              "for |a_i|^2 = ['2', '1/2']")
+
+
+@pytest.mark.parametrize("label,rank", FORM_TYPES)
+def test_sweep_data_matches_recomputation(label, rank):
+    # FORM_TYPES holds D2 (A1 x A1, two components) and D3 (= A3) too.
+    # Each array the raising sweep carries equals its recomputation from
+    # positive_roots, and the Chevalley basis reads the same data
+    rs = build_root_system(label, rank)
+    pos = rs.positive_roots
+    assert len(rs._masks) == len(rs._len6) == len(rs._keys) == len(pos)
+    for a, m, l6, k in zip(pos, rs._masks, rs._len6, rs._keys):
+        assert m == sum(1 << i for i, c in enumerate(a) if c), a
+        assert l6 == rs.form6(a, a), a
+        assert k == sum(c * 32 ** i for i, c in enumerate(a)), a
+    neg = tuple(tuple(-c for c in a) for a in pos)
+    assert rs.negative_roots == neg
+    assert all(rs.is_root(a) for a in pos + neg)
+    top = pos[-1]
+    non_roots = ([(0,) * rank] + [tuple(2 * c for c in a) for a in pos]
+                 + [tuple(x + y for x, y in zip(a, top)) for a in pos]
+                 + [tuple(int(j == i) - int(j == i + 1) for j in range(rank))
+                    for i in range(rank - 1)])      # a_i - a_{i+1}
+    assert not any(rs.is_root(v) for v in non_roots)
+    alg = ChevalleyAlgebra(rs)
+    assert alg.roots == pos + neg
+    assert list(alg._len6) == [rs.form6(r, r) for r in alg.roots]
+    assert alg._key == [sum((c + 16) * 32 ** i for i, c in enumerate(r))
+                        for r in alg.roots]
 
 
 @pytest.mark.parametrize("label,rank", FORM_TYPES)
