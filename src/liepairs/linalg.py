@@ -20,16 +20,16 @@ and Gaussian-rational cases.  One scalar rule holds throughout: an int
 stays an int where that is exact, a rational becomes a Fraction where
 it is not, and no result is ever a float.  A reduced row stays int when
 its pivot divides each of its int entries, as a pivot of +-1 does on
-nearly every row of a Chevalley bracket; any other row is divided as
-Fractions.  `min_poly` over Q leans on the rule: it clears
-the denominators of the map once and runs its Krylov and Horner steps
-on int, which is exact because the minimal polynomial of an integral
-map is integral, and rescales the result back to Q.  It takes a Horner
-step only for a basis vector that its neighbours' columns do not
-already certify: once p(A) kills e_j it kills A e_j, so when it kills
-every row of column j but one, it kills that one too.  `is_squarefree`
-over Q runs on int too, as the primitive pseudo-remainder sequence of p
-and p' with the denominators cleared.
+nearly every row of a Chevalley bracket; any other row is multiplied
+by the one inverse of its pivot, a Fraction or a QI.  `min_poly` over
+Q leans on the rule: it clears the denominators of the map once and
+runs its Krylov and Horner steps on int, which is exact because the
+minimal polynomial of an integral map is integral, and rescales the
+result back to Q.  It takes a Horner step only for a basis vector that
+its neighbours' columns do not already certify: once p(A) kills e_j it
+kills A e_j, so when it kills every row of column j but one, it kills
+that one too.  `is_squarefree` over Q runs on int too, as the primitive
+pseudo-remainder sequence of p and p' with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -86,8 +86,10 @@ def _reduce(echelon, red):
 def _insert(echelon, red):
     """Add a nonzero remainder of `_reduce` to the row space as a new
     reduced row, clearing its pivot column from the other rows.  The row
-    stays int where its pivot divides every entry; an int pivot that
-    does not is made a Fraction, so that no entry becomes a float."""
+    stays int where its pivot divides every entry; any other row is
+    multiplied by the one inverse F1 / pivot, a Fraction for an int or
+    Fraction pivot, so that no entry becomes a float, and a QI for a QI
+    pivot, so that Q(i) inverts each pivot once, not once per entry."""
     pc = min(red)
     pv = red[pc]
     if pv == 1:
@@ -96,8 +98,8 @@ def _insert(echelon, red):
                                  for x in red.values()):
         row = {c: x // pv for c, x in red.items()}
     else:
-        pv = Fraction(pv) if type(pv) is int else pv
-        row = {c: x / pv for c, x in red.items()}
+        inv = F1 / pv
+        row = {c: x * inv for c, x in red.items()}
     for other in echelon.values():
         if pc in other:
             _eliminate(other, pc, row)

@@ -12,7 +12,10 @@ One matrix format: an n x n matrix is a list of n sparse rows
 {column: value} that hold the nonzero entries only, so `not any(M)` is
 the zero test and `==` is equality.  `entries(M)` keys the entries by
 (row, column), the vector format that `linalg.kernel`, `rank` and `Span`
-take.
+take.  A bracket of skew matrices is eliminated on its `upper` keys,
+i < j, alone: the rows it drops are zero or minus kept ones, so the row
+space, its unique reduced echelon form and every rank, kernel basis and
+particular solution read from that are unchanged.
 The k and p bases are the E_ij - E_ji at the index pairs `k_pairs` and
 `p_pairs`; `bracket_skew` reads [X, E_ij - E_ji] off two rows and two
 columns of X with no product, and `commutator` serves every other
@@ -160,6 +163,11 @@ def entries(a):
     return {(i, j): x for i, row in enumerate(a) for j, x in row.items()}
 
 
+def upper(a):
+    """The `entries` above the diagonal, which determine a skew matrix."""
+    return {(i, j): x for i, r in enumerate(a) for j, x in r.items() if i < j}
+
+
 def mat_is_zero(a):
     return not any(a)
 
@@ -176,7 +184,7 @@ def mat_inverse(a):
 
 def _kernel(basis, image):
     """The elements of span(basis) that the linear map `image` (matrix to
-    its `entries`) sends to zero."""
+    its `entries` or `upper`) sends to zero."""
     return [lin_comb(sol.values(), [basis[j] for j in sol])
             for sol in linalg.kernel([image(b) for b in basis])]
 
@@ -202,7 +210,8 @@ def skew_elementary(n, i, j):
 
 
 def is_skew(a):
-    return mat_is_zero(mat_add(a, transpose(a)))
+    return all(a[j].get(i) == -x for i, row in enumerate(a)
+               for j, x in row.items())
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +282,31 @@ class MatrixPair:
                      for plus, dim in ((True, self.p), (False, 2)))
 
     def centralizer_in(self, X, basis):
-        """Coefficient basis of {Y in span(basis) : [X, Y] = 0}."""
+        """Coefficient basis of {Y in span(basis) : [X, Y] = 0}; X and the
+        basis must be skew, else ValueError names the one that is not."""
+        for k, M in enumerate([X, *basis]):
+            if not is_skew(M):
+                nm = f"basis[{k - 1}]" if k else "X"
+                raise ValueError(f"centralizer_in: {nm} is not skew")
         if not basis:
             return []
-        return _kernel(basis, lambda b: entries(commutator(X, b)))
+        return _kernel(basis, lambda b: upper(commutator(X, b)))
 
     def dim_p_centralizer(self, X):
-        """dim p^X, the nullity of the columns [X, p_j]; builds no element."""
+        """dim p^X, the nullity of the columns [X, p_j]; builds no element.
+        X must be skew, else ValueError."""
+        if not is_skew(X):
+            raise ValueError("dim_p_centralizer: X is not skew")
         pairs = self.p_pairs()
-        return len(pairs) - linalg.rank(entries(bracket_skew(X, i, j))
+        return len(pairs) - linalg.rank(upper(bracket_skew(X, i, j))
                                         for i, j in pairs)
 
     def dim_bracket_k(self, X):
-        """dim [k, X], the rank of the columns [X, k_j] = -[k_j, X]."""
-        return linalg.rank(entries(bracket_skew(X, i, j))
+        """dim [k, X], the rank of the columns [X, k_j] = -[k_j, X]; X
+        must be skew, else ValueError."""
+        if not is_skew(X):
+            raise ValueError("dim_bracket_k: X is not skew")
+        return linalg.rank(upper(bracket_skew(X, i, j))
                            for i, j in self.k_pairs())
 
 
@@ -443,26 +463,31 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     """Normal sl2-triple through a nonzero nilpotent X in p.
 
     H is solved for in k intersected with the image of ad X, then Y in
-    p from [X,Y] = H, [H,Y] = -2Y; both steps are exact linear solves.
+    p from [X,Y] = H, [H,Y] = -2Y; both are exact solves on `upper`.
+    X = [[0, B], [-B^T, 0]] squares to -diag(B B^T, B^T B), and B B^T
+    shares its nonzero eigenvalues with G = B^T B, read off X's last two
+    rows: X is nilpotent iff tr G = det G = 0, an exact O(p) certificate.
     """
     if mat_is_zero(X):
         raise ValueError("X must be nonzero")
-    if not pair.in_p(X):
+    if not (pair.in_p(X) and is_skew(X)):
         raise ValueError("X must lie in p")
-    if not is_nilpotent(X):
+    g = [sum(x * w.get(i, 0) for i, x in r.items()) for r, w in
+         ((X[-2], X[-2]), (X[-2], X[-1]), (X[-1], X[-1]))]
+    if g[0] + g[2] or g[0] * g[2] - g[1] * g[1]:
         raise ValueError("X must be nilpotent")
     # H = sum a_j [X, p_j] with [H, X] = 2 X
     pp = pair.p_pairs()
     cands = [bracket_skew(X, i, j) for i, j in pp]
-    sol = _solve([entries(commutator(c, X)) for c in cands],
-                 entries(mat_scale(X, 2)))
+    sol = _solve([upper(commutator(c, X)) for c in cands],
+                 upper(mat_scale(X, 2)))
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
     H = lin_comb(sol.values(), [cands[j] for j in sol])
-    # Y in p with [X, Y] = H and [H, Y] = -2 Y, the two stacked
+    # Y in p with [X, Y] = H (on k's keys) and [H, Y] = -2 Y (on p's)
     pb = pair.p_basis()
-    sol = _solve([entries(c + lin_comb((F1, 2), (bracket_skew(H, i, j), b)))
-                  for c, (i, j), b in zip(cands, pp, pb)], entries(H))
+    sol = _solve([upper(lin_comb((F1, F1, 2), (c, bracket_skew(H, i, j), b)))
+                  for c, (i, j), b in zip(cands, pp, pb)], upper(H))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
     Y = lin_comb(sol.values(), [pb[j] for j in sol])

@@ -50,6 +50,28 @@ def test_rank_over_gaussian_rationals():
     assert len(ns) == 1
 
 
+@pytest.mark.parametrize("red", [
+    {0: 3, 1: 2, 2: -6},
+    {0: F(2, 3), 1: 1, 2: F(1, 5)},
+    {0: QI(1, 2), 1: F(1, 2), 2: QI(0, -3), 3: 4},
+    {0: F(2), 1: QI(1, 1)},
+], ids=["int", "Fraction", "QI", "Fraction-pivot-QI-entry"])
+def test_insert_scales_a_row_by_one_inverse(red, monkeypatch):
+    # the row is the entrywise quotient by its pivot, to the type, and a
+    # QI pivot is inverted once for the whole row
+    pv = red[0]
+    want = {c: x / (F(pv) if type(pv) is int else pv) for c, x in red.items()}
+    inverses = []
+    inverse = QI.inverse
+    monkeypatch.setattr(QI, "inverse",
+                        lambda self: inverses.append(self) or inverse(self))
+    echelon = {}
+    linalg._insert(echelon, dict(red))
+    assert echelon == {0: want}
+    assert repr(echelon[0]) == repr(want)
+    assert inverses == ([pv] if type(pv) is QI else [])
+
+
 def test_span_incremental():
     sp = linalg.Span()
     assert sp.add({0: F(1), 2: F(1)})

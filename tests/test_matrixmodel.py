@@ -1,6 +1,7 @@
 """Matrix model of (so_{p+2}, so_p x so_2): orbit representatives,
 normal triples, Jordan decomposition, Cayley transforms, witnesses."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -371,19 +372,161 @@ def test_normal_triples_and_characteristics(p):
         assert set(c) & set(cd), (d, c, cd)
 
 
+def off_block_unit(pair):
+    """E_{0,p}: theta(M) = -M and M^2 = 0, but M is not skew."""
+    M = mm.zeros(pair.n)
+    M[0][pair.p] = F(1)
+    return M
+
+
 def test_normal_triple_rejects_bad_input():
     pair = mm.build_pair(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^X must be nonzero$"):
         mm.normal_triple_for(pair, mm.zeros(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^X must be nilpotent$"):
         # semisimple element of p
         mm.normal_triple_for(pair, cartan_point(pair, 1, 0))
-    with pytest.raises(ValueError):
-        # nilpotent but not in p
+    with pytest.raises(ValueError, match="^X must lie in p$"):
+        # an element of k
         M = mm.zeros(5)
         M[0][1] = F(1)
         M[1][0] = F(-1)
         mm.normal_triple_for(pair, M)
+    with pytest.raises(ValueError, match="^X must lie in p$"):
+        # off-diagonal blocks only, so theta(M) = -M, but not skew
+        mm.normal_triple_for(pair, off_block_unit(pair))
+    with pytest.raises(ValueError, match="^X must be nilpotent$"):
+        # neither semisimple nor nilpotent
+        mm.normal_triple_for(pair, mm.lemma_witness_element(pair)[0])
+
+
+def gram_certifies_nilpotent(pair, X):
+    """The verdict of `normal_triple_for`'s Gram-block nilpotency guard on
+    a nonzero X in p."""
+    try:
+        mm.normal_triple_for(pair, X)
+    except ValueError as e:
+        if str(e) == "X must be nilpotent":
+            return False
+        raise
+    return True
+
+
+def sparse_qi_element(rng, basis):
+    """A seeded, mostly-zero Q(i) combination of the basis."""
+    pool = [0, 0, 0, 1, -1, QI(0, 1), QI(0, -1), QI(1, 2)]
+    return mm.lin_comb([QI.coerce(rng.choice(pool)) for _ in basis], basis)
+
+
+def test_gram_certificate_agrees_with_min_poly():
+    rng = random.Random(32)
+    drawn = []
+    for p in range(2, 13):
+        pair = mm.build_pair(p)
+        pb = pair.p_basis()
+        # B = [[1, 0], [0, i]]: tr G = 0 but det G = -1
+        fixed = [mm.lin_comb((1, 0, 0, QI(0, 1)), pb[:4])]
+        fixed += [mm.nilpotent_from_diagram(pair, d)
+                  for d in orbits.enumerate_dyo(p)]
+        # every p basis element, and those of B's first column only, whose
+        # element is nilpotent when that column is isotropic
+        random_ = [sparse_qi_element(rng, basis)
+                   for basis in (pb, pb[::2]) for _ in range(8)]
+        for k, X in enumerate(fixed + random_):
+            if mm.mat_is_zero(X):
+                continue
+            verdict = mm.is_nilpotent(X)
+            assert gram_certifies_nilpotent(pair, X) == verdict, (p, X)
+            if k >= len(fixed):
+                drawn.append(verdict)
+    # the random elements reach both verdicts
+    assert set(drawn) == {True, False}
+
+
+def full_entries_triple(pair, X):
+    """(H, Y) from the two solves of `normal_triple_for` run on all n^2
+    `entries` of every column, the Y system's two conditions stacked as
+    rows 0..n-1 and n..2n-1: the reference that `upper` halves."""
+    def solve(columns, rhs):
+        # the kernel vector of (columns | -rhs) that is 1 at the last column
+        sol = linalg.kernel(columns + [{k: -x for k, x in rhs.items()}])
+        assert sol and len(columns) in sol[-1]
+        del sol[-1][len(columns)]
+        return sol[-1]
+
+    pp, pb = pair.p_pairs(), pair.p_basis()
+    cands = [mm.bracket_skew(X, i, j) for i, j in pp]
+    sol = solve([mm.entries(mm.commutator(c, X)) for c in cands],
+                mm.entries(mm.mat_scale(X, 2)))
+    H = mm.lin_comb(sol.values(), [cands[j] for j in sol])
+    sol = solve([mm.entries(c + mm.lin_comb((F(1), 2),
+                                            (mm.bracket_skew(H, i, j), b)))
+                 for c, (i, j), b in zip(cands, pp, pb)], mm.entries(H))
+    return H, mm.lin_comb(sol.values(), [pb[j] for j in sol])
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_normal_triple_matches_the_full_entries_solve(p):
+    # one row space, so one reduced echelon form and one particular
+    # solution: the upper-keyed solves give the same H and Y, to the type
+    pair = mm.build_pair(p)
+    for d in orbits.enumerate_dyo(p):
+        X = mm.nilpotent_from_diagram(pair, d)
+        if mm.mat_is_zero(X):
+            continue
+        t = mm.normal_triple_for(pair, X)
+        want = full_entries_triple(pair, X)
+        assert (t.H, t.Y) == want, d
+        assert repr((t.H, t.Y)) == repr(want), d
+
+
+def full_rank(brackets):
+    """Rank of the brackets on all n^2 `entries`."""
+    return linalg.rank(mm.entries(B) for B in brackets)
+
+
+def full_centralizer(X, basis):
+    """{Y in span(basis) : [X, Y] = 0} from the kernel of the brackets
+    [X, b] on all n^2 `entries`."""
+    columns = [mm.entries(mm.commutator(X, b)) for b in basis]
+    return [mm.lin_comb(sol.values(), [basis[j] for j in sol])
+            for sol in linalg.kernel(columns)]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_upper_keyed_kernels_match_the_full_entries(p):
+    pair = mm.build_pair(p)
+    rng = random.Random(p)
+    pb, kb = pair.p_basis(), pair.k_basis()
+    samples = [mm.nilpotent_from_diagram(pair, d)
+               for d in orbits.enumerate_dyo(p)]
+    samples += [sparse_qi_element(rng, basis)
+                for basis in (pb, g_basis(pair)) for _ in range(4)]
+    for X in samples:
+        assert pair.dim_p_centralizer(X) == len(pb) - full_rank(
+            mm.commutator(X, b) for b in pb)
+        assert pair.dim_bracket_k(X) == full_rank(
+            mm.commutator(X, b) for b in kb)
+        for basis in (pb, kb):
+            assert pair.centralizer_in(X, basis) == full_centralizer(
+                X, basis)
+
+
+@pytest.mark.parametrize("method", ["dim_p_centralizer", "dim_bracket_k"])
+def test_dims_reject_a_non_skew_X(method):
+    pair = mm.build_pair(3)
+    with pytest.raises(ValueError, match=rf"^{method}: X is not skew$"):
+        getattr(pair, method)(off_block_unit(pair))
+
+
+def test_centralizer_in_rejects_a_non_skew_input():
+    pair = mm.build_pair(3)
+    pb, M = pair.p_basis(), off_block_unit(pair)
+    with pytest.raises(ValueError, match=r"^centralizer_in: X is not skew$"):
+        pair.centralizer_in(M, pb)
+    with pytest.raises(ValueError,
+                       match=r"^centralizer_in: basis\[2\] is not skew$"):
+        pair.centralizer_in(pb[0], pb[:2] + [M] + pb[2:])
 
 
 def test_minimal_orbit_cayley_triple():
