@@ -81,9 +81,11 @@ class QI:
 
     @staticmethod
     def coerce(x) -> "QI":
+        """x as a QI; an int or Fraction goes straight in as (a, 0, d)."""
         if type(x) is QI:
             return x
-        return QI(x)
+        parts = _rational_parts(x)
+        return QI(x) if parts is None else QI(*parts)
 
     def __bool__(self):
         return bool(self._a or self._b)

@@ -18,13 +18,14 @@ space, its unique reduced echelon form and every rank, kernel basis and
 particular solution read from that are unchanged.
 The k and p bases are the E_ij - E_ji at the index pairs `k_pairs` and
 `p_pairs`; `bracket_skew` reads [X, E_ij - E_ji] off two rows and two
-columns of X with no product, and `commutator` serves every other
-bracket.
-Entries are `Fraction`s until i multiplies them: the real-form basis,
-k, p, H_k, K_k, the real restricted root spaces and the Cayley triples
-stay rational.  `QI` enters only through `phi`, the Cayley transform,
-the diagram representatives and the sampled elements of
-`dim_identity_check`; the two scalar types mix freely.
+columns of X with no product, `skew_bracket` the `upper` keys of any
+other skew bracket off one product, and `commutator` the rest.
+The unit F1 is the int 1: the real-form basis, k, p, H_k and K_k hold
+ints, a `Fraction` appears only with 1/2 (the Cayley triples) or where
+`linalg` divides a row by an int pivot that does not divide it, and
+`QI` only through `phi`, the Cayley transform, the diagram
+representatives and the sampled elements of `dim_identity_check`; the
+three scalar types mix freely, and nothing here divides two ints.
 
 The minimal-orbit witnesses need no search: `minimal_orbit_cayley_triple`
 writes the Cayley triple of the restricted root e1 - e2 down on the
@@ -47,7 +48,7 @@ from . import linalg, orbits
 from .errors import UsageError
 from .gaussian import QI
 
-F1 = Fraction(1)
+F1 = 1
 I_UNIT = QI(0, 1)
 
 
@@ -168,6 +169,20 @@ def upper(a):
     return {(i, j): x for i, r in enumerate(a) for j, x in r.items() if i < j}
 
 
+def skew_bracket(a, b):
+    """`upper` of [a, b] for skew a and b from the one product P = ab:
+    ba = (ab)^T, so [a, b]_ij = P_ij - P_ji."""
+    out = {}
+    for i, ra in enumerate(a):
+        for t, x in ra.items():
+            for j, y in b[t].items():
+                if i != j:
+                    k, z = ((i, j), x * y) if i < j else ((j, i), -(x * y))
+                    w = out.get(k)
+                    out[k] = z if w is None else w + z
+    return {k: z for k, z in out.items() if z}
+
+
 def mat_is_zero(a):
     return not any(a)
 
@@ -242,12 +257,14 @@ class MatrixPair:
                 for i, row in enumerate(X0)]
 
     def in_k(self, X):
-        """theta(X) = X; 0 lies in both k and p."""
-        return self.theta(X) == X
+        """X skew with theta(X) = X; 0 lies in both k and p."""
+        return is_skew(X) and all((i < self.p) == (j < self.p)
+                                  for i, row in enumerate(X) for j in row)
 
     def in_p(self, X):
-        """theta(X) = -X."""
-        return mat_is_zero(mat_add(self.theta(X), X))
+        """X skew with theta(X) = -X: zero on the two diagonal blocks."""
+        return is_skew(X) and all((i < self.p) != (j < self.p)
+                                  for i, row in enumerate(X) for j in row)
 
     def k_pairs(self):
         """(i, j) with E_ij - E_ji the k basis, in `k_basis` order."""
@@ -290,7 +307,7 @@ class MatrixPair:
                 raise ValueError(f"centralizer_in: {nm} is not skew")
         if not basis:
             return []
-        return _kernel(basis, lambda b: upper(commutator(X, b)))
+        return _kernel(basis, lambda b: skew_bracket(X, b))
 
     def dim_p_centralizer(self, X):
         """dim p^X, the nullity of the columns [X, p_j]; builds no element.
@@ -391,14 +408,17 @@ def jordan_type(M):
 
 
 def _sl2_errors(H, X, Y, sub=""):
-    """The sl2 relations that (H, X, Y) breaks, named with suffix `sub`."""
+    """The sl2 relations that (H, X, Y) breaks, named with suffix `sub`;
+    decided on the `upper` keys alone when H, X and Y are skew."""
     h, x, y = (s + sub for s in "HXY")
+    br, key = ((skew_bracket, upper) if all(map(is_skew, (H, X, Y))) else
+               (lambda a, b: entries(commutator(a, b)), entries))
     errs = []
-    if commutator(H, X) != mat_scale(X, 2):
+    if br(H, X) != {k: 2 * z for k, z in key(X).items()}:
         errs.append(f"[{h},{x}] != 2 {x}")
-    if commutator(H, Y) != mat_scale(Y, -2):
+    if br(H, Y) != {k: -2 * z for k, z in key(Y).items()}:
         errs.append(f"[{h},{y}] != -2 {y}")
-    if commutator(X, Y) != H:
+    if br(X, Y) != key(H):
         errs.append(f"[{x},{y}] != {h}")
     return errs
 
@@ -470,7 +490,7 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     """
     if mat_is_zero(X):
         raise ValueError("X must be nonzero")
-    if not (pair.in_p(X) and is_skew(X)):
+    if not pair.in_p(X):
         raise ValueError("X must lie in p")
     g = [sum(x * w.get(i, 0) for i, x in r.items()) for r, w in
          ((X[-2], X[-2]), (X[-2], X[-1]), (X[-1], X[-1]))]
@@ -479,8 +499,8 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     # H = sum a_j [X, p_j] with [H, X] = 2 X
     pp = pair.p_pairs()
     cands = [bracket_skew(X, i, j) for i, j in pp]
-    sol = _solve([upper(commutator(c, X)) for c in cands],
-                 upper(mat_scale(X, 2)))
+    sol = _solve([skew_bracket(c, X) for c in cands],
+                 {k: 2 * x for k, x in upper(X).items()})
     if sol is None:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
     H = lin_comb(sol.values(), [cands[j] for j in sol])
@@ -570,7 +590,9 @@ def characteristic_from_triple(t: NormalTriple):
                 f"{n}x{n} H has non-integer eigenvalues: the integers up "
                 f"to {8 * n} in size give only {eigs}")
         for val in ({0} if m == 0 else {m, -m}):
-            k = n - linalg.rank(lin_comb((F1, -val), (H, eye(n))))
+            # H - val I, from H's rows with the diagonal shifted
+            k = n - linalg.rank({j: x for j, x in {**r, i: r.get(i, 0) - val}
+                                 .items() if x} for i, r in enumerate(H))
             eigs.extend([val] * k)
         m += 1
     return orbits.characteristic_of_weights(eigs, None)
@@ -703,7 +725,7 @@ def minimal_orbit_not_distinguished(pair: MatrixPair):
             "sign": sign,
             "jordan_type": jordan_type(t.X),
             "triple_valid": not t.validate(),
-            "witness_commutes": mat_is_zero(commutator(Hw, t.X)),
+            "witness_commutes": not skew_bracket(Hw, t.X),
             **hw_checks,
         })
     shape = orbits.minimal_shape(pair.p)
@@ -729,7 +751,7 @@ def proportional(A, B):
     for ra, rb in zip(A, B):
         for j, x in ra.items():
             y = rb.get(j)
-            return y is not None and A == mat_scale(B, x / y)
+            return y is not None and mat_scale(A, y) == mat_scale(B, x)
     return True
 
 

@@ -194,7 +194,7 @@ def orbit_items(pair, d, verify):
     X = mm.nilpotent_from_diagram(pair, d)
     jt = mm.jordan_type(X)
     powers = itertools.accumulate(itertools.repeat(X, jt[0]), mm.mat_mul)
-    in_model = (mm.is_skew(X) and jt == d.shape and pair.in_p(X)
+    in_model = (jt == d.shape and pair.in_p(X)
                 and all(pair.kernel_signs(Xk) == d.kernel_signs(k)
                         for k, Xk in enumerate(powers, 1)))
     items = [item("representative-in-model", in_model,

@@ -194,3 +194,26 @@ def test_construction_is_canonical():
     assert parts_of(QI(F(1, 2), F(1, 2)).inverse()) == (1, -1, 1)
     for z in (QI(F(2, 6), F(-1, 4)), QI(1, 1) / 3):
         assert_canonical(z)
+
+
+def test_rational_operands_skip_the_fraction_constructor():
+    # coerce, / and the reflected / take an int or Fraction as its parts
+    # (a, 0, d); each result has the parts of the QI(Fraction(x)) path
+    qs = (QI(1, 1), QI(F(3, 7), F(-2, 5)), QI(0, -2), QI(F(-5, 3)))
+    for x in (1, -1, 7, -12, F(1), F(1, 2), F(-9, 4), True):
+        old = QI(F(x))
+        assert type(QI.coerce(x)) is QI
+        assert parts_of(QI.coerce(x)) == parts_of(old)
+        for q in qs:
+            assert parts_of(q / x) == parts_of(q * old.inverse())
+            assert parts_of(x / q) == parts_of(old * q.inverse())
+    for zero in (0, F(0)):
+        assert parts_of(QI.coerce(zero)) == (0, 0, 1)
+        with pytest.raises(ZeroDivisionError):
+            QI(1, 1) / zero
+        with pytest.raises(ZeroDivisionError):
+            QI.coerce(zero).inverse()
+        assert parts_of(zero / QI(2, 1)) == (0, 0, 1)
+    for x in (1, F(1), F(-1, 3)):
+        with pytest.raises(ZeroDivisionError):
+            x / QI(0)

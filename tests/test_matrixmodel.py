@@ -201,6 +201,19 @@ def test_pair_dimensions():
         assert len(pair.k_basis()) == p * (p - 1) // 2 + 1
 
 
+def test_model_units_are_ints():
+    # the unit is the int 1: no basis or diagram block holds a Fraction
+    for p in (2, 3, 5):
+        pair = mm.build_pair(p)
+        mats = (pair.k_basis() + pair.p_basis() + mm.real_form_basis(pair)
+                + [pair.H(1), pair.H(2), mm.K(pair, 1), mm.K(pair, 2),
+                   mm.eye(pair.n)]
+                + [mm.nilpotent_from_diagram(pair, d)
+                   for d in orbits.enumerate_dyo(p)])
+        assert {type(x) for M in mats for row in M
+                for x in row.values()} == {int, QI}
+
+
 def test_theta_is_involution_splitting():
     pair = mm.build_pair(3)
     for b in pair.k_basis():
@@ -223,6 +236,24 @@ def test_in_k_and_in_p():
     assert pair.in_k(mm.zeros(5)) and pair.in_p(mm.zeros(5))
     mixed = mm.mat_add(k[0], p[0])
     assert not pair.in_k(mixed) and not pair.in_p(mixed)
+
+
+def test_in_k_and_in_p_require_skewness():
+    # k and p are subspaces of so_{p+2}: a matrix with the right block
+    # pattern lies in neither unless it is skew
+    pair = mm.build_pair(3)
+    D = mm.zeros(5)
+    D[0][0] = 1
+    S = mm.zeros(5)
+    S[0][3] = S[3][0] = 1
+    assert pair.theta(D) == D and not pair.in_k(D) and not pair.in_p(D)
+    assert mm.mat_is_zero(mm.mat_add(pair.theta(S), S))
+    assert not pair.in_p(S) and not pair.in_k(S)
+    assert not pair.in_p(off_block_unit(pair))
+    # so a non-skew H fails a triple's k check
+    t = mm.normal_triple_for(pair, mm.nilpotent_from_diagram(
+        pair, orbits.enumerate_dyo(3)[0]))
+    assert "H not in k" in mm.NormalTriple(pair, D, t.X, t.Y).validate()
 
 
 def test_phi_equivariance():
@@ -512,6 +543,66 @@ def test_upper_keyed_kernels_match_the_full_entries(p):
                 X, basis)
 
 
+@pytest.mark.parametrize("p", range(2, 7))
+def test_skew_bracket_is_the_upper_commutator(p):
+    pair = mm.build_pair(p)
+    rng = random.Random(p)
+    kb, pb, gb = pair.k_basis(), pair.p_basis(), g_basis(pair)
+    pairs = [(k, q) for k in kb for q in pb]
+    pairs += [(sparse_qi_element(rng, gb), sparse_qi_element(rng, gb))
+              for _ in range(12)]
+    for a, b in pairs:
+        got = mm.skew_bracket(a, b)
+        assert got == mm.upper(mm.commutator(a, b))
+        assert all(got.values())
+        assert mm.skew_bracket(a, a) == {}
+
+
+def full_sl2_errors(H, X, Y):
+    """The sl2 relations that (H, X, Y) breaks, from full commutators: the
+    reference for the `upper`-keyed checks of skew triples."""
+    return [msg for got, want, msg in (
+        (mm.commutator(H, X), mm.mat_scale(X, 2), "[H,X] != 2 X"),
+        (mm.commutator(H, Y), mm.mat_scale(Y, -2), "[H,Y] != -2 Y"),
+        (mm.commutator(X, Y), H, "[X,Y] != H")) if got != want]
+
+
+def sl2_perturbations(t):
+    """The triple and its skew perturbations (2H, X, Y), (H, X, -Y) and
+    (H, 2X, Y), each breaking at least one sl2 relation."""
+    H, X, Y = t.H, t.X, t.Y
+    return [(H, X, Y), (mm.mat_scale(H, 2), X, Y),
+            (H, X, mm.mat_scale(Y, -1)), (H, mm.mat_scale(X, 2), Y)]
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_upper_validate_matches_the_full_commutators(p):
+    pair = mm.build_pair(p)
+    seen = set()
+    for d in orbits.enumerate_dyo(p):
+        X = mm.nilpotent_from_diagram(pair, d)
+        if mm.mat_is_zero(X):
+            continue
+        for k, (H, X1, Y) in enumerate(
+                sl2_perturbations(mm.normal_triple_for(pair, X))):
+            errs = mm.NormalTriple(pair, H, X1, Y).validate()
+            assert errs == full_sl2_errors(H, X1, Y), (d, k)
+            assert bool(errs) == bool(k), (d, k)
+            seen.update(errs)
+    assert seen == {"[H,X] != 2 X", "[H,Y] != -2 Y", "[X,Y] != H"}
+
+
+def test_validate_falls_back_to_full_commutators_for_a_non_skew_member():
+    pair = mm.build_pair(3)
+    t = mm.normal_triple_for(pair, mm.nilpotent_from_diagram(
+        pair, orbits.enumerate_dyo(3)[0]))
+    M = off_block_unit(pair)
+    for H, X, Y in ((t.H, M, t.Y), (t.H, t.X, mm.mat_add(t.Y, M))):
+        errs = mm.NormalTriple(pair, H, X, Y).validate()
+        assert errs[:-1] == full_sl2_errors(H, X, Y)
+        assert errs[-1].endswith("not in p")
+
+
 @pytest.mark.parametrize("method", ["dim_p_centralizer", "dim_bracket_k"])
 def test_dims_reject_a_non_skew_X(method):
     pair = mm.build_pair(3)
@@ -609,6 +700,17 @@ def test_lemma51_sampling():
     assert mm.mat_is_zero(mm.commutator(Xs, Xn))
     rep = mm.lemma51_check(pair, X, trials=20, seed=3)
     assert rep["ok"], rep
+
+
+def test_proportional_divides_no_ints():
+    # int entries: the float 1/49 would miss A = B / 49
+    pb = mm.build_pair(2).p_basis()
+    B, A = mm.lin_comb((49, 98), pb[:2]), mm.lin_comb((1, 2), pb[:2])
+    assert mm.proportional(A, B) and mm.proportional(B, A)
+    assert mm.proportional(mm.mat_scale(A, QI(1, 1)), B)
+    assert not mm.proportional(A, mm.mat_add(B, pb[2]))
+    assert mm.proportional(mm.zeros(4), B) and not mm.proportional(
+        A, mm.zeros(4))
 
 
 def test_lemma51_rejects_pure_inputs():
