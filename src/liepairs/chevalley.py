@@ -23,6 +23,10 @@ The brackets of basis vectors are memoized per algebra, and the columns
 [x, e_j] of ad x are read straight from that memo (`ad_columns`), with
 no element built per column: centralizers, p-centralizer dimensions,
 the non-regular locus and the minimal polynomial of ad x all take them.
+A second per-algebra memo, `_semisimple_memo`, holds each certificate
+of `is_ad_semisimple`, keyed by the coefficients of `integral(x)` up to
+sign: the Cartan subspaces of one algebra's parabolics share cascade
+elements X_K, and each distinct one is certified once.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ class ChevalleyAlgebra:
         # filled on first use: most algebras built are never bracketed
         self._N_pos = {}
         self._bracket_memo = {}
+        self._semisimple_memo = {}     # see `is_ad_semisimple`
 
     # -- indexing -----------------------------------------------------------
 
@@ -357,9 +362,19 @@ def centralizer_in(x: LieElement, subspace_basis):
 
 
 def is_ad_semisimple(x: LieElement) -> bool:
-    # the minimal polynomial of ad r x, r != 0, is that of ad x with its
-    # roots scaled by r, so one is squarefree iff the other is
-    return linalg.is_squarefree(minimal_polynomial_ad(integral(x)))
+    """Whether ad x is semisimple, certified by a squarefree minimal
+    polynomial of ad `integral(x)` and memoized on the algebra.  The
+    minimal polynomial of ad r x, r != 0, is that of ad x with its roots
+    scaled by r, so one is squarefree iff the other is: the memo key is
+    the coefficients of integral(x) up to sign, shared by x, 2x and -x."""
+    y = integral(x)
+    key = tuple(sorted((i, c) for i, c in y.coeffs.items() if c))
+    if key and key[0][1] < 0:
+        key = tuple((i, -c) for i, c in key)
+    memo = x.alg._semisimple_memo
+    if key not in memo:
+        memo[key] = linalg.is_squarefree(minimal_polynomial_ad(y))
+    return memo[key]
 
 
 def minimal_polynomial_ad(x: LieElement):

@@ -28,8 +28,11 @@ minimal polynomial of an integral map is integral, and rescales the
 result back to Q.  It takes a Horner step only for a basis vector that
 its neighbours' columns do not already certify: once p(A) kills e_j it
 kills A e_j, so when it kills every row of column j but one, it kills
-that one too.  `is_squarefree` over Q runs on int too, as the primitive
-pseudo-remainder sequence of p and p' with the denominators cleared.
+that one too.  A zero column takes no Horner step either: p(A) kills it
+exactly when x divides p, so all zero columns are killed in one step
+the first time the factor x enters p.  `is_squarefree` over Q runs on
+int too, as the primitive pseudo-remainder sequence of p and p' with
+the denominators cleared.
 """
 
 from __future__ import annotations
@@ -409,6 +412,12 @@ def min_poly(columns):
     step and, if need be, a Krylov chain.  Each basis vector is killed at
     most once, so the worklist costs O(n + nonzero entries) per call.  The
     result is that of checking every e_i, where a killed e_i adds no factor.
+
+    A zero column, A e_j = 0, needs no Horner step at all: p(A) e_j =
+    p(0) e_j, so p kills e_j exactly when x divides p.  The first time
+    the factor x enters p, every zero column goes on the worklist at once;
+    a zero column met before that adds the factor x, the annihilator of
+    p(0) e_j.  An all-int map is used as given, with no rescaled copy.
     """
     n = len(columns)
     stray = set().union(*columns).difference(range(n))
@@ -417,7 +426,8 @@ def min_poly(columns):
                          f"entry keyed {stray.pop()!r}, outside 0..{n - 1}")
     entries = [x for col in columns for x in col.values()]
     rational = all(type(x) in _RATIONAL for x in entries)
-    if rational:
+    d = 1
+    if rational and not all(type(x) is int for x in entries):
         d = lcm(*(x.denominator for x in entries))
         columns = [{i: x.numerator * (d // x.denominator)
                     for i, x in col.items()} for col in columns]
@@ -433,14 +443,24 @@ def min_poly(columns):
                 live[j] += 1
                 rest[j] += i
     killed = [False] * n
+    zero = [not c for c in live]
+    zeros = [j for j in range(n) if zero[j]]
     p = [1]
     for i in range(n):
         if killed[i]:
             continue
-        v = _apply_poly(columns, p, i)
-        if v:
-            p = poly_mul(p, _krylov_annihilator(columns, v))
+        if zero[i]:
+            # p(A) e_i = p(0) e_i is not yet zero, so x does not divide p
+            p = poly_mul(p, [0, 1])
+        else:
+            v = _apply_poly(columns, p, i)
+            if v:
+                p = poly_mul(p, _krylov_annihilator(columns, v))
         todo = [i]
+        if zeros and not p[0]:
+            # x now divides p, which kills every zero column at once
+            todo += zeros
+            zeros = []
         while todo:
             k = todo.pop()
             if killed[k]:

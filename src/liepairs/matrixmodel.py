@@ -18,8 +18,9 @@ space, its unique reduced echelon form and every rank, kernel basis and
 particular solution read from that are unchanged.
 The k and p bases are the E_ij - E_ji at the index pairs `k_pairs` and
 `p_pairs`; `bracket_skew` reads [X, E_ij - E_ji] off two rows and two
-columns of X with no product, `skew_bracket` the `upper` keys of any
-other skew bracket off one product, and `commutator` the rest.
+columns of X with no product, `upper_bracket_skew` its `upper` keys off
+two rows of a skew X, `skew_bracket` the `upper` keys of any other skew
+bracket off one product, and `commutator` the rest.
 The unit F1 is the int 1: the real-form basis, k, p, H_k and K_k hold
 ints, a `Fraction` appears only with 1/2 (the Cayley triples) or where
 `linalg` divides a row by an int pivot that does not divide it, and
@@ -183,6 +184,21 @@ def skew_bracket(a, b):
     return {k: z for k, z in out.items() if z}
 
 
+def upper_bracket_skew(A, i, j):
+    """`upper` of [A, E_ij - E_ji] for skew A, read off A's rows i and j:
+    the bracket's rows i and j are -A's row j and A's row i away from
+    columns i and j, it is zero off rows and columns i and j, and it is
+    skew, so no two of these entries share a key."""
+    out = {}
+    for r, src in ((i, A[j]), (j, A[i])):
+        for c, x in src.items():
+            if c != i and c != j:
+                if (r < c) == (r == i):
+                    x = -x
+                out[(r, c) if r < c else (c, r)] = x
+    return out
+
+
 def mat_is_zero(a):
     return not any(a)
 
@@ -315,7 +331,7 @@ class MatrixPair:
         if not is_skew(X):
             raise ValueError("dim_p_centralizer: X is not skew")
         pairs = self.p_pairs()
-        return len(pairs) - linalg.rank(upper(bracket_skew(X, i, j))
+        return len(pairs) - linalg.rank(upper_bracket_skew(X, i, j)
                                         for i, j in pairs)
 
     def dim_bracket_k(self, X):
@@ -323,7 +339,7 @@ class MatrixPair:
         must be skew, else ValueError."""
         if not is_skew(X):
             raise ValueError("dim_bracket_k: X is not skew")
-        return linalg.rank(upper(bracket_skew(X, i, j))
+        return linalg.rank(upper_bracket_skew(X, i, j)
                            for i, j in self.k_pairs())
 
 
@@ -479,6 +495,17 @@ def cayley_transform(pair: MatrixPair, t: CayleyTriple) -> NormalTriple:
     return out
 
 
+def _y_column(X, H, i, j):
+    """`upper` of [X, E] + [H, E] + 2 E for skew X and H and E = E_ij - E_ji,
+    i < j, with no matrix built."""
+    out = upper_bracket_skew(X, i, j)
+    for k, x in upper_bracket_skew(H, i, j).items():
+        y = out.get(k)
+        out[k] = x if y is None else y + x
+    out[i, j] = 2
+    return {k: x for k, x in out.items() if x}
+
+
 def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
     """Normal sl2-triple through a nonzero nilpotent X in p.
 
@@ -505,12 +532,10 @@ def normal_triple_for(pair: MatrixPair, X) -> NormalTriple:
         raise ValueError("no Cartan element in im(ad X): X not nilpotent?")
     H = lin_comb(sol.values(), [cands[j] for j in sol])
     # Y in p with [X, Y] = H (on k's keys) and [H, Y] = -2 Y (on p's)
-    pb = pair.p_basis()
-    sol = _solve([upper(lin_comb((F1, F1, 2), (c, bracket_skew(H, i, j), b)))
-                  for c, (i, j), b in zip(cands, pp, pb)], upper(H))
+    sol = _solve([_y_column(X, H, i, j) for i, j in pp], upper(H))
     if sol is None:
         raise ValueError("no opposite nilpotent found")
-    Y = lin_comb(sol.values(), [pb[j] for j in sol])
+    Y = lin_comb(sol.values(), [skew_elementary(pair.n, *pp[j]) for j in sol])
     out = NormalTriple(pair, H, X, Y)
     errs = out.validate()
     if errs:
@@ -697,6 +722,16 @@ def _cartan_witness(pair: MatrixPair):
     return lin_comb((I_UNIT, I_UNIT), (pair.H(1), pair.H(2)))
 
 
+def minimal_orbit_triples(pair: MatrixPair):
+    """The normal triples of the two real minimal orbits: the Cayley
+    transform (H, X, Y) of `minimal_orbit_cayley_triple` and that of
+    (H0, -X0, -Y0), which is (-H, -Y, -X): negating X0 and Y0 negates
+    H_S = i(X0 - Y0) and swaps X_S and Y_S up to sign.  Only the first
+    passes through `cayley_transform`; the second is left to validate."""
+    t = cayley_transform(pair, minimal_orbit_cayley_triple(pair))
+    return t, NormalTriple(pair, *(mat_scale(M, -1) for M in (t.H, t.Y, t.X)))
+
+
 def minimal_orbit_not_distinguished(pair: MatrixPair):
     """Witness that the minimal nilpotent orbit reps are not
     p-distinguished: a nonzero semisimple element of p commuting with
@@ -712,19 +747,19 @@ def minimal_orbit_not_distinguished(pair: MatrixPair):
     if pair.p < 3:
         raise ValueError("the minimal-orbit witness argument needs p >= 3; "
                          "for p = 2 the (2,2) shape is a different case")
-    t0 = minimal_orbit_cayley_triple(pair)
+    first, second = minimal_orbit_triples(pair)
     Hw = _cartan_witness(pair)
     hw_checks = {"witness_semisimple": is_semisimple(Hw),
                  "witness_in_p": pair.in_p(Hw),
                  "witness_nonzero": not mat_is_zero(Hw)}
     reports = []
-    for sign in (1, -1):
-        t = cayley_transform(pair, CayleyTriple(
-            t0.H0, mat_scale(t0.X0, sign), mat_scale(t0.Y0, sign)))
+    # `cayley_transform` returns only a triple that validates
+    for sign, t, valid in ((1, first, True),
+                           (-1, second, not second.validate())):
         reports.append({
             "sign": sign,
             "jordan_type": jordan_type(t.X),
-            "triple_valid": not t.validate(),
+            "triple_valid": valid,
             "witness_commutes": not skew_bracket(Hw, t.X),
             **hw_checks,
         })

@@ -224,7 +224,9 @@ def proposition_checks(P: AbelianParabolic) -> dict:
     Checks: the X_K pairwise commute, each is ad-semisimple, every
     radical root lies in some Gamma^K with K in E, and eps_K - alpha
     stays outside the radical for alpha in its Gamma^K.  Returns a
-    report with a `failures` list of witnesses.
+    report with a `failures` list of witnesses.  The parabolics of one
+    algebra share cascade entries, and `is_ad_semisimple` certifies each
+    distinct X_K once per algebra.
     """
     failures = []
     xs = P.cartan_subspace()

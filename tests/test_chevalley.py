@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepairs import linalg
 from liepairs.chevalley import (
     LieElement,
     ad_columns,
@@ -399,6 +400,30 @@ def test_semisimplicity_detection():
     # nilpotent: minimal polynomial of ad is a power of x
     p = minimal_polynomial_ad(alg.x((1, 0)))
     assert all(c == 0 for c in p[:-1])
+
+
+def test_semisimplicity_certified_once_per_algebra(monkeypatch):
+    calls = []
+    min_poly = linalg.min_poly
+    monkeypatch.setattr(linalg, "min_poly",
+                        lambda cols: calls.append(1) or min_poly(cols))
+    alg = build_algebra("B", 2)
+    x = lin_comb([Fraction(1, 2), Fraction(-3, 2)],
+                 [alg.h(0), alg.x((1, 1))]) + alg.x((-1, -1))
+    # x, 2x and -x share the certificate of integral(x), up to sign
+    for y in (x, 2 * x, -x, Fraction(-7, 3) * x):
+        assert is_ad_semisimple(y) == is_ad_semisimple(x)
+    assert len(calls) == 1
+    # an equal element of another algebra is certified afresh
+    other = build_algebra("B", 2)
+    assert is_ad_semisimple(LieElement(other, dict(x.coeffs))) \
+        == is_ad_semisimple(x)
+    assert len(calls) == 2
+    # a memoized False reads False again, with no new certificate
+    e = alg.x((1, 0))
+    assert not is_ad_semisimple(e)
+    assert not is_ad_semisimple(e)
+    assert len(calls) == 3
 
 
 def test_derived_subalgebra_of_borel():

@@ -539,6 +539,64 @@ def test_min_poly_certifies_from_neighbouring_columns(mats, monkeypatch):
         assert len(calls) < len(mat)
 
 
+# maps with zero columns, A e_j = 0, given by their sparse columns
+ZERO_COLUMN_MAPS = {
+    # e0 -> e1 -> 0: the zero column e1 is the image of a nilpotent chain
+    "chain-x2": [{1: F(1)}, {}],
+    # e0's column holds stored zeros: e1 -> 3 e0 -> 0, e2 -> e2
+    "stored-zeros": [{0: F(0), 1: F(0)}, {0: F(3)}, {2: F(1)}],
+    # over Q(i): e0 -> i e0, e2 -> 2 e1 -> 0
+    "gaussian": [{0: QI(0, 1)}, {}, {1: QI(2)}],
+    # the zero column e1 is met before x divides p: e0 -> 2 e0 first
+    "zero-before-x": [{0: 2}, {}, {1: 1}],
+    # x enters p through the chain e0 -> e1 -> 0, before e3 is met
+    "zero-after-x": [{1: 1}, {}, {2: 3}, {}],
+    # both: e1 is met before x | p, e3 after it
+    "zero-before-and-after-x": [{0: 2}, {}, {3: F(1, 2)}, {}, {0: 1}],
+}
+
+
+def dense_of(columns):
+    """The dense matrix with these sparse columns."""
+    n = len(columns)
+    return [[columns[j].get(i, F(0)) for j in range(n)] for i in range(n)]
+
+
+def zero_columns(columns):
+    return {j for j, col in enumerate(columns) if not any(col.values())}
+
+
+@pytest.mark.parametrize("name", ZERO_COLUMN_MAPS)
+def test_min_poly_with_zero_columns_matches_dense_reference(name):
+    columns = ZERO_COLUMN_MAPS[name]
+    assert zero_columns(columns)
+    got = linalg.min_poly(columns)
+    assert got == dense_min_poly(dense_of(columns))
+    gaussian = any(type(x) is QI for col in columns for x in col.values())
+    assert all(type(c) is (QI if gaussian else F) for c in got)
+
+
+@pytest.mark.parametrize("mats", [
+    lambda: list(ZERO_COLUMN_MAPS.values()),
+    lambda: [sparse_columns(m) for m in _x_k_maps()],
+    lambda: [sparse_columns(dense_ad(x)) for x in build_parabolic(
+        build_algebra("A", 3), {0, 2}).cartan_subspace()],
+], ids=["zero-column-maps", "ad-X_K-sp6-gl3", "ad-X_K-sl4"])
+def test_min_poly_takes_no_horner_step_on_a_zero_column(mats, monkeypatch):
+    # p(A) e_j = p(0) e_j on a zero column: x | p decides it, with no
+    # evaluation of p(A)
+    steps = []
+    horner = linalg._apply_poly
+    monkeypatch.setattr(linalg, "_apply_poly",
+                        lambda cols, p, i: steps.append(i)
+                        or horner(cols, p, i))
+    for columns in mats():
+        steps.clear()
+        assert linalg.min_poly(columns) == dense_min_poly(dense_of(columns))
+        assert steps
+        assert not zero_columns(columns) & set(steps)
+
+
 def test_min_poly_rejects_a_key_outside_the_basis():
     with pytest.raises(ValueError, match=r"2 basis vectors .* keyed 5, "
                                          r"outside 0\.\.1"):

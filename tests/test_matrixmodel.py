@@ -192,6 +192,24 @@ def test_bracket_skew_matches_two_products(n, data):
             assert not any(mm.bracket_skew(b, i, j))
 
 
+@pytest.mark.parametrize("p", range(2, 7))
+def test_upper_bracket_skew_matches_upper_of_the_bracket(p):
+    # read off rows i and j of a skew A, for every ordered i != j, to the type
+    pair = mm.build_pair(p)
+    rng = random.Random(p)
+    g = g_basis(pair)
+    n = pair.n
+    for _ in range(6):
+        A = sparse_qi_element(rng, g)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    want = mm.upper(mm.bracket_skew(A, i, j))
+                    got = mm.upper_bracket_skew(A, i, j)
+                    assert got == want and repr(sorted(got.items())) == repr(
+                        sorted(want.items())), (p, i, j)
+
+
 def test_pair_dimensions():
     for p in (2, 3, 5):
         pair = mm.build_pair(p)
@@ -511,6 +529,25 @@ def test_normal_triple_matches_the_full_entries_solve(p):
         assert repr((t.H, t.Y)) == repr(want), d
 
 
+@pytest.mark.parametrize("p", range(2, 7))
+def test_y_column_matches_the_matrix_sum(p):
+    # the Y-solve's column [X, p_j] + [H, p_j] + 2 p_j read on `upper` keys
+    # with no matrix built, to the type, also where X and H share entries
+    pair = mm.build_pair(p)
+    rng = random.Random(p)
+    g = g_basis(pair)
+    for _ in range(6):
+        X, H = (sparse_qi_element(rng, g) for _ in range(2))
+        for A, B in ((X, H), (X, mm.mat_scale(X, -1)), (H, X)):
+            for (i, j), b in zip(pair.p_pairs(), pair.p_basis()):
+                want = mm.upper(mm.lin_comb(
+                    (1, 1, 2), (mm.bracket_skew(A, i, j),
+                                mm.bracket_skew(B, i, j), b)))
+                got = mm._y_column(A, B, i, j)
+                assert got == want and repr(sorted(got.items())) == repr(
+                    sorted(want.items())), (p, i, j)
+
+
 def full_rank(brackets):
     """Rank of the brackets on all n^2 `entries`."""
     return linalg.rank(mm.entries(B) for B in brackets)
@@ -637,6 +674,41 @@ def test_minimal_orbit_cayley_triple():
 def test_minimal_orbit_not_distinguished(p):
     rep = mm.minimal_orbit_not_distinguished(mm.build_pair(p))
     assert rep["ok"], rep
+
+
+def test_second_minimal_orbit_triple_is_the_cayley_transform():
+    # the Cayley transform of (H0, -X0, -Y0) is (-H, -Y, -X) of the first
+    # orbit's triple
+    for p in range(3, 13):
+        pair = mm.build_pair(p)
+        t0 = mm.minimal_orbit_cayley_triple(pair)
+        first, second = mm.minimal_orbit_triples(pair)
+        assert first == mm.cayley_transform(pair, t0), p
+        assert second == mm.cayley_transform(pair, mm.CayleyTriple(
+            t0.H0, mm.mat_scale(t0.X0, -1), mm.mat_scale(t0.Y0, -1))), p
+        assert second.validate() == [], p
+
+
+def test_cayley_transform_rejects_a_non_cayley_triple():
+    pair = mm.build_pair(4)
+    t0 = mm.minimal_orbit_cayley_triple(pair)
+    with pytest.raises(ValueError, match=r"^not a Cayley triple: .*X0"):
+        mm.cayley_transform(pair, mm.CayleyTriple(
+            t0.H0, mm.mat_scale(t0.X0, 2), t0.Y0))
+
+
+def test_minimal_orbit_witness_validates_each_triple_once(monkeypatch):
+    # the first triple is validated inside `cayley_transform`, the second
+    # once as a normal triple, and no Cayley triple but the first
+    seen = {"cayley": 0, "normal": 0}
+    for cls, name in ((mm.CayleyTriple, "cayley"), (mm.NormalTriple, "normal")):
+        def counted(self, _v=cls.validate, _n=name):
+            seen[_n] += 1
+            return _v(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    assert mm.minimal_orbit_not_distinguished(mm.build_pair(5))["ok"]
+    # one Cayley check in `minimal_orbit_cayley_triple`, one in the transform
+    assert seen == {"cayley": 2, "normal": 2}
 
 
 def test_minimal_orbit_triple_spans_the_root_space():

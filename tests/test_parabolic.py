@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from liepairs import linalg
 from liepairs.chevalley import build_algebra, centralizer_in, lin_comb
 from liepairs.parabolic import (
     abelian_set,
@@ -128,6 +129,19 @@ def test_proposition_checks(label, rank, root):
     rep = proposition_checks(P)
     assert rep["ok"], rep["failures"]
     assert rep["dim_a"] == P.rank
+
+
+def test_proposition_checks_certify_each_x_k_once(monkeypatch):
+    # the five parabolics of A5 hold 1 + 2 + 3 + 2 + 1 = 9 X_K, three of
+    # them distinct: the cascade of A5 has three entries
+    calls = []
+    min_poly = linalg.min_poly
+    monkeypatch.setattr(linalg, "min_poly",
+                        lambda cols: calls.append(1) or min_poly(cols))
+    found = scan_type("A", 5)
+    assert sum(P.rank for P in found) == 9
+    assert all(proposition_checks(P)["ok"] for P in found)
+    assert len(calls) == 3
 
 
 def test_generic_centralizer_dim_is_rank():
