@@ -10,19 +10,25 @@ convention: for each non-simple positive root the special pair with the
 smallest first member gets a positive constant, and everything else is
 forced from there by the Jacobi identity.
 
-Each algebra fills one table on first use: N(a, b) for positive roots
-a, b, by the extraspecial-pair recursion (Carter, Simple Groups of Lie
-Type, 4.1-4.2).  Every other sign pattern takes one step from it:
-N(b, a) = -N(a, b), N(-a, -b) = -N(a, b), and for a mixed pair the
-cyclic identity N(a, b)/|c|^2 = N(b, c)/|a|^2 = N(c, a)/|b|^2 on
-a + b + c = 0, two of whose roots share a sign.  Roots are addressed by
-an integer key, coordinate k + 16 in base-32 digit k, so a root sum is
-one int add and one dict lookup.
+Each algebra fills one memo on first use, `_N`: N for the roots of
+basis indices i and j, keyed by (i, j), for every sign pattern.  N(a, b)
+for positive roots a, b comes from the extraspecial-pair recursion
+(Carter, Simple Groups of Lie Type, 4.1-4.2).  Every other sign pattern
+takes one step from another constant: N(b, a) = -N(a, b),
+N(-a, -b) = -N(a, b), and for a mixed pair the cyclic identity
+N(a, b)/|c|^2 = N(b, c)/|a|^2 = N(c, a)/|b|^2 on a + b + c = 0, two of
+whose roots share a sign.  Roots are addressed by an integer key,
+coordinate k + 16 in base-32 digit k, so a root sum is one int add and
+one dict lookup.
 
-The brackets of basis vectors are memoized per algebra, and the columns
-[x, e_j] of ad x are read straight from that memo (`ad_columns`), with
-no element built per column: centralizers, p-centralizer dimensions,
-the non-regular locus and the minimal polynomial of ad x all take them.
+`bracket` and the columns [x, e_j] of ad x (`ad_columns`) read a pair
+of roots a, b with b != -a straight off the keys: a miss of
+key(a) + key(b) is a zero bracket and stores nothing, a hit adds
+N(a, b) from `_N`.  The other brackets of basis vectors (Cartan terms,
+Cartan columns, the coroot [x_a, x_-a]) are memoized per algebra by
+`bracket_basis`.  No element is built per column: centralizers,
+p-centralizer dimensions, the non-regular locus and the minimal
+polynomial of ad x all take the columns.
 A second per-algebra memo, `_semisimple_memo`, holds each certificate
 of `is_ad_semisimple`, keyed by the coefficients of `integral(x)` up to
 sign: the Cartan subspaces of one algebra's parabolics share cascade
@@ -49,7 +55,7 @@ class ChevalleyAlgebra:
         self._off = sum(16 << 5 * k for k in range(rs.rank))   # key of 0
         self._len6 = rs._len6 * 2      # 6 (a, a) by basis index
         # filled on first use: most algebras built are never bracketed
-        self._N_pos = {}
+        self._N = {}                   # see `_n`
         self._bracket_memo = {}
         self._semisimple_memo = {}     # see `is_ad_semisimple`
 
@@ -117,15 +123,6 @@ class ChevalleyAlgebra:
             self._inexact(f"coroot of {tuple(root)}, 6 |a|^2 = {la6}")
         return tuple(q for q, _ in out)
 
-    def extraspecial_pair(self, gamma):
-        """The special pair (a, b), a + b = gamma, with minimal a."""
-        i = self.root_index.get(tuple(gamma), self.n_pos)
-        pair = self._extra[i] if i < self.n_pos else None
-        if pair is None:
-            raise ValueError("no special pair: input is not a non-simple "
-                             "positive root")
-        return self.roots[pair[0]], self.roots[pair[1]]
-
     def N(self, a, b):
         """Structure constant with [x_a, x_b] = N(a,b) x_{a+b}; 0 when a+b
         is not a root.  Raises when a or b is not a root, and when
@@ -141,8 +138,11 @@ class ChevalleyAlgebra:
         return 0 if s is None else self._n(i, j, s)
 
     def _n(self, i, j, s):
-        """N for the roots of basis indices i and j, whose sum has index s;
-        the table holds the pairs of positive roots with i < j."""
+        """N for the roots of basis indices i and j, whose sum has index s,
+        memoized in `_N` by (i, j) for every sign pattern."""
+        v = self._N.get((i, j))
+        if v is not None:
+            return v
         P = self.n_pos
         if (i < P) != (j < P):
             # with c = -s, a + b + c = 0 and N(a, b)/|c|^2 =
@@ -154,38 +154,36 @@ class ChevalleyAlgebra:
                 v, r = divmod(L[c] * self._n(j, c, (i + P) % (2 * P)), L[i])
             if r:
                 self._inexact(f"N({self.roots[i]}, {self.roots[j]})")
-            return v
-        if i >= P:
-            return -self._n(i - P, j - P, s - P)
-        if i > j:
-            return -self._n(j, i, s)
-        v = self._N_pos.get((i, j))
-        if v is not None:
-            return v
-        K, at, off = self._key, self._at, self._off
-        a1, b1 = self._extra[s]
-        if i == a1:
-            # the extraspecial pair: N = p + 1, p largest with b - p a a root
-            step = K[i] - off
-            k, v = K[j] - step, 1
-            while k in at:
-                k -= step
-                v += 1
+        elif i >= P:
+            v = -self._n(i - P, j - P, s - P)
+        elif i > j:
+            v = -self._n(j, i, s)
         else:
-            # Carter 4.1: from the Jacobi identity on x_{-a1}, x_a, x_b,
-            # whose other terms have sums of lower height
-            na1 = a1 + P
-            term = 0
-            d1 = at.get(K[i] - K[a1] + off)
-            if d1 is not None:
-                term += self._n(na1, i, d1) * self._n(d1, j, b1)
-            d2 = at.get(K[j] - K[a1] + off)
-            if d2 is not None:
-                term += self._n(na1, j, d2) * self._n(i, d2, b1)
-            v, r = divmod(term, self._n(na1, s, b1))
-            if r:
-                self._inexact(f"N({self.roots[i]}, {self.roots[j]})")
-        self._N_pos[i, j] = v
+            K, at, off = self._key, self._at, self._off
+            a1, b1 = self._extra[s]
+            if i == a1:
+                # the extraspecial pair: N = p + 1, p largest with b - p a
+                # a root
+                step = K[i] - off
+                k, v = K[j] - step, 1
+                while k in at:
+                    k -= step
+                    v += 1
+            else:
+                # Carter 4.1: from the Jacobi identity on x_{-a1}, x_a, x_b,
+                # whose other terms have sums of lower height
+                na1 = a1 + P
+                term = 0
+                d1 = at.get(K[i] - K[a1] + off)
+                if d1 is not None:
+                    term += self._n(na1, i, d1) * self._n(d1, j, b1)
+                d2 = at.get(K[j] - K[a1] + off)
+                if d2 is not None:
+                    term += self._n(na1, j, d2) * self._n(i, d2, b1)
+                v, r = divmod(term, self._n(na1, s, b1))
+                if r:
+                    self._inexact(f"N({self.roots[i]}, {self.roots[j]})")
+        self._N[i, j] = v
         return v
 
     def _inexact(self, what):
@@ -195,7 +193,10 @@ class ChevalleyAlgebra:
     # -- brackets -------------------------------------------------------------
 
     def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse dict {index: int}."""
+        """[e_i, e_j] as a sparse dict {index: int}, memoized per pair.
+        `bracket` and `ad_columns` come here only for a Cartan term, a
+        Cartan column or a pair of opposite roots; for any other pair of
+        roots N is read from `_N`, as they read it."""
         key = (i, j)
         out = self._bracket_memo.get(key)
         if out is not None:
@@ -306,45 +307,74 @@ def integral(x: LieElement) -> LieElement:
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
+    """[x, y], each pair of terms taken as in `ad_columns`."""
     if x.alg is not y.alg:
         raise ValueError("elements of different algebras")
-    basis = x.alg.bracket_basis
+    alg = x.alg
+    nroots, P = len(alg.roots), alg.n_pos
+    K, at, off, N, n_of = alg._key, alg._at, alg._off, alg._N, alg._n
+    basis = alg.bracket_basis
+    terms = list(y.coeffs.items())
     out = {}
     for i, ci in x.coeffs.items():
-        for j, cj in y.coeffs.items():
-            b = basis(i, j)
-            if not b:           # most pairs of basis vectors commute
-                continue
+        root = i < nroots
+        if root:
+            ki, ni = K[i] - off, i + P if i < P else i - P
+        for j, cj in terms:
+            if root and j < nroots and j != ni:
+                s = at.get(ki + K[j])
+                if s is None:
+                    continue
+                b = ((s, N.get((i, j)) or n_of(i, j, s)),)
+            else:
+                b = basis(i, j)
+                if not b:       # most pairs of basis vectors commute
+                    continue
+                b = b.items()
             c = ci * cj
-            for k, n in b.items():
+            for k, n in b:
                 t = c if n == 1 else -c if n == -1 else c * n
                 prev = out.get(k)
                 out[k] = t if prev is None else prev + t
-    return LieElement(x.alg, out)
+    return LieElement(alg, out)
 
 
 def ad_columns(x: LieElement, indices):
     """The columns [x, e_j] of ad x at the basis indices j, as sparse
-    vectors.  Each is read from the bracket memo, `bracket_basis` filling
-    a miss, and builds no element; an entry is dropped only where its
-    terms cancel, as two Cartan terms of x can on a root column."""
+    vectors, with no element built.  They are filled term by term of x.
+    For a root term x_a and a root column x_b, b != -a, the key
+    key(a) + key(b) is looked up in `_at`: a miss is a zero entry and
+    stores nothing, a hit adds c N(a, b) from `_N`.  Cartan terms,
+    Cartan columns and the column of x_{-a} take `bracket_basis` and its
+    memo.  An entry is dropped only where its terms cancel, as two Cartan
+    terms of x can on a root column."""
     alg = x.alg
+    nroots, P = len(alg.roots), alg.n_pos
+    K, at, off, N, n_of = alg._key, alg._at, alg._off, alg._N, alg._n
     memo, basis = alg._bracket_memo, alg.bracket_basis
-    terms = list(x.coeffs.items())
-    cols = []
-    for j in indices:
-        col = {}
-        for i, c in terms:
-            b = memo.get((i, j))
-            if b is None:
-                b = basis(i, j)
-            for k, n in b.items():
+    indices = list(indices)
+    cols = [{} for _ in indices]
+    for i, c in x.coeffs.items():
+        root = i < nroots
+        if root:
+            ki, ni = K[i] - off, i + P if i < P else i - P
+        for j, col in zip(indices, cols):
+            if root and j < nroots and j != ni:
+                s = at.get(ki + K[j])
+                if s is None:
+                    continue
+                b = ((s, N.get((i, j)) or n_of(i, j, s)),)
+            else:
+                b = memo.get((i, j))
+                if b is None:
+                    b = basis(i, j)
+                b = b.items()
+            for k, n in b:
                 t = col.get(k, 0) + c * n
                 if t:
                     col[k] = t
                 else:
                     del col[k]
-        cols.append(col)
     return cols
 
 

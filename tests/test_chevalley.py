@@ -1,6 +1,7 @@
 """Chevalley basis: integral structure constants, Jacobi identity,
 bracket algebra, centralizers, semisimplicity tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from liepairs.chevalley import (
     minimal_polynomial_ad,
     span_of,
 )
+from liepairs.parabolic import build_parabolic, enumerate_catalog
 from liepairs.report import jacobi_item
 
 
@@ -45,6 +47,17 @@ def test_integral_is_the_primitive_integral_multiple():
     assert integral(alg.zero()) == alg.zero()
 
 
+def extraspecial_pair(alg, gamma):
+    """The special pair (a, b), a + b = gamma, with minimal a, read from
+    the algebra's table of extraspecial pairs."""
+    i = alg.root_index.get(tuple(gamma), alg.n_pos)
+    pair = alg._extra[i] if i < alg.n_pos else None
+    if pair is None:
+        raise ValueError("no special pair: input is not a non-simple "
+                         "positive root")
+    return alg.roots[pair[0]], alg.roots[pair[1]]
+
+
 def test_sl3_structure_constants():
     alg = build_algebra("A", 2)
     a, b = (1, 0), (0, 1)
@@ -52,7 +65,7 @@ def test_sl3_structure_constants():
     assert alg.N(a, b) in (1, -1)
     assert alg.N(a, b) == -alg.N(b, a)
     # extraspecial pair of the highest root gets N = p + 1 = 1
-    assert alg.N(*alg.extraspecial_pair((1, 1))) == 1
+    assert alg.N(*extraspecial_pair(alg, (1, 1))) == 1
 
 
 def test_structure_constants_are_integers():
@@ -102,7 +115,7 @@ def test_structure_constants_against_chevalleys_theorem(label, rank):
             assert alg.N(b, a) == -n
     for gamma in alg.rs.positive_roots:
         if sum(gamma) > 1:
-            assert alg.N(*alg.extraspecial_pair(gamma)) > 0
+            assert alg.N(*extraspecial_pair(alg, gamma)) > 0
 
 
 class TupleN:
@@ -251,7 +264,7 @@ def test_carter_quotient_guard_is_named_error(monkeypatch):
     alg = build_algebra("A", 3)
     pair = (alg.x_index((0, 0, 1)), alg.x_index((1, 1, 0)))
     assert alg._extra[alg.x_index((1, 1, 1))] == pair
-    monkeypatch.setitem(alg._N_pos, pair, 2)
+    monkeypatch.setitem(alg._N, pair, 2)
     with pytest.raises(ValueError) as err:
         alg.N((1, 0, 0), (0, 1, 1))
     assert str(err.value) == ("type A, rank 3: N((1, 0, 0), (0, 1, 1)) is "
@@ -269,10 +282,10 @@ def test_extraspecial_pair_is_the_minimal_special_pair(label, rank):
                    if index.get(b := tuple(g - x for g, x in zip(gamma, a)),
                                 -1) > ia]
         if special:
-            assert alg.extraspecial_pair(gamma) == special[0]
+            assert extraspecial_pair(alg, gamma) == special[0]
         else:
             with pytest.raises(ValueError, match="no special pair"):
-                alg.extraspecial_pair(gamma)
+                extraspecial_pair(alg, gamma)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("G2", 2),
@@ -371,6 +384,74 @@ def test_ad_columns_match_brackets(label, rank):
         # <a1, a1^vee> + 2 <a1, a2^vee> = 2 - 2: the terms cancel
         assert xs[0].coeffs == {d - 2: 1, d - 1: 2}
         assert ad_columns(xs[0], [alg.x_index((1, 0))]) == [{}]
+
+
+# (type, rank, omitted simple root) of every rank-2 catalog pair, and E7
+# at its root 7
+COLD_PAIRS = [(P.rs.type_label, P.alg.rank, P.omitted_index)
+              for P in enumerate_catalog()[0] if P.rank == 2] + [("E7", 7, 6)]
+
+
+def _cold_pair(label, rank, omitted):
+    """The pair on a freshly built algebra, with no structure constant
+    computed yet."""
+    alg = build_algebra(label, rank)
+    return build_parabolic(alg, frozenset(range(rank)) - {omitted})
+
+
+def _basis_columns(alg, coeffs, indices):
+    """[x, e_j] summed from `bracket_basis`, one basis bracket at a time."""
+    cols = []
+    for j in indices:
+        col = {}
+        for i, c in coeffs.items():
+            for k, n in alg.bracket_basis(i, j).items():
+                col[k] = col.get(k, 0) + c * n
+        cols.append({k: v for k, v in col.items() if v})
+    return cols
+
+
+@pytest.mark.parametrize("label, rank, omitted", COLD_PAIRS)
+def test_cold_ad_columns_match_basis_brackets(label, rank, omitted):
+    # ad X for X = sum (k + 1) X_K on a cold algebra, against the columns
+    # that `bracket_basis` gives on a second cold algebra
+    P = _cold_pair(label, rank, omitted)
+    alg = P.alg
+    X = lin_comb(range(1, P.rank + 1), P.cartan_subspace())
+    p, full = P.p_indices(), range(alg.dimension)
+    got_p, got = ad_columns(X, p), ad_columns(X, full)
+    ref = _cold_pair(label, rank, omitted).alg
+    assert got_p == _basis_columns(ref, X.coeffs, p)
+    assert got == _basis_columns(ref, X.coeffs, full)
+    assert all(type(c) is int for col in got for c in col.values())
+    # the root-key path leaves no bracket memo entry for a pair of roots
+    # a, b with b != -a, and the Cartan columns still take the memo
+    nroots = len(alg.roots)
+    assert all(i >= nroots or j >= nroots or abs(i - j) == alg.n_pos
+               for i, j in alg._bracket_memo)
+    assert any(j >= nroots for _, j in alg._bracket_memo)
+
+
+@pytest.mark.parametrize("label, rank", [("G2", 2), ("B", 3), ("F4", 4)])
+def test_fill_order_does_not_change_a_value(label, rank):
+    # bracket, ad_columns and N in each of the six orders, each on a cold
+    # algebra: the memos fill in a different order, the values agree
+    d = build_algebra(label, rank).dimension
+    rng = random.Random(rank)
+    x = {i: rng.randint(-3, 3) for i in rng.sample(range(d), 6) + [d - 1]}
+    y = {i: rng.randint(-3, 3) for i in rng.sample(range(d), 5)}
+    calls = {
+        "bracket": lambda alg: bracket(LieElement(alg, x),
+                                       LieElement(alg, y)).coeffs,
+        "ad_columns": lambda alg: ad_columns(LieElement(alg, x), range(d)),
+        "N": lambda alg: [alg.N(a, b) for a in alg.roots for b in alg.roots
+                          if any(p + q for p, q in zip(a, b))],
+    }
+    seen = []
+    for order in itertools.permutations(calls):
+        alg = build_algebra(label, rank)
+        seen.append({name: calls[name](alg) for name in order})
+    assert all(got == seen[0] for got in seen[1:])
 
 
 @pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("G2", 2)])
