@@ -30,6 +30,7 @@ from .chevalley import (
     bracket_span,  # no caller here: perfbench/tracer.py spans it by this name
     centralizer_in,
     derived_subalgebra,
+    exp_ad,
     integral,
     is_ad_semisimple,
     lin_comb,
@@ -118,19 +119,6 @@ def split_ideals(basis, seeds, cartan, alg):
     return ideals
 
 
-def _exp_ad(y, v, t):
-    """exp(t ad y)(v); raises, naming y and v, unless (ad y)^4 v = 0, as
-    for a root vector y, since a root string holds at most four roots."""
-    out = term = v
-    for k in range(1, 5):
-        term = bracket(y, term)
-        if not term:
-            return out
-        term = Fraction(t, k) * term
-        out = out + term
-    raise ValueError(f"exp(ad y) does not stop on v: y = {y!r}, v = {v!r}")
-
-
 def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
     """integral(A^-1 x_{±alpha}), root vectors of g^X that generate
     l = [g^X, g^X], for each simple root alpha of Phi_H^+, the positive
@@ -162,8 +150,8 @@ def cayley_root_vectors(P: AbelianParabolic, X: LieElement):
         for r in (a, tuple(-c for c in a)):
             v = alg.x(r)
             for e in eps:
-                v = _exp_ad(alg.x(tuple(-c for c in e)),
-                            _exp_ad(alg.x(e), v, Fraction(-1, 2)), 1)
+                v = exp_ad(alg.x(tuple(-c for c in e)),
+                           exp_ad(alg.x(e), v, Fraction(-1, 2)), 1)
             out.append(integral(v))
     return out
 

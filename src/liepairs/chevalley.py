@@ -31,12 +31,14 @@ p-centralizer dimensions, the non-regular locus and the minimal
 polynomial of ad x all take the columns.
 A second per-algebra memo, `_semisimple_memo`, holds each certificate
 of `is_ad_semisimple`, keyed by the coefficients of `integral(x)` up to
-sign: the Cartan subspaces of one algebra's parabolics share cascade
-elements X_K, and each distinct one is certified once.
+sign, so a general x and its nonzero multiples are certified once per
+algebra.  (The cascade elements X_K take a cheaper certificate, their
+Cayley transform through `exp_ad`: see `parabolic.proposition_checks`.)
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -409,6 +411,21 @@ def is_ad_semisimple(x: LieElement) -> bool:
 
 def minimal_polynomial_ad(x: LieElement):
     return linalg.min_poly(ad_columns(x, range(x.alg.dimension)))
+
+
+def exp_ad(y: LieElement, v: LieElement, t) -> LieElement:
+    """exp(t ad y)(v); raises, naming y and v, unless (ad y)^4 v = 0, as
+    for a root vector y, since a root string holds at most four roots.
+    For a nilpotent ad y, exp(t ad y) is an automorphism of the algebra
+    (Humphreys, 2.3)."""
+    out = term = v
+    for k in range(1, 5):
+        term = bracket(y, term)
+        if not term:
+            return out
+        term = Fraction(t, k) * term
+        out = out + term
+    raise ValueError(f"exp(ad y) does not stop on v: y = {y!r}, v = {v!r}")
 
 
 def span_of(elems):

@@ -16,10 +16,17 @@ root lies outside the Levi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import chevalley, linalg
 from .cascade import full_cascade
-from .chevalley import ChevalleyAlgebra, bracket, build_algebra, lin_comb
+from .chevalley import (
+    ChevalleyAlgebra,
+    bracket,
+    build_algebra,
+    exp_ad,
+    lin_comb,
+)
 from .errors import UsageError
 from .rootsystem import RootSystem, type_name
 
@@ -218,15 +225,31 @@ def enumerate_catalog(max_rank=8):
     return catalog, mismatches
 
 
+def cayley_non_cartan(alg: ChevalleyAlgebra, eps, x):
+    """The roots of the terms of A(x) outside h, in basis order, for the
+    Cayley transform A = exp(1/2 ad x_eps) exp(-ad x_{-eps}) of the root
+    eps (Kostant-Rallis 1971; Knapp, Lie Groups Beyond an Introduction,
+    VI.7).  A is an automorphism, a product of exponentials of nilpotent
+    derivations, so when none is left ad x = A^-1 ad(A x) A is conjugate
+    to a map diagonal in the Chevalley basis: x is ad-semisimple.  It
+    sends x_eps + x_{-eps} to the coroot of eps."""
+    neg = tuple(-c for c in eps)
+    y = exp_ad(alg.x(eps), exp_ad(alg.x(neg), x, -1), Fraction(1, 2))
+    nroots = len(alg.roots)
+    return [alg.roots[i] for i in sorted(y.coeffs) if i < nroots]
+
+
 def proposition_checks(P: AbelianParabolic) -> dict:
     """The structural facts making a = span(X_K) a Cartan subspace.
 
     Checks: the X_K pairwise commute, each is ad-semisimple, every
     radical root lies in some Gamma^K with K in E, and eps_K - alpha
     stays outside the radical for alpha in its Gamma^K.  Returns a
-    report with a `failures` list of witnesses.  The parabolics of one
-    algebra share cascade entries, and `is_ad_semisimple` certifies each
-    distinct X_K once per algebra.
+    report with a `failures` list of witnesses.  X_K is certified
+    ad-semisimple by its Cayley transform landing in h
+    (`cayley_non_cartan`); the eps_K are strongly orthogonal, so only
+    K's own factor of prod_K exp(1/2 ad x_{eps_K}) exp(-ad x_{-eps_K})
+    moves X_K.  A failure names K and the roots of A(X_K) outside h.
     """
     failures = []
     xs = P.cartan_subspace()
@@ -234,9 +257,12 @@ def proposition_checks(P: AbelianParabolic) -> dict:
         for j in range(i + 1, len(xs)):
             if bracket(xs[i], xs[j]):
                 failures.append({"check": "abelian", "pair": [i, j]})
-    for i, x in enumerate(xs):
-        if not chevalley.is_ad_semisimple(x):
-            failures.append({"check": "semisimple", "index": i})
+    for e, x in zip(P.E_entries, xs):
+        roots = cayley_non_cartan(P.alg, e.epsilon_K, x)
+        if roots:
+            failures.append({"check": "semisimple",
+                             "entry": sorted(e.subset_K),
+                             "roots": [list(r) for r in roots]})
     covered = set()
     for e in P.E_entries:
         covered |= set(e.gamma_K)

@@ -28,6 +28,7 @@ from liepairs.chevalley import (
     build_algebra,
     centralizer_in,
     derived_subalgebra,
+    exp_ad,
     integral,
     is_ad_semisimple,
     span_of,
@@ -194,9 +195,9 @@ def test_exp_ad_stops_only_on_a_nilpotent_input():
     # in sl_2: exp(ad e)(f) = f + h - e; ad h is not nilpotent on e
     alg = build_algebra("A", 1)
     e, f, h = alg.x((1,)), alg.x((-1,)), alg.h(0)
-    assert centralizer._exp_ad(e, f, 1) == f + h - e
+    assert exp_ad(e, f, 1) == f + h - e
     with pytest.raises(ValueError, match=re.escape(repr(h))):
-        centralizer._exp_ad(h, e, 1)
+        exp_ad(h, e, 1)
 
 
 def test_cayley_root_vectors_lie_in_the_centralizer():

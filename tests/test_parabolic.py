@@ -1,15 +1,24 @@
 """Maximal parabolics with abelian radical and their Cartan subspaces."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from liepairs import linalg
-from liepairs.chevalley import build_algebra, centralizer_in, lin_comb
+from liepairs.chevalley import (
+    build_algebra,
+    centralizer_in,
+    exp_ad,
+    is_ad_semisimple,
+    lin_comb,
+)
 from liepairs.parabolic import (
+    AbelianParabolic,
     abelian_set,
     build_parabolic,
+    cayley_non_cartan,
     enumerate_catalog,
     generic_p_centralizer_dim,
     is_abelian_radical,
@@ -132,8 +141,8 @@ def test_proposition_checks(label, rank, root):
 
 
 def test_proposition_checks_certify_each_x_k_once(monkeypatch):
-    # the five parabolics of A5 hold 1 + 2 + 3 + 2 + 1 = 9 X_K, three of
-    # them distinct: the cascade of A5 has three entries
+    # the five parabolics of A5 hold 1 + 2 + 3 + 2 + 1 = 9 X_K, each
+    # certified by its Cayley transform, with no minimal polynomial
     calls = []
     min_poly = linalg.min_poly
     monkeypatch.setattr(linalg, "min_poly",
@@ -141,7 +150,47 @@ def test_proposition_checks_certify_each_x_k_once(monkeypatch):
     found = scan_type("A", 5)
     assert sum(P.rank for P in found) == 9
     assert all(proposition_checks(P)["ok"] for P in found)
-    assert len(calls) == 3
+    assert len(calls) == 0
+
+
+def test_semisimple_failure_names_the_entry_and_the_roots(monkeypatch):
+    # x_eps in place of X_K for K = {alpha_1} of (so_7, so_5 x so_2):
+    # A(x_eps) = 1/4 x_eps - x_{-eps} + 1/2 H_eps, and x_eps commutes with
+    # the other X_K, as the eps_K are strongly orthogonal
+    P = build_parabolic(build_algebra("B", 3), frozenset({1, 2}))
+    xs = P.cartan_subspace()
+    k = next(k for k, e in enumerate(P.E_entries) if e.subset_K == {0})
+    eps = P.E_entries[k].epsilon_K
+    assert eps == (1, 0, 0)
+    xs[k] = P.alg.x(eps)
+    monkeypatch.setattr(AbelianParabolic, "cartan_subspace", lambda self: xs)
+    rep = proposition_checks(P)
+    assert rep["ok"] is False
+    assert rep["failures"] == [{"check": "semisimple", "entry": [0],
+                                "roots": [[1, 0, 0], [-1, 0, 0]]}]
+
+
+def test_cayley_verdict_matches_is_ad_semisimple():
+    # A(X_K) is the coroot of eps_K on every X_K of the 68 catalog pairs;
+    # x_eps and x_eps + x_beta, beta another radical root (commuting
+    # nilpotents), fail both certificates
+    catalog, _ = enumerate_catalog(max_rank=8)
+    assert len(catalog) == 68
+    for P in catalog:
+        alg = P.alg
+        for e, x in zip(P.E_entries, P.cartan_subspace()):
+            eps = e.epsilon_K
+            neg = tuple(-c for c in eps)
+            h = exp_ad(alg.x(eps), exp_ad(alg.x(neg), x, -1), Fraction(1, 2))
+            assert h == lin_comb(alg.coroot(eps), [alg.h(i) for i in
+                                                   range(alg.rank)])
+            assert cayley_non_cartan(alg, eps, x) == []
+            assert is_ad_semisimple(x)
+            beta = next((b for b in P.R_S1 if b != eps), None)
+            for y in [alg.x(eps)] + ([] if beta is None
+                                     else [alg.x(eps) + alg.x(beta)]):
+                assert cayley_non_cartan(alg, eps, y) != [], (P.pair_label, y)
+                assert not is_ad_semisimple(y), (P.pair_label, y)
 
 
 def test_generic_centralizer_dim_is_rank():
