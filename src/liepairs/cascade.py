@@ -11,8 +11,8 @@ the positive roots supported on T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .rootsystem import (
     RootSystem,
@@ -22,8 +22,7 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class CascadeEntry:
+class CascadeEntry(NamedTuple):
     subset_K: frozenset          # simple-root indices
     epsilon_K: tuple             # highest root of R_K
     gamma_K: tuple               # positive roots of R_K not orthogonal to eps_K
@@ -57,7 +56,7 @@ def full_cascade(rs: RootSystem) -> tuple:
     """The cascade K(Pi) of all simple roots, computed once per
     `RootSystem` and returned as a tuple."""
     if rs._cascade is None:
-        object.__setattr__(rs, "_cascade", tuple(cascade(rs, range(rs.rank))))
+        rs._cascade = tuple(cascade(rs, range(rs.rank)))
     return rs._cascade
 
 

@@ -18,9 +18,9 @@ l_minus and r_plus are read off its ideals (see `subpair`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .chevalley import (
@@ -216,8 +216,7 @@ def identify_semisimple_type(ideals, cartan):
 # subpair reports
 
 
-@dataclass
-class SubpairReport:
+class SubpairReport(NamedTuple):
     dim_g_X: int
     dim_k_X: int
     dim_p_X: int
@@ -229,7 +228,7 @@ class SubpairReport:
     r_pair_label: str
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _so_pair_label(factors):
@@ -308,8 +307,7 @@ def regularity_check(P: AbelianParabolic, X: LieElement) -> bool:
     return P.dim_p_centralizer(X) == P.rank
 
 
-@dataclass
-class RegularityLocus:
+class RegularityLocus(NamedTuple):
     generic_rank: int
     special_lines: tuple        # projective pairs (mu, lambda), mu X1 + lambda X2
     residual_factors: tuple     # root-free factors, if any (none in scope)

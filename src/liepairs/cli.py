@@ -3,7 +3,9 @@
 Subcommands: pairs, cascade, orbits, centralizer, model, verify-all.
 Exit codes: 0 all assertions pass, 1 assertion failure or internal error
 (one `error: <Type>: <message>` line on stderr), 2 usage error: bad
-arguments, or a `UsageError` raised where input is validated.
+arguments, or a `UsageError` raised where input is validated.  A reader
+that closes stdout early (`liepairs pairs --json | head -1`) ends the
+command with exit code 1 and no `error:` line.
 With --json the full verification report is emitted as JSON (exact
 values only: ints and "a/b" strings, never floats).
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import report as rp
@@ -131,6 +134,8 @@ def run(argv):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise       # the reader went away: not an internal error, see `main`
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
@@ -138,7 +143,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" of the `signal` docs: point stdout at
+        # devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ each with a fixed block of B over Q(i) (`_ROW_BLOCKS`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg, orbits
 from .errors import UsageError
@@ -249,14 +249,20 @@ def is_skew(a):
 # the symmetric pair
 
 
-@dataclass
 class MatrixPair:
-    """so_{p+2} with theta = conjugation by diag(I_p, -I_2)."""
+    """so_{p+2} with theta = conjugation by diag(I_p, -I_2); equal by p."""
 
-    p: int
+    def __init__(self, p):
+        self.p = p
+        self.n = p + 2
 
-    def __post_init__(self):
-        self.n = self.p + 2
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __repr__(self):
+        return f"MatrixPair(p={self.p!r})"
 
     def theta(self, X):
         """J X J: flips the sign of the two off-diagonal blocks."""
@@ -439,8 +445,7 @@ def _sl2_errors(H, X, Y, sub=""):
     return errs
 
 
-@dataclass
-class CayleyTriple:
+class CayleyTriple(NamedTuple):
     """sl2-triple in the real form with theta_0(H0) = -H0,
     theta_0(X0) = -Y0, where theta_0(Z) = -Z^t."""
 
@@ -457,8 +462,7 @@ class CayleyTriple:
         return errs
 
 
-@dataclass
-class NormalTriple:
+class NormalTriple(NamedTuple):
     """sl2-triple with H in k and X, Y in p."""
 
     pair: MatrixPair

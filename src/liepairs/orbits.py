@@ -15,14 +15,13 @@ characteristic entry is 0 or 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(NamedTuple):
     rows: tuple                 # weakly decreasing positive ints
     numeral: str | None = None  # "I" / "II" when all rows are even
 
@@ -31,8 +30,7 @@ class YoungDiagram:
         return f"YD({self.rows}{tag})"
 
 
-@dataclass(frozen=True)
-class SignedYoungDiagram:
+class SignedYoungDiagram(NamedTuple):
     rows: tuple                 # ((length, leading_sign), ...) canonical
     numerals: tuple = ()        # 0, 1 or 2 entries in {"I", "II"}
 

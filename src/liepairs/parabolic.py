@@ -15,8 +15,8 @@ root lies outside the Levi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import chevalley, linalg
 from .cascade import full_cascade
@@ -49,8 +49,7 @@ def is_abelian_radical(rs: RootSystem, S) -> bool:
     return sum(c for i, c in enumerate(highest) if i not in S) <= 1
 
 
-@dataclass(frozen=True)
-class AbelianParabolic:
+class AbelianParabolic(NamedTuple):
     alg: ChevalleyAlgebra
     omitted_index: int           # the simple root outside the Levi (0-based)
     R_S1: tuple                  # roots of the radical

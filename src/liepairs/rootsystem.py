@@ -11,7 +11,6 @@ key, which the cascade and the Chevalley basis read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -118,20 +117,42 @@ def _root_lengths(C):
     return [Fraction(2 * x, top) for x in d]
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    type_label: str
-    rank: int
-    cartan_matrix: tuple
-    positive_roots: tuple          # tuples of ints, simple-root coordinates
-    lengths: tuple                 # (a_i, a_i), long roots squared length 2
-    # from the raising sweep, by positive root: support bitmask (bit i for
-    # alpha_i), 6 (a, a), and key sum_k a_k 32^k; and 6 (a_i, a_j)
-    _masks: tuple = field(default=(), compare=False, repr=False)
-    _len6: tuple = field(default=(), compare=False, repr=False)
-    _keys: tuple = field(default=(), compare=False, repr=False)
-    _gram6: tuple = field(default=(), compare=False, repr=False)
-    _cascade: tuple = field(default=None, init=False, compare=False, repr=False)
+    """A root system by its five public fields, which alone enter eq,
+    hash and repr; the rest are derived data and caches."""
+
+    def __init__(self, type_label, rank, cartan_matrix, positive_roots,
+                 lengths, _masks=(), _len6=(), _keys=(), _gram6=()):
+        self.type_label = type_label
+        self.rank = rank
+        self.cartan_matrix = cartan_matrix
+        self.positive_roots = positive_roots  # simple-root coordinates
+        self.lengths = lengths      # (a_i, a_i), long roots squared length 2
+        # from the raising sweep, by positive root: support bitmask (bit i
+        # for alpha_i), 6 (a, a), and key sum_k a_k 32^k; and 6 (a_i, a_j)
+        self._masks = _masks
+        self._len6 = _len6
+        self._keys = _keys
+        self._gram6 = _gram6
+        self._cascade = None        # `cascade.full_cascade`, once
+
+    def _public(self):
+        return (self.type_label, self.rank, self.cartan_matrix,
+                self.positive_roots, self.lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self):
+        return hash(self._public())
+
+    def __repr__(self):
+        return (f"RootSystem(type_label={self.type_label!r}, "
+                f"rank={self.rank!r}, cartan_matrix={self.cartan_matrix!r}, "
+                f"positive_roots={self.positive_roots!r}, "
+                f"lengths={self.lengths!r})")
 
     @cached_property
     def negative_roots(self):

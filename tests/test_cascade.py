@@ -1,7 +1,6 @@
 """Kostant cascade of strongly orthogonal roots."""
 
 import importlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -158,7 +157,7 @@ def test_partition_check_reports_a_root_in_two_gammas(monkeypatch):
     # A3: Gamma^{a1,a2,a3} holds a1; Gamma^{a2} = {a2} gets it too
     rs = build_root_system("A", 3)
     top, mid = full_cascade(rs)
-    bad = replace(mid, gamma_K=mid.gamma_K + ((1, 0, 0),))
+    bad = mid._replace(gamma_K=mid.gamma_K + ((1, 0, 0),))
     assert failures_with(monkeypatch, rs, (top, bad)) == [
         {"check": "disjoint", "root": [1, 0, 0], "entries": [[0, 1, 2], [1]]},
         {"check": "unique-complement", "root": [1, 0, 0], "entry": [1],
@@ -170,7 +169,7 @@ def test_partition_check_reports_a_dropped_root(monkeypatch):
     # eps_K is no one's partner, so dropping it breaks the cover only
     rs = build_root_system("A", 3)
     top, mid = full_cascade(rs)
-    bad = replace(top, gamma_K=top.gamma_K[:-1])
+    bad = top._replace(gamma_K=top.gamma_K[:-1])
     assert top.gamma_K[-1] == top.epsilon_K == (1, 1, 1)
     assert failures_with(monkeypatch, rs, (bad, mid)) == [
         {"check": "cover", "root": [1, 1, 1]},
@@ -183,9 +182,9 @@ def test_partition_check_reports_a_missing_partner(monkeypatch):
     rs = build_root_system("A", 3)
     top, mid = full_cascade(rs)
     moved = (1, 1, 0)
-    bad_top = replace(top, gamma_K=tuple(r for r in top.gamma_K
+    bad_top = top._replace(gamma_K=tuple(r for r in top.gamma_K
                                          if r != moved))
-    bad_mid = replace(mid, gamma_K=mid.gamma_K + (moved,))
+    bad_mid = mid._replace(gamma_K=mid.gamma_K + (moved,))
     assert failures_with(monkeypatch, rs, (bad_top, bad_mid)) == [
         {"check": "unique-complement", "root": [0, 0, 1],
          "entry": [0, 1, 2], "partners": []},
@@ -199,7 +198,7 @@ def test_partition_check_reports_overlapping_supports(monkeypatch):
     rs = build_root_system("A", 5)
     top, mid, low = full_cascade(rs)
     assert sorted(mid.subset_K) == [1, 2, 3]
-    bad = replace(low, subset_K=frozenset({3, 4}))
+    bad = low._replace(subset_K=frozenset({3, 4}))
     assert failures_with(monkeypatch, rs, (top, mid, bad)) == [
         {"check": "nesting", "entries": [[1, 2, 3], [3, 4]]},
     ]

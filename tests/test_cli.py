@@ -383,3 +383,22 @@ def test_python_m_liepairs_from_checkout():
     assert proc.returncode == 0, proc.stderr
     # --max-rank bounds the classical types only: the E rows always show
     assert "(sp_4, gl_2)" in proc.stdout and "(E7, E6 x C)" in proc.stdout
+
+
+def test_reader_closing_the_pipe_is_not_an_internal_error():
+    # `liepairs orbits --p 30 --json | head -1`: the output (about 250 KiB)
+    # overflows a pipe's buffer, so the command is still writing when the
+    # reader closes after the first line
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-m", "liepairs", "orbits", "--p", "30",
+             "--json"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert first == b"{\n"
+    assert code == 1
+    assert err == ""

@@ -111,7 +111,7 @@ def closure_root_system(label, rank):
 
 @pytest.mark.parametrize("label,rank", FORM_TYPES)
 def test_raising_reflections_match_closure(label, rank):
-    # dataclass equality: positive roots in order, lengths, Cartan matrix
+    # RootSystem equality: positive roots in order, lengths, Cartan matrix
     assert build_root_system(label, rank) == closure_root_system(label, rank)
 
 
